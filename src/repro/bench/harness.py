@@ -34,56 +34,34 @@ from repro.workloads.tpcc import TpccConfig, TpccWorkload
 PROTOCOLS = ("m2paxos", "multipaxos", "genpaxos", "epaxos")
 
 
+# M2Paxos as every bench runs it: library defaults except for the
+# supervision timeouts (see the module docstring).
+BENCH_M2 = M2PaxosConfig(
+    forward_timeout=1.0,
+    # Balanced gap healing: fast enough that ownership-churn holes do
+    # not stall the pipeline for long, slow enough not to scoop rounds
+    # that are merely queued at saturation.
+    gap_timeout=0.5,
+    gap_check_period=0.25,
+    supervise_timeout=30.0,
+    round_timeout=10.0,
+)
+
+
 def protocol_factory(
-    name: str,
-    home_hint: Optional[Callable[[str], int]] = None,
-    max_batch: int = 1,
-    batch_wait: float = 0.0,
-    batch_adaptive: bool = False,
-    costs=None,
-    policy=None,
-    quorum=None,
-    lease_duration: float = 0.0,
-    lease_margin: float = 0.002,
-    session_cap: int = 65536,
-    nearest_accept: bool = False,
-    quorum_rtt: Optional[tuple] = None,
+    name: str, costs=None, **m2
 ) -> Callable[[int, int], Protocol]:
     """Benchmark-tuned factory for each protocol under test.
 
-    ``max_batch``/``batch_wait``/``batch_adaptive`` configure M2Paxos
-    fast-path batching (ignored by the other protocols); ``costs``
-    optionally replaces the protocol's CPU-cost profile (the perf bench
-    uses a wire-bound profile to isolate the protocol-layer effect of
-    batching).  ``policy`` is an ownership-policy *factory* (zero-arg
-    callable -- policies hold per-node state) and ``quorum`` a
-    :class:`~repro.core.quorum.QuorumSystem` spec; both are M2Paxos-only,
-    as are the serving-tier knobs (``lease_duration``/``lease_margin``/
-    ``session_cap``) and latency-aware accept targeting
-    (``nearest_accept`` + ``quorum_rtt``).
+    ``m2`` names :class:`M2PaxosConfig` fields to set on top of
+    :data:`BENCH_M2` (ignored by the other protocols; an unknown name is
+    a ``TypeError``).  Note ``policy`` is an ownership-policy *factory*
+    (zero-arg callable -- policies hold per-node state).  ``costs``
+    optionally replaces the M2Paxos CPU-cost profile (the serving bench
+    uses one that lets the message path dominate).
     """
     if name == "m2paxos":
-        config = M2PaxosConfig(
-            forward_timeout=1.0,
-            # Balanced gap healing: fast enough that ownership-churn
-            # holes do not stall the pipeline for long, slow enough not
-            # to scoop rounds that are merely queued at saturation.
-            gap_timeout=0.5,
-            gap_check_period=0.25,
-            supervise_timeout=30.0,
-            round_timeout=10.0,
-            home_hint=home_hint,
-            max_batch=max_batch,
-            batch_wait=batch_wait,
-            batch_adaptive=batch_adaptive,
-            policy=policy,
-            quorum=quorum,
-            lease_duration=lease_duration,
-            lease_margin=lease_margin,
-            session_cap=session_cap,
-            nearest_accept=nearest_accept,
-            quorum_rtt=quorum_rtt,
-        )
+        config = replace(BENCH_M2, **m2)
 
         def make_m2(node_id: int, n: int) -> Protocol:
             protocol = M2Paxos(config)

@@ -364,7 +364,7 @@ def _top_runtime(args) -> int:
     from repro.bench.perf import SATURATION_M2
     from repro.consensus.commands import Command
     from repro.obs.telemetry import render_screen
-    from repro.runtime.cluster import LocalCluster, run
+    from repro.runtime.cluster import LocalCluster
     from repro.runtime.driver import PipelineDriver
 
     async def main() -> int:
@@ -402,7 +402,7 @@ def _top_runtime(args) -> int:
         await cluster.stop()
         return 0
 
-    return run(main(), uvloop=False)
+    return asyncio.run(main())
 
 
 def cmd_trace(args) -> int:
@@ -520,10 +520,10 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_perf(args) -> int:
-    """Run the seeded performance microbenches; write one BENCH_*.json
-    datapoint.  ``--smoke`` shrinks every bench for CI and makes the
-    regression assertions (batched beats unbatched, binary beats JSON)
-    fatal."""
+    """Run the seeded feature A/B benches; write one BENCH_*.json
+    datapoint.  ``--smoke`` shrinks every bench for CI; the regression
+    floors (telemetry tax, leased-read speedup, geo migration win) are
+    fatal either way.  The hot path is ``python -m perfbench``."""
     from repro.bench.perf import (
         PerfConfig,
         check_regressions,
@@ -531,7 +531,7 @@ def cmd_perf(args) -> int:
         write_datapoint,
     )
 
-    config = PerfConfig(seed=args.seed, uvloop=args.uvloop)
+    config = PerfConfig(seed=args.seed)
     if args.smoke:
         config = config.scaled_for_smoke()
     datapoint = run_perf(config, only=args.benches or None)
@@ -539,37 +539,6 @@ def cmd_perf(args) -> int:
 
     rows = []
     results = datapoint["results"]
-    if "sim" in results:
-        rows.append({"bench": "sim events/sec",
-                     "value": results["sim"]["events_per_sec"]})
-    if "codec" in results:
-        rows.append({"bench": "codec binary/json speedup",
-                     "value": results["codec"]["speedup"]})
-        rows.append({"bench": "codec bytes/msg (bin)",
-                     "value": results["codec"]["binary_bytes_per_msg"]})
-    if "m2_batching" in results:
-        rows.append({"bench": "m2 batched cmds/sec",
-                     "value": results["m2_batching"]["batched"]["commands_per_sec"]})
-        rows.append({"bench": "m2 batching speedup",
-                     "value": results["m2_batching"]["speedup"]})
-    if "runtime_tcp" in results:
-        rows.append({"bench": "runtime TCP cmds/sec",
-                     "value": results["runtime_tcp"]["commands_per_sec"]})
-    if "runtime_saturation" in results:
-        saturation = results["runtime_saturation"]
-        for depth, entry in saturation["depths"].items():
-            rows.append({"bench": f"runtime depth={depth} cmds/sec",
-                         "value": entry["commands_per_sec"]})
-        rows.append({"bench": "runtime pipelined speedup",
-                     "value": saturation["pipelined_speedup"]})
-    if "sim_runtime_gap" in results:
-        rows.append({"bench": "sim/runtime gap ratio",
-                     "value": results["sim_runtime_gap"]["gap_ratio"]})
-    if "storage_fsync" in results:
-        rows.append({"bench": "fsync-batched records/sec",
-                     "value": results["storage_fsync"]["batched_fsync_records_per_sec"]})
-        rows.append({"bench": "fsync batching speedup",
-                     "value": results["storage_fsync"]["speedup"]})
     if "telemetry_overhead" in results:
         telemetry = results["telemetry_overhead"]
         rows.append({"bench": "telemetry-off cmds/sec",
@@ -777,22 +746,15 @@ def main(argv=None) -> int:
     chaos_parser.set_defaults(fn=cmd_chaos)
 
     perf_parser = sub.add_parser(
-        "perf", help="seeded perf microbenches; writes BENCH_<stamp>.json"
+        "perf", help="seeded feature A/B benches; writes BENCH_<stamp>.json"
     )
     perf_parser.add_argument(
         "benches", nargs="*",
-        help="subset to run: sim codec m2_batching runtime_tcp "
-             "runtime_saturation storage_fsync telemetry_overhead "
-             "serving geo (default: all)",
+        help="subset to run: telemetry_overhead serving geo (default: all)",
     )
     perf_parser.add_argument("--seed", type=int, default=1)
     perf_parser.add_argument(
         "--smoke", action="store_true", help="quick CI variant"
-    )
-    perf_parser.add_argument(
-        "--uvloop", action="store_true",
-        help="run runtime benches under uvloop when installed "
-             "(silently falls back to stock asyncio)",
     )
     perf_parser.add_argument(
         "--out", default=None, help="datapoint path (default BENCH_<stamp>.json)"

@@ -36,6 +36,7 @@ from repro.consensus.base import Env, Message, Protocol, ProtocolCosts, handles
 from repro.consensus.commands import Command
 from repro.consensus.multipaxos import MultiPaxos, MultiPaxosConfig
 from repro.core.protocol import M2Paxos, M2PaxosConfig
+from repro.runtime.codec import register_message
 
 MODE_M2 = "m2paxos"
 MODE_MP = "multipaxos"
@@ -58,6 +59,10 @@ class SwitchVote(Message):
 
     want: str
     conflict_rate: float
+
+
+register_message(Tagged)
+register_message(SwitchVote)
 
 
 @dataclass(frozen=True)

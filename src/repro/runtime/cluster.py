@@ -28,39 +28,6 @@ def _free_port() -> int:
         return sock.getsockname()[1]
 
 
-def uvloop_available() -> bool:
-    """Whether the optional uvloop accelerator is importable."""
-    try:
-        import uvloop  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def run(main, *, uvloop: bool = False):
-    """``asyncio.run`` with an optional uvloop event loop.
-
-    ``uvloop=True`` swaps in uvloop's event-loop policy for the run
-    when the package is installed and falls back to the stock loop
-    silently otherwise -- the knob is a pure accelerator, never a
-    dependency.  The previous policy is always restored, so one
-    uvloop-backed bench does not leak a C event loop into the rest of
-    the process.
-    """
-    if uvloop:
-        try:
-            import uvloop as _uvloop
-        except ImportError:
-            return asyncio.run(main)
-        previous = asyncio.get_event_loop_policy()
-        asyncio.set_event_loop_policy(_uvloop.EventLoopPolicy())
-        try:
-            return asyncio.run(main)
-        finally:
-            asyncio.set_event_loop_policy(previous)
-    return asyncio.run(main)
-
-
 class LocalCluster:
     """N runtime nodes on 127.0.0.1, each with its own port."""
 
@@ -69,7 +36,6 @@ class LocalCluster:
         n_nodes: int,
         protocol_factory: ProtocolFactory,
         storage: Optional[StorageConfig] = None,
-        codec: str = "binary",
     ) -> None:
         self.n_nodes = n_nodes
         self.protocol_factory = protocol_factory
@@ -81,27 +47,16 @@ class LocalCluster:
                 self.peers,
                 protocol_factory(i, n_nodes),
                 storage=storage.build(i) if storage is not None else None,
-                codec=codec,
             )
             for i in range(n_nodes)
         ]
-        # Advisory: whoever owns the event loop should boot it through
-        # :func:`run` with this flag (set by ``from_spec``).
-        self.uvloop = False
         self.telemetry = None
 
     @classmethod
     def from_spec(cls, spec) -> "LocalCluster":
         """Build from a :class:`repro.spec.ClusterSpec` -- the preferred
         constructor (same spec object drives the simulator)."""
-        cluster = cls(
-            spec.n_nodes,
-            spec.protocol_factory(),
-            storage=spec.storage,
-            codec=spec.codec,
-        )
-        cluster.uvloop = spec.uvloop
-        return cluster
+        return cls(spec.n_nodes, spec.protocol_factory(), storage=spec.storage)
 
     async def start(self) -> None:
         for node in self.nodes:

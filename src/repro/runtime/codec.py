@@ -1,29 +1,26 @@
-"""Wire codec: protocol messages <-> length-prefixed frames.
+"""Wire codec: protocol messages <-> length-prefixed binary frames.
 
 Messages are frozen dataclasses whose fields are built from a small
 vocabulary (ints, strings, bools, Commands, tuples, frozensets, dicts
-with tuple keys).  Two codecs share that vocabulary:
+with tuple keys).  A frame payload is tag-byte framed, varint-packed
+values with per-class encoders generated once from
+``dataclasses.fields()`` and cached, plus interned :class:`Command`
+bodies (a command is encoded once and the bytes reused across every
+Accept/Decide/resend that carries it, and decoded bodies are memoised
+the same way).
 
-- a **binary fast path**: tag-byte framed, varint-packed values with
-  per-class encoders generated once from ``dataclasses.fields()`` and
-  cached, plus interned :class:`Command` bodies (a command is encoded
-  once and the bytes reused across every Accept/Decide/resend that
-  carries it, and decoded bodies are memoised the same way);
-- the original **JSON path**, kept as the fallback for message classes
-  the binary codec does not know (unknown or non-dataclass types) and
-  selectable explicitly for diagnostics.
-
-The first payload byte disambiguates: ``{`` (0x7B) opens a JSON object,
-0xB1 marks a binary frame, so mixed-version peers interoperate frame by
-frame.
+Every message class that crosses the wire must be a dataclass made
+known through :func:`register_message`; encoding anything else is a
+``TypeError`` naming the class.  Inbound payloads are outside input:
+whatever is wrong with one, :func:`decode_message` raises
+:class:`FrameError` (a ``ValueError``).
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import fields, is_dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.consensus import epaxos, genpaxos, mencius, multipaxos, paxos
 from repro.consensus.base import Message
@@ -35,18 +32,13 @@ _MESSAGE_CLASSES: dict[str, type] = {}
 # Binary-codec caches, invalidated per class on (re-)registration.
 _BIN_CLASS_INFO: dict[type, tuple[bytes, tuple[str, ...]]] = {}
 _BIN_FIELDS_BY_NAME: dict[str, tuple[type, tuple[str, ...]]] = {}
-_JSON_ONLY: set[type] = set()
-# JSON-path field cache: reflection over ``fields()`` runs once per
-# class, not once per encoded dataclass value.
-_JSON_FIELDS: dict[type, tuple[str, ...]] = {}
 
 
 def register_message(cls: type) -> None:
-    """Make ``cls`` decodable; idempotent."""
+    """Make ``cls`` encodable and decodable; idempotent."""
     _MESSAGE_CLASSES[cls.__name__] = cls
     _BIN_CLASS_INFO.pop(cls, None)
     _BIN_FIELDS_BY_NAME.pop(cls.__name__, None)
-    _JSON_ONLY.discard(cls)
 
 
 for module in (core_messages, multipaxos, genpaxos, epaxos, paxos, mencius):
@@ -57,121 +49,11 @@ for module in (core_messages, multipaxos, genpaxos, epaxos, paxos, mencius):
 
 
 # ----------------------------------------------------------------------
-# JSON path (fallback + explicit)
-# ----------------------------------------------------------------------
-
-
-def _sort_key(value: Any) -> tuple:
-    """Deterministic total order over already-encoded JSON values.
-
-    Cheaper than the former ``key=repr``: scalars compare natively and
-    containers recurse into tuples instead of rendering strings.
-    """
-    t = value.__class__
-    if t is str:
-        return (3, value)
-    if t is bool:
-        return (1, value)
-    if t is int or t is float:
-        return (2, value)
-    if value is None:
-        return (0, 0)
-    if t is list:
-        return (4, tuple(_sort_key(v) for v in value))
-    if t is dict:
-        return (5, tuple(sorted((k, _sort_key(v)) for k, v in value.items())))
-    return (6, repr(value))
-
-
-def _encode_value(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, Command):
-        encoded = [
-            list(value.cid),
-            sorted(value.ls),
-            value.payload_bytes,
-            value.proposer,
-            value.noop,
-        ]
-        if value.is_read or value.session is not None:
-            # Serving-tier fields ride as a trailing extension so frames
-            # for plain commands stay byte-identical to older peers.
-            encoded.append(value.is_read)
-            encoded.append(
-                list(value.session) if value.session is not None else None
-            )
-        return {"__cmd__": encoded}
-    if isinstance(value, tuple):
-        return {"__tup__": [_encode_value(v) for v in value]}
-    if isinstance(value, (set, frozenset)):
-        return {"__set__": sorted((_encode_value(v) for v in value), key=_sort_key)}
-    if isinstance(value, dict):
-        return {
-            "__map__": [
-                [_encode_value(k), _encode_value(v)] for k, v in value.items()
-            ]
-        }
-    if is_dataclass(value):
-        cls = type(value)
-        names = _JSON_FIELDS.get(cls)
-        if names is None:
-            names = tuple(f.name for f in fields(value))
-            _JSON_FIELDS[cls] = names
-        return {
-            "__obj__": cls.__name__,
-            "f": {name: _encode_value(getattr(value, name)) for name in names},
-        }
-    raise TypeError(f"cannot encode {type(value).__name__}: {value!r}")
-
-
-def _decode_value(value: Any) -> Any:
-    if not isinstance(value, (dict, list)):
-        return value
-    if isinstance(value, list):
-        return [_decode_value(v) for v in value]
-    if "__cmd__" in value:
-        encoded = value["__cmd__"]
-        cid, ls, payload, proposer, noop = encoded[:5]
-        is_read = encoded[5] if len(encoded) > 5 else False
-        session = encoded[6] if len(encoded) > 6 else None
-        return Command(
-            cid=tuple(cid),
-            ls=frozenset(ls),
-            payload_bytes=payload,
-            proposer=proposer,
-            noop=noop,
-            is_read=is_read,
-            session=tuple(session) if session is not None else None,
-        )
-    if "__tup__" in value:
-        return tuple(_decode_value(v) for v in value["__tup__"])
-    if "__set__" in value:
-        return frozenset(_decode_value(v) for v in value["__set__"])
-    if "__map__" in value:
-        return {
-            _decode_value(k): _decode_value(v) for k, v in value["__map__"]
-        }
-    if "__obj__" in value:
-        cls = _MESSAGE_CLASSES[value["__obj__"]]
-        kwargs = {name: _decode_value(v) for name, v in value["f"].items()}
-        return cls(**kwargs)
-    return {k: _decode_value(v) for k, v in value.items()}
-
-
-def encode_payload_json(sender: int, message: Message) -> bytes:
-    """The JSON frame payload (no length prefix)."""
-    return json.dumps(
-        {"s": sender, "m": _encode_value(message)}, separators=(",", ":")
-    ).encode()
-
-
-# ----------------------------------------------------------------------
-# Binary fast path
+# Values
 # ----------------------------------------------------------------------
 
 _BIN_MAGIC = 0xB1
-"""First payload byte of a binary frame (a JSON frame starts with '{')."""
+"""First payload byte of every frame."""
 
 (
     _T_NONE,
@@ -188,10 +70,6 @@ _BIN_MAGIC = 0xB1
 ) = range(11)
 
 _F64 = struct.Struct(">d")
-
-
-class _Unencodable(TypeError):
-    """A value outside the binary vocabulary; the frame falls back to JSON."""
 
 
 def _write_uvarint(out: bytearray, n: int) -> None:
@@ -222,13 +100,16 @@ def _unzigzag(u: int) -> int:
     return (u >> 1) if not (u & 1) else -((u + 1) >> 1)
 
 
-def _class_info(cls: type) -> Optional[tuple[bytes, tuple[str, ...]]]:
+def _class_info(cls: type) -> tuple[bytes, tuple[str, ...]]:
     """``(length-prefixed name bytes, field names)`` for a registered
     dataclass message; generated once per class and cached."""
     info = _BIN_CLASS_INFO.get(cls)
     if info is None:
         if _MESSAGE_CLASSES.get(cls.__name__) is not cls or not is_dataclass(cls):
-            return None
+            raise TypeError(
+                f"cannot encode {cls.__name__}: not a dataclass registered "
+                f"with repro.runtime.codec.register_message"
+            )
         raw = cls.__name__.encode()
         prefixed = bytearray()
         _write_uvarint(prefixed, len(raw))
@@ -314,10 +195,7 @@ def _bin_encode(value: Any, out: bytearray) -> None:
         out.append(_T_FLOAT)
         out += _F64.pack(value)
     else:
-        info = _class_info(t)
-        if info is None:
-            raise _Unencodable(f"no binary encoder for {t.__name__}")
-        name_bytes, field_names = info
+        name_bytes, field_names = _class_info(t)
         out.append(_T_OBJ)
         out += name_bytes
         for name in field_names:
@@ -412,7 +290,9 @@ def _bin_decode(buf: memoryview, pos: int) -> tuple[Any, int]:
         pos += size
         cached = _BIN_FIELDS_BY_NAME.get(name)
         if cached is None:
-            cls = _MESSAGE_CLASSES[name]
+            cls = _MESSAGE_CLASSES.get(name)
+            if cls is None:
+                raise ValueError(f"unknown message class {name!r}")
             cached = (cls, tuple(f.name for f in fields(cls)))
             _BIN_FIELDS_BY_NAME[name] = cached
         cls, field_names = cached
@@ -439,40 +319,6 @@ def _bin_decode(buf: memoryview, pos: int) -> tuple[Any, int]:
     raise ValueError(f"bad binary tag {tag} at offset {pos - 1}")
 
 
-def encode_payload_binary(sender: int, message: Message) -> bytes:
-    """The binary frame payload (no length prefix).
-
-    Raises :class:`TypeError` for values outside the vocabulary; use
-    :func:`encode_message` for the auto-fallback behaviour.
-    """
-    out = bytearray()
-    out.append(_BIN_MAGIC)
-    _write_svarint(out, sender)
-    _bin_encode(message, out)
-    return bytes(out)
-
-
-def decode_payload(payload: "bytes | memoryview") -> tuple[int, Message]:
-    """Decode one frame payload, auto-detecting the codec.
-
-    Accepts a ``memoryview`` so the inbound path can slice frames out of
-    its receive buffer without copying each payload first; only the
-    values that outlive the frame (strings, command bodies) are copied,
-    inside :func:`_bin_decode`.
-    """
-    if payload[0] == _BIN_MAGIC:
-        buf = payload if type(payload) is memoryview else memoryview(payload)
-        u, pos = _read_uvarint(buf, 1)
-        message, end = _bin_decode(buf, pos)
-        if end != len(payload):
-            raise ValueError(
-                f"trailing bytes in binary frame: {len(payload) - end}"
-            )
-        return _unzigzag(u), message
-    data = json.loads(bytes(payload))
-    return data["s"], _decode_value(data["m"])
-
-
 # ----------------------------------------------------------------------
 # Frame API
 # ----------------------------------------------------------------------
@@ -481,52 +327,67 @@ def decode_payload(payload: "bytes | memoryview") -> tuple[int, Message]:
 def encode_message_into(out: bytearray, sender: int, message: Message) -> None:
     """Append one length-prefixed frame for ``message`` to ``out``.
 
-    This is the zero-copy encode path: the binary encoder writes
-    straight into the caller's (reused) buffer -- no per-message
-    ``bytes`` object, no join -- and the 4-byte length prefix is
-    back-patched once the payload size is known.  Fallback semantics
-    match :func:`encode_message`: a class outside the binary vocabulary
-    is remembered as JSON-only and its half-written frame is rolled
-    back.
+    This is the zero-copy encode path: the encoder writes straight into
+    the caller's (reused) buffer -- no per-message ``bytes`` object, no
+    join -- and the 4-byte length prefix is back-patched once the
+    payload size is known.  ``TypeError`` for a message (or a field
+    value) of a class that is not a registered dataclass; ``out`` then
+    ends in a partial frame and is not fit to send.
     """
-    cls = message.__class__
-    if cls not in _JSON_ONLY:
-        mark = len(out)
-        out += _HEADER_PLACEHOLDER
-        try:
-            out.append(_BIN_MAGIC)
-            _write_svarint(out, sender)
-            _bin_encode(message, out)
-        except (_Unencodable, TypeError):
-            _JSON_ONLY.add(cls)
-            del out[mark:]
-        else:
-            FRAME_HEADER.pack_into(out, mark, len(out) - mark - FRAME_HEADER.size)
-            return
-    payload = encode_payload_json(sender, message)
-    out += FRAME_HEADER.pack(len(payload))
-    out += payload
+    mark = len(out)
+    out += _HEADER_PLACEHOLDER
+    out.append(_BIN_MAGIC)
+    _write_svarint(out, sender)
+    _bin_encode(message, out)
+    FRAME_HEADER.pack_into(out, mark, len(out) - mark - FRAME_HEADER.size)
 
 
 def encode_message(sender: int, message: Message) -> bytes:
-    """One length-prefixed frame: 4-byte big-endian size + payload.
-
-    The binary codec is used for every registered dataclass message
-    built from the shared vocabulary; anything else (unknown classes,
-    exotic field values) falls back to JSON, and the class is remembered
-    as JSON-only so the failed walk is not repeated per message.
-    """
+    """One length-prefixed frame: 4-byte big-endian size + payload."""
     out = bytearray()
     encode_message_into(out, sender, message)
     return bytes(out)
 
 
+class FrameError(ValueError):
+    """Inbound bytes that are not a frame any encoder produced."""
+
+
+# What :func:`_bin_decode` can raise on such bytes: reads past the end,
+# an unknown tag or class name, bytes that are not UTF-8, a hostile
+# nesting depth, a dict key or constructor argument of the wrong shape.
+_MALFORMED = (
+    IndexError,
+    KeyError,
+    TypeError,
+    ValueError,
+    struct.error,
+    RecursionError,
+)
+
+
 def decode_message(payload: "bytes | memoryview") -> tuple[int, Message]:
-    """Inverse of :func:`encode_message` (without the length prefix)."""
-    sender, message = decode_payload(payload)
+    """Inverse of :func:`encode_message` (without the length prefix);
+    :class:`FrameError` if ``payload`` is not one message's payload.
+
+    Accepts a ``memoryview`` so the inbound path can slice frames out of
+    its receive buffer without copying each payload first; only the
+    values that outlive the frame (strings, command bodies) are copied,
+    inside :func:`_bin_decode`.
+    """
+    if not payload or payload[0] != _BIN_MAGIC:
+        raise FrameError("frame payload does not start with the 0xB1 marker")
+    buf = payload if type(payload) is memoryview else memoryview(payload)
+    try:
+        u, pos = _read_uvarint(buf, 1)
+        message, end = _bin_decode(buf, pos)
+    except _MALFORMED as exc:
+        raise FrameError(f"malformed frame: {exc!r}") from exc
+    if end != len(payload):
+        raise FrameError(f"frame length is {len(payload)}, its value ends at {end}")
     if not isinstance(message, Message):
-        raise ValueError(f"decoded object is not a Message: {message!r}")
-    return sender, message
+        raise FrameError(f"decoded object is not a Message: {message!r}")
+    return _unzigzag(u), message
 
 
 def wire_size(message: Message) -> int:

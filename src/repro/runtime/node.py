@@ -40,10 +40,10 @@ from repro.consensus.commands import Command
 from repro.runtime.codec import (
     FRAME_HEADER,
     MAX_FRAME,
+    FrameError,
     decode_message,
     encode_message,
     encode_message_into,
-    encode_payload_json,
 )
 from repro.storage.recovery import recover_protocol
 
@@ -134,16 +134,12 @@ class RuntimeNode:
         peers: dict[int, Address],
         protocol: Protocol,
         storage: Optional[Storage] = None,
-        codec: str = "binary",
     ) -> None:
         if node_id not in peers:
             raise ValueError("peers must include this node's own address")
-        if codec not in ("binary", "json"):
-            raise ValueError(f"codec must be 'binary' or 'json', got {codec!r}")
         self.node_id = node_id
         self.peers = peers
         self.protocol = protocol
-        self.codec = codec
         self.delivered: list[Command] = []
         # One entry per finished amnesia incarnation, as in SimNode.
         self.delivery_history: list[list[Command]] = []
@@ -336,35 +332,13 @@ class RuntimeNode:
         for listener in self.read_listeners:
             listener(self.node_id, command, result, now)
 
-    def _encode(self, message: Message) -> bytes:
-        """One length-prefixed frame in this node's configured codec.
-
-        ``binary`` (default) uses the compact codec with its automatic
-        JSON fallback for unregistered classes; ``json`` forces the
-        debug-friendly JSON payload for every message.  Both decode
-        through the same :func:`decode_message`, so codecs can be mixed
-        per node on one cluster.
-        """
-        if self.codec == "json":
-            payload = encode_payload_json(self.node_id, message)
-            return FRAME_HEADER.pack(len(payload)) + payload
-        return encode_message(self.node_id, message)
-
     def _encode_batch(self, messages: list[Message]) -> bytearray:
         """One flush batch's frames, encoded back to back into a single
-        buffer -- the zero-copy counterpart of per-message ``_encode``
-        (no intermediate ``bytes`` per frame, no join)."""
+        buffer (no intermediate ``bytes`` per frame, no join)."""
         out = bytearray()
-        if self.codec == "json":
-            node_id = self.node_id
-            for message in messages:
-                payload = encode_payload_json(node_id, message)
-                out += FRAME_HEADER.pack(len(payload))
-                out += payload
-        else:
-            node_id = self.node_id
-            for message in messages:
-                encode_message_into(out, node_id, message)
+        node_id = self.node_id
+        for message in messages:
+            encode_message_into(out, node_id, message)
         return out
 
     def enqueue(self, dst: int, messages: list[Message]) -> None:
@@ -397,7 +371,7 @@ class RuntimeNode:
         on_time: list[bytes] = []
         sent_bytes = 0
         for message in messages:
-            frame = self._encode(message)
+            frame = encode_message(self.node_id, message)
             for extra in faults(self.node_id, dst, now):
                 sent_bytes += len(frame)
                 if extra <= 0:
@@ -437,8 +411,8 @@ class RuntimeNode:
         keeps a deep pipeline moving: the sender only parks when the
         transport's buffer is genuinely over the high-water mark, not
         once per message it wrote.  ``writelines`` hands the frame
-        buffers to the transport as-is (uvloop turns this into a real
-        ``writev``), avoiding a second copy of the whole backlog."""
+        buffers to the transport as-is, avoiding a second copy of the
+        whole backlog."""
         while not self._closed:
             pending = self._outgoing.get(dst)
             if not pending:
@@ -497,7 +471,7 @@ class RuntimeNode:
                     while end - pos >= header_size:
                         (size,) = FRAME_HEADER.unpack_from(view, pos)
                         if size > MAX_FRAME:
-                            raise ValueError(f"oversized frame: {size}")
+                            raise FrameError(f"oversized frame: {size}")
                         start = pos + header_size
                         if end - start < size:
                             break
@@ -512,6 +486,12 @@ class RuntimeNode:
                     del buffer[:pos]
         except ConnectionResetError:
             pass
+        except FrameError:
+            # An oversized or undecodable frame: whatever sent it is not
+            # a peer speaking this protocol.  Nothing behind the bad
+            # frame can be trusted to be aligned, so this connection
+            # goes; the node and its other connections carry on.
+            self.env.observe("fault", event="bad_frame")
         except asyncio.CancelledError:
             # Server shut down while this handler was awaiting a frame.
             pass

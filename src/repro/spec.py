@@ -1,7 +1,7 @@
 """One configuration object for a whole cluster deployment.
 
 :class:`ClusterSpec` names everything that defines a run -- protocol,
-cluster size, seed, wire codec, network/CPU models, protocol tunables,
+cluster size, seed, network/CPU models, protocol tunables,
 and durable storage -- and both substrates consume it:
 
 - ``Cluster.from_spec(spec)`` builds a simulated cluster;
@@ -31,7 +31,6 @@ from repro.sim.network import NetworkConfig
 from repro.storage.base import StorageConfig
 
 PROTOCOLS = ("m2paxos", "multipaxos", "genpaxos", "epaxos")
-CODECS = ("binary", "json")
 
 
 class ConfigError(ValueError):
@@ -72,19 +71,12 @@ class ClusterSpec:
     ``m2`` carries the M2Paxos tunables (ignored by other protocols);
     ``None`` means the protocol's defaults.  ``network`` and ``cpu``
     only affect the simulator (the runtime runs on real wires and
-    cores); ``codec`` and ``uvloop`` only affect the runtime (the
-    simulator never serialises unless ``network.frame_sizes ==
-    "codec"``, and has no event loop to swap).  ``uvloop=True`` asks
-    for uvloop's C event loop and silently falls back to stock asyncio
-    when the package is not installed -- an accelerator knob, never a
-    dependency.  ``storage`` applies to both substrates.
+    cores); ``storage`` applies to both substrates.
     """
 
     protocol: str = "m2paxos"
     n_nodes: int = 3
     seed: int = 0
-    codec: str = "binary"
-    uvloop: bool = False
     network: NetworkConfig = field(default_factory=NetworkConfig)
     cpu: CpuConfig = field(default_factory=CpuConfig)
     m2: Optional[M2PaxosConfig] = None
@@ -102,10 +94,6 @@ class ClusterSpec:
         if self.protocol not in PROTOCOLS:
             raise ConfigError(
                 f"protocol: must be one of {PROTOCOLS}, got {self.protocol!r}"
-            )
-        if self.codec not in CODECS:
-            raise ConfigError(
-                f"codec: must be one of {CODECS}, got {self.codec!r}"
             )
         if self.n_nodes < 1:
             raise ConfigError(f"n_nodes: must be >= 1, got {self.n_nodes}")
@@ -186,14 +174,11 @@ class ClusterSpec:
             if key not in known:
                 raise ConfigError(f"unknown key {key!r}")
         kwargs: dict[str, Any] = {}
-        for name in ("protocol", "codec"):
-            if name in data:
-                kwargs[name] = _scalar(name, data[name], str)
+        if "protocol" in data:
+            kwargs["protocol"] = _scalar("protocol", data["protocol"], str)
         for name in ("n_nodes", "seed"):
             if name in data:
                 kwargs[name] = _scalar(name, data[name], int)
-        if "uvloop" in data:
-            kwargs["uvloop"] = _scalar("uvloop", data["uvloop"], bool)
         if "network" in data:
             kwargs["network"] = _section(
                 "network", data["network"], NetworkConfig, excluded=("latency",)

@@ -32,6 +32,13 @@ class TestProtocolFactory:
         protocol = protocol_factory("m2paxos", home_hint=hint)(0, 3)
         assert protocol.config.home_hint is hint
 
+    def test_m2_knobs_are_config_fields_on_the_bench_base(self):
+        protocol = protocol_factory("m2paxos", max_batch=8, lease_duration=0.2)(0, 3)
+        assert (protocol.config.max_batch, protocol.config.lease_duration) == (8, 0.2)
+        assert protocol.config.supervise_timeout == 30.0  # bench-tuned base kept
+        with pytest.raises(TypeError, match="max_btach"):
+            protocol_factory("m2paxos", max_btach=8)
+
 
 class TestWorkloadBuilder:
     def test_synthetic(self):

@@ -10,7 +10,7 @@ import pytest
 from repro.sim.cluster import Cluster
 from repro.sim.cpu import CpuConfig
 from repro.sim.network import NetworkConfig
-from repro.spec import CODECS, PROTOCOLS, ClusterSpec, ConfigError
+from repro.spec import PROTOCOLS, ClusterSpec, ConfigError
 from repro.storage.base import StorageConfig
 
 
@@ -19,16 +19,11 @@ class TestConstruction:
         spec = ClusterSpec()
         assert spec.protocol == "m2paxos"
         assert spec.n_nodes == 3
-        assert spec.codec == "binary"
         assert spec.storage is None
 
     def test_bad_protocol(self):
         with pytest.raises(ConfigError, match="protocol"):
             ClusterSpec(protocol="raft")
-
-    def test_bad_codec(self):
-        with pytest.raises(ConfigError, match="codec"):
-            ClusterSpec(codec="msgpack")
 
     def test_bad_n_nodes(self):
         with pytest.raises(ConfigError, match="n_nodes"):
@@ -48,11 +43,10 @@ class TestFromDict:
         defaults = ClusterSpec()
         # The network default carries a LatencyModel instance without
         # structural equality, so compare the scalar fields.
-        assert (spec.protocol, spec.n_nodes, spec.seed, spec.codec) == (
+        assert (spec.protocol, spec.n_nodes, spec.seed) == (
             defaults.protocol,
             defaults.n_nodes,
             defaults.seed,
-            defaults.codec,
         )
         assert spec.m2 is None and spec.storage is None
 
@@ -62,7 +56,6 @@ class TestFromDict:
                 "protocol": "multipaxos",
                 "n_nodes": 5,
                 "seed": 42,
-                "codec": "json",
                 "network": {"bandwidth": 1e9, "batching": False},
                 "cpu": {"cores": 4, "speed": 2.0},
                 "storage": {"kind": "mem", "snapshot_every": 100},
@@ -84,9 +77,14 @@ class TestFromDict:
         with pytest.raises(ConfigError, match="must be a dict"):
             ClusterSpec.from_dict([("n_nodes", 3)])
 
-    def test_unknown_top_level_key_named(self):
-        with pytest.raises(ConfigError, match="'protcol'"):
-            ClusterSpec.from_dict({"protcol": "m2paxos"})
+    @pytest.mark.parametrize(
+        "key, value",
+        # A typo, and the two runtime switches that no longer exist.
+        [("protcol", "m2paxos"), ("codec", "json"), ("uvloop", True)],
+    )
+    def test_unknown_top_level_key_named(self, key, value):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            ClusterSpec.from_dict({key: value})
 
     def test_unknown_nested_key_named_with_path(self):
         with pytest.raises(ConfigError, match="'network.bandwith'"):
@@ -195,6 +193,3 @@ class TestClusterFromSpec:
         cluster = Cluster.from_spec(spec)
         assert all(n.env.storage.durable for n in cluster.nodes)
         cluster.close_storage()
-
-    def test_codec_choices_exported(self):
-        assert set(CODECS) == {"binary", "json"}

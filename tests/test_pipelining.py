@@ -1,5 +1,5 @@
 """The pipelined runtime hot path: driver window semantics, adaptive
-batch_wait, zero-copy codec equivalence, the uvloop knob, and
+batch_wait, zero-copy codec equivalence, and
 sim-vs-runtime parity with a deep client window.
 
 The contract under test: pipelining is a *client-side* change.  The
@@ -23,7 +23,7 @@ from repro.chaos.scenarios import SMOKE, by_name
 from repro.consensus.commands import Command
 from repro.core.protocol import M2Paxos, M2PaxosConfig
 from repro.metrics.collector import MetricsCollector
-from repro.runtime.cluster import LocalCluster, run, uvloop_available
+from repro.runtime.cluster import LocalCluster
 from repro.runtime.codec import (
     FRAME_HEADER,
     decode_message,
@@ -32,6 +32,7 @@ from repro.runtime.codec import (
 )
 from repro.runtime.driver import PipelineDriver
 from tests.conftest import assert_all_delivered, make_cluster, run_workload
+from tests.test_codec_fuzz import random_message
 from tests.test_obs import quiet_config
 
 
@@ -326,9 +327,8 @@ class TestSimRuntimeParityPipelined:
 
 class TestZeroCopyCodec:
     def _corpus(self):
-        from repro.bench.perf import PerfConfig, _codec_corpus
-
-        return _codec_corpus(PerfConfig(codec_messages=60))
+        rng = random.Random(7)
+        return [random_message(rng) for _ in range(60)]
 
     def test_encode_into_matches_encode_message(self):
         for message in self._corpus():
@@ -363,46 +363,3 @@ class TestZeroCopyCodec:
             assert decode_message(payload) == decode_message(
                 memoryview(payload)
             )
-
-
-class TestUvloopKnob:
-    def test_run_returns_value(self):
-        async def main():
-            return 41 + 1
-
-        assert run(main()) == 42
-
-    def test_run_with_uvloop_flag_works_installed_or_not(self):
-        """The knob is an accelerator, never a dependency: with uvloop
-        missing the run silently lands on stock asyncio."""
-
-        async def main():
-            return type(asyncio.get_running_loop()).__module__
-
-        module = run(main(), uvloop=True)
-        if uvloop_available():
-            assert module.startswith("uvloop")
-        else:
-            assert "asyncio" in module
-
-    def test_policy_restored_after_uvloop_run(self):
-        async def main():
-            return None
-
-        before = asyncio.get_event_loop_policy()
-        run(main(), uvloop=True)
-        assert asyncio.get_event_loop_policy() is before
-
-    def test_spec_uvloop_knob_round_trips(self):
-        from repro.spec import ClusterSpec, ConfigError
-
-        assert ClusterSpec().uvloop is False
-        spec = ClusterSpec.from_dict({"uvloop": True})
-        assert spec.uvloop is True
-        cluster = LocalCluster.from_spec(spec)
-        try:
-            assert cluster.uvloop is True
-        finally:
-            cluster.close_storage()
-        with pytest.raises(ConfigError, match="uvloop"):
-            ClusterSpec.from_dict({"uvloop": "yes"})

@@ -1,15 +1,45 @@
 """Tests for the asyncio runtime: codec round-trips and live clusters."""
 
 import asyncio
+import gc
 
+import pytest
 
 from repro.consensus.commands import Command, CStruct
 from repro.consensus.epaxos import EpPreAccept
 from repro.consensus.multipaxos import MpAccept, MultiPaxos
 from repro.core.messages import Accept, AckAccept, AckPrepare, Forward, Prepare
 from repro.core.protocol import M2Paxos
-from repro.runtime.codec import decode_message, encode_message, FRAME_HEADER
+from repro.runtime.codec import (
+    FRAME_HEADER,
+    MAX_FRAME,
+    FrameError,
+    decode_message,
+    encode_message,
+)
 from repro.runtime.cluster import LocalCluster
+
+
+def _framed(payload: bytes) -> bytes:
+    return FRAME_HEADER.pack(len(payload)) + payload
+
+
+_GOOD_PAYLOAD = encode_message(1, Prepare(req=1, eps={("o", 1): 2}))[
+    FRAME_HEADER.size :
+]
+
+# case -> what to write, given the payload of one well-formed frame
+MALFORMED_FRAMES = {
+    "zero-length payload": lambda payload: _framed(b""),
+    "json": lambda payload: _framed(b'{"s":1,"m":{"__obj__":"Prepare"}}'),
+    "wrong marker": lambda payload: _framed(b"\x00" + payload[1:]),
+    "unknown class": lambda payload: _framed(b"\xb1\x02\x0a\x03Foo"),
+    "truncated value": lambda payload: _framed(payload[:-1]),
+    "trailing bytes": lambda payload: _framed(payload + b"\x00"),
+    "not utf-8": lambda payload: _framed(b"\xb1\x02\x05\x02\xff\xfe"),
+    "unknown tag": lambda payload: _framed(b"\xb1\x02\x7f"),
+    "oversized": lambda payload: FRAME_HEADER.pack(MAX_FRAME + 1),
+}
 
 
 def roundtrip(message, sender=3):
@@ -88,6 +118,14 @@ class TestCodec:
         assert roundtrip(msg).command.noop
 
 
+    @pytest.mark.parametrize("case", sorted(set(MALFORMED_FRAMES) - {"oversized"}))
+    def test_malformed_payload_is_a_frame_error(self, case):
+        frame = MALFORMED_FRAMES[case](_GOOD_PAYLOAD)
+        with pytest.raises(ValueError) as caught:
+            decode_message(frame[FRAME_HEADER.size :])
+        assert type(caught.value) is FrameError
+
+
 class TestLiveCluster:
     def run(self, coro):
         return asyncio.run(asyncio.wait_for(coro, timeout=30))
@@ -129,6 +167,56 @@ class TestLiveCluster:
                         assert structs[i].is_prefix_compatible(structs[j])
             finally:
                 await cluster.stop()
+
+        self.run(scenario())
+
+    def test_adaptive_switcher_over_tcp(self):
+        """The switcher wraps every inner message in an envelope class of
+        its own; those must cross real sockets like any other message."""
+        from repro.core.switcher import AdaptiveSwitcher
+
+        async def scenario():
+            cluster = LocalCluster(3, lambda i, n: AdaptiveSwitcher())
+            await cluster.start()
+            try:
+                for seq in range(6):
+                    node = seq % 3
+                    cluster.propose(node, Command.make(node, seq, ["shared"]))
+                await cluster.wait_delivered(6)
+            finally:
+                await cluster.stop()
+
+        self.run(scenario())
+
+    def test_malformed_frames_cost_one_connection_not_the_node(self):
+        """Whatever arrives on the listening socket is outside input: a
+        bad frame ends the connection it came in on, nothing else."""
+
+        async def scenario():
+            cluster = LocalCluster(3, lambda i, n: M2Paxos())
+            escaped = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: escaped.append(context)
+            )
+            await cluster.start()
+            try:
+                # Peer connections exist before the hostile ones do.
+                cluster.propose(0, Command.make(0, 0, ["alpha"]))
+                await cluster.wait_delivered(1)
+                host, port = cluster.peers[1]
+                for case, data in MALFORMED_FRAMES.items():
+                    reader, writer = await asyncio.open_connection(host, port)
+                    writer.write(data(_GOOD_PAYLOAD))
+                    eof = await asyncio.wait_for(reader.read(), timeout=5)
+                    assert eof == b"", case
+                    writer.close()
+                cluster.propose(1, Command.make(1, 0, ["alpha"]))
+                cluster.propose(0, Command.make(0, 1, ["alpha"]))
+                await cluster.wait_delivered(3)
+            finally:
+                await cluster.stop()
+            gc.collect()  # a dropped task reports its exception on collection
+            assert escaped == []
 
         self.run(scenario())
 
