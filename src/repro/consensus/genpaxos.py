@@ -262,7 +262,7 @@ class GenPaxos(Protocol):
         obj = self.state.obj(l)
         return max(
             self._next_vote_idx.get(l, 1),
-            obj.max_decided() + 1,
+            obj.max_decided + 1,
             obj.appended + 1,
         )
 
@@ -336,7 +336,7 @@ class GenPaxos(Protocol):
                 continue
             if inst in self._recovering:
                 continue
-            stuck = inst in self._seen_votes or obj.max_decided() > frontier
+            stuck = inst in self._seen_votes or obj.max_decided > frontier
             if not stuck:
                 continue
             if now - obj.last_progress < self.config.collision_timeout:
@@ -566,7 +566,7 @@ class GenPaxos(Protocol):
         for l in sorted(command.ls):
             idx = max(
                 self._leader_next_idx.get(l, 1),
-                self.state.obj(l).max_decided() + 1,
+                self.state.obj(l).max_decided + 1,
                 self._next_vote_idx.get(l, 1),
             )
             self._leader_next_idx[l] = idx + 1

@@ -51,8 +51,7 @@ class DeliveryEngine:
         obj = self._state.obj(l)
         if position in obj.decided:
             return False
-        obj.decided[position] = command
-        obj.observe_position(position)
+        obj.record(position, command)
         obj.last_progress = now
         return True
 
@@ -77,7 +76,7 @@ class DeliveryEngine:
                     break
                 if command.noop or command.cid in self._appended_cids:
                     # Fillers and duplicate positions: just advance.
-                    obj.appended += 1
+                    self._state.advance(l)
                     continue
                 if not self._ready(command):
                     break
@@ -101,7 +100,7 @@ class DeliveryEngine:
 
     def _append(self, command: Command) -> None:
         for l in command.ls:
-            self._state.obj(l).appended += 1
+            self._state.advance(l)
         self.cstruct.append(command)
         self._appended_cids.add(command.cid)
         self._deliver(command)
@@ -131,6 +130,6 @@ class DeliveryEngine:
         # Any activity at or above the frontier (a higher decision, or an
         # accept/prepare that reserved the position) means the frontier
         # may be stuck -- e.g. its coordinator crashed mid-round.
-        if obj.max_decided() > frontier or obj.next_slot > frontier:
+        if obj.max_decided > frontier or obj.next_slot > frontier:
             return frontier
         return None

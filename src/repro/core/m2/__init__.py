@@ -117,7 +117,7 @@ class M2Paxos(
         # other commands can contradict across objects.  Fresh positions
         # are taken only once the old round is provably dead (one of its
         # instances decided with a different command).
-        self._assigned: dict[tuple[int, int], dict[str, int]] = {}
+        self._assigned: dict[tuple[int, int], dict[str, tuple[int, int]]] = {}
         # Fast-path batch queue (see ProposerMixin._enqueue_fast).  With
         # ``config.max_batch == 1`` none of this is ever touched.
         self._batch: list = []

@@ -13,6 +13,17 @@ from repro.consensus.base import handles
 from repro.consensus.commands import Command
 from repro.core.messages import Accept, AckAccept, AckPrepare, Decide, Instance, Prepare
 from repro.core.m2.config import _DECIDED_EPOCH, SafetyViolation
+from repro.core.state import InstanceState
+
+
+def instances_by_command(
+    to_decide: dict[Instance, Command],
+) -> dict[tuple[int, int], tuple[Instance, ...]]:
+    """Each command's instances within one round, grouped in one pass."""
+    groups: dict[tuple[int, int], list[Instance]] = {}
+    for inst, cmd in to_decide.items():
+        groups.setdefault(cmd.cid, []).append(inst)
+    return {cid: tuple(insts) for cid, insts in groups.items()}
 
 
 class AcceptorMixin:
@@ -25,8 +36,9 @@ class AcceptorMixin:
         for inst, epoch in msg.eps.items():
             inst_state = self.state.inst(inst)
             obj = self.state.obj(inst[0])
-            max_rnd = max(max_rnd, inst_state.rnd, obj.promised)
-            if inst_state.rnd > epoch:
+            rnd = inst_state.rnd if inst_state is not None else 0
+            max_rnd = max(max_rnd, rnd, obj.promised)
+            if rnd > epoch:
                 refused = True
             if not msg.scoped and obj.promised > epoch:
                 # Object-level leadership: a higher epoch was prepared,
@@ -60,12 +72,8 @@ class AcceptorMixin:
         # proposed with (what a later forced recovery must cover
         # atomically): taken from the message's authoritative map when
         # present, else derived by grouping the round's instances.
-        ins_of: dict[tuple[int, int], tuple[Instance, ...]] = dict(msg.cmd_ins)
-        for inst, cmd in msg.to_decide.items():
-            if cmd.cid not in ins_of:
-                ins_of[cmd.cid] = tuple(
-                    i for i, c in msg.to_decide.items() if c.cid == cmd.cid
-                )
+        ins_of = instances_by_command(msg.to_decide)
+        ins_of.update(msg.cmd_ins)
 
         self._absorb_accept(sender, msg.scoped, msg.eps, msg.to_decide, ins_of)
         self._log_accept(sender, msg, ins_of)
@@ -102,10 +110,11 @@ class AcceptorMixin:
         for inst, epoch in eps.items():
             l, position = inst
             inst_state = self.state.inst(inst)
-            inst_state.rnd = epoch
-            inst_state.rdec = epoch
-            inst_state.vdec = to_decide[inst]
-            inst_state.vdec_ins = ins_of[to_decide[inst].cid]
+            if inst_state is not None:
+                inst_state.rnd = epoch
+                inst_state.rdec = epoch
+                inst_state.vdec = to_decide[inst]
+                inst_state.vdec_ins = ins_of[to_decide[inst].cid]
             obj = self.state.obj(l)
             if not scoped:
                 # Only leadership rounds transfer ownership.
@@ -154,8 +163,9 @@ class AcceptorMixin:
         for inst, epoch in msg.eps.items():
             inst_state = self.state.inst(inst)
             obj = self.state.obj(inst[0])
-            max_rnd = max(max_rnd, inst_state.rnd)
-            if inst_state.rnd >= epoch:
+            rnd = inst_state.rnd if inst_state is not None else 0
+            max_rnd = max(max_rnd, rnd)
+            if rnd >= epoch:
                 refused = True
             if not msg.scoped:
                 max_rnd = max(max_rnd, obj.promised)
@@ -171,34 +181,18 @@ class AcceptorMixin:
             )
             return
 
+        decs: dict[Instance, tuple[Optional[Command], int, tuple[Instance, ...]]] = {}
+        rnds: dict[Instance, int] = {}  # the per-instance promises made
         if msg.scoped:
             # Instance-scoped phase 1: promise and report only the
             # requested instances; the object's leadership is untouched.
-            decs: dict[
-                Instance, tuple[Optional[Command], int, tuple[Instance, ...]]
-            ] = {}
             for inst, epoch in msg.eps.items():
                 inst_state = self.state.inst(inst)
-                inst_state.rnd = epoch
+                if inst_state is not None:
+                    inst_state.rnd = rnds[inst] = epoch
                 self.state.gap_candidates.add(inst[0])
-                decided = self.state.decided_at(inst)
-                if decided is not None:
-                    ins = (
-                        inst_state.vdec_ins
-                        if inst_state.vdec is not None
-                        and inst_state.vdec.cid == decided.cid
-                        else (inst,)
-                    )
-                    decs[inst] = (decided, _DECIDED_EPOCH, ins)
-                else:
-                    decs[inst] = (
-                        inst_state.vdec,
-                        inst_state.rdec,
-                        inst_state.vdec_ins,
-                    )
-            self._log_promise(
-                {}, {inst: self.state.inst(inst).rnd for inst in msg.eps}
-            )
+                decs[inst] = self._report(inst, inst_state)
+            self._log_promise({}, rnds)
             self.env.send(sender, AckPrepare(req=msg.req, ok=True, decs=decs))
             return
 
@@ -214,7 +208,6 @@ class AcceptorMixin:
             # *before* the promise leaves and tell the granters to wake
             # any parked acquisition (the explicit-revoke path).
             self._self_revoke_leases(inst[0] for inst in msg.eps)
-        decs: dict[Instance, tuple[Optional[Command], int, tuple[Instance, ...]]] = {}
         for inst, epoch in msg.eps.items():
             l, position = inst
             obj = self.state.obj(l)
@@ -229,22 +222,9 @@ class AcceptorMixin:
                 # a Multi-Paxos promise covers the whole log: otherwise a
                 # lower-ballot scoped round could slip in between this
                 # report and the new owner's hole-filling accept.
-                inst_state.rnd = max(inst_state.rnd, epoch)
-                decided = self.state.decided_at(report_inst)
-                if decided is not None:
-                    ins = (
-                        inst_state.vdec_ins
-                        if inst_state.vdec is not None
-                        and inst_state.vdec.cid == decided.cid
-                        else (report_inst,)
-                    )
-                    decs[report_inst] = (decided, _DECIDED_EPOCH, ins)
-                else:
-                    decs[report_inst] = (
-                        inst_state.vdec,
-                        inst_state.rdec,
-                        inst_state.vdec_ins,
-                    )
+                if inst_state is not None:
+                    inst_state.rnd = rnds[report_inst] = max(inst_state.rnd, epoch)
+                decs[report_inst] = self._report(report_inst, inst_state)
         self._log_promise(
             {
                 inst[0]: (
@@ -253,9 +233,23 @@ class AcceptorMixin:
                 )
                 for inst in msg.eps
             },
-            {report_inst: self.state.inst(report_inst).rnd for report_inst in decs},
+            rnds,
         )
         self.env.send(sender, AckPrepare(req=msg.req, ok=True, decs=decs))
+
+    def _report(
+        self, inst: Instance, inst_state: Optional[InstanceState]
+    ) -> tuple[Optional[Command], int, tuple[Instance, ...]]:
+        """One instance's phase-1b report (``inst_state`` is None once
+        retired).  A decision goes under the sentinel epoch, with the
+        command's instance set from the vote held here, else the index."""
+        decided = self.state.decided_at(inst)
+        if decided is None:  # hence not retired: the state exists
+            return (inst_state.vdec, inst_state.rdec, inst_state.vdec_ins)
+        vdec = inst_state.vdec if inst_state is not None else None
+        held = vdec is not None and vdec.cid == decided.cid
+        ins = inst_state.vdec_ins if held else self.state.instances_of(decided)
+        return (decided, _DECIDED_EPOCH, ins)
 
     # ------------------------------------------------------------------
     # Decision phase (Algorithm 3)
@@ -263,17 +257,15 @@ class AcceptorMixin:
 
     @handles(Decide)
     def _on_decide(self, sender: int, msg: Decide) -> None:
-        ins_of: dict[tuple[int, int], tuple[Instance, ...]] = {}
+        ins_of = None
         for inst, cmd in msg.to_decide.items():
             # A node that missed the Accept still learns the value and
             # its round's instance set, so its prepare replies can route
             # recoveries correctly.
             inst_state = self.state.inst(inst)
-            if inst_state.vdec is None:
-                if cmd.cid not in ins_of:
-                    ins_of[cmd.cid] = tuple(
-                        i for i, c in msg.to_decide.items() if c.cid == cmd.cid
-                    )
+            if inst_state is not None and inst_state.vdec is None:
+                if ins_of is None:
+                    ins_of = instances_by_command(msg.to_decide)
                 inst_state.vdec = cmd
                 inst_state.vdec_ins = ins_of[cmd.cid]
             self._decide(inst, cmd)

@@ -141,6 +141,7 @@ class _PendingAccept:
     scoped: bool = False
     done: bool = False  # a NACK arrived; retry handling has run
     announced: bool = False  # Decide broadcast sent
+    lapsed: bool = False  # unannounced and wholly retired at the last sweep
     acked: set = field(default_factory=set)  # nodes whose AckAccept arrived
     # Batched rounds: every command of the batch, each re-coordinated
     # individually on NACK (``command`` stays None for them).

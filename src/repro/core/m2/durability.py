@@ -21,10 +21,12 @@ protocol code.  With :class:`~repro.consensus.base.NullStorage` bound
 (``durable == False``) every ``_log_*`` call is a cheap no-op and the
 protocol behaves exactly as before this layer existed.
 
-Snapshots serialise the full durable state (object states, instance
-states, the C-struct) with the binary wire codec; recovery restores the
-snapshot, then replays the log tail, then continues as a normal durable
-restart.
+Snapshots serialise the full durable state (object states with their
+decision logs, the *live* instance states -- those above each object's
+append frontier; retired ones are dropped as the frontier passes and
+their decisions answer for them -- and the C-struct) with the binary
+wire codec; recovery restores the snapshot, then replays the log tail,
+then continues as a normal durable restart.
 """
 
 from __future__ import annotations
@@ -107,7 +109,8 @@ class DurabilityMixin:
             self.state.gap_candidates.add(l)
         for inst, rnd in insts.items():
             inst_state = self.state.inst(inst)
-            inst_state.rnd = max(inst_state.rnd, rnd)
+            if inst_state is not None:
+                inst_state.rnd = max(inst_state.rnd, rnd)
             self.state.obj(inst[0]).observe_position(inst[1])
 
     # ------------------------------------------------------------------
@@ -147,17 +150,20 @@ class DurabilityMixin:
         for l, fields in value["objects"].items():
             epoch, promised, owner, owner_epoch, appended, next_slot, decided = fields
             obj = self.state.obj(l)
+            for position, command in decided.items():
+                obj.record(position, command)  # rebuilds the cid index
             obj.epoch = epoch
             obj.promised = promised
             obj.owner = owner
             obj.owner_epoch = owner_epoch
             obj.appended = appended
             obj.next_slot = next_slot
-            obj.decided = dict(decided)
             obj.last_progress = now  # no instant gap-recovery storm
             self.state.gap_candidates.add(l)
         for inst, (rnd, rdec, vdec, vdec_ins) in value["instances"].items():
             inst_state = self.state.inst(inst)  # registers active position
+            if inst_state is None:
+                continue  # below the frontier: an older build's snapshot
             inst_state.rnd = rnd
             inst_state.rdec = rdec
             inst_state.vdec = vdec

@@ -448,14 +448,21 @@ class ProposerMixin:
                 self._retry(cmd)
             return
 
+        pending = None
         if msg.coordinator == self.env.node_id:
-            ours = self._pending_accepts.get(msg.req)
-            if ours is not None:
-                ours.acked.add(sender)
-                if ours.sent_at and not ours.scoped:
-                    # The acceptor absorbed our leadership round, which
-                    # doubles as a lease grant on its side; mirror it.
-                    self._record_lease_grants(sender, ours)
+            pending = self._pending_accepts.get(msg.req)
+            if pending is None:
+                return  # the round is over: nothing left to count
+            pending.acked.add(sender)
+            if pending.sent_at and not pending.scoped:
+                # The acceptor absorbed our leadership round, which
+                # doubles as a lease grant on its side; mirror it.
+                self._record_lease_grants(sender, pending)
+            if pending.announced:
+                # A late ack only feeds learn-resend's stop condition.
+                if len(pending.acked) >= self.env.n_nodes:
+                    del self._pending_accepts[msg.req]
+                return
 
         # Count votes per instance; with ack_to_all every node runs this
         # and learns in two delays (Algorithm 3, lines 6-10); otherwise
@@ -463,16 +470,17 @@ class ProposerMixin:
         ready = True
         for inst, cid in msg.cids.items():
             voters = self.state.record_ack(inst, msg.eps[inst], cid, sender)
+            if voters is None:
+                # Retired, nothing recorded.  Decided with our value, the
+                # round's own ackers stand in for the tally (we may still
+                # owe the Decide); otherwise the round lost it for good.
+                ours = pending is not None and self.state.decided_at(inst).cid == cid
+                voters = pending.acked if ours else ()
             if not self.quorums.is_accept_quorum(voters):
                 ready = False
         if not ready:
             return
 
-        pending = (
-            self._pending_accepts.get(msg.req)
-            if msg.coordinator == self.env.node_id
-            else None
-        )
         # The ack carries ids only; resolve the command bodies from the
         # coordinator's pending round or from our own accepted values
         # (a node that missed the Accept learns from the Decide instead).
@@ -485,7 +493,7 @@ class ProposerMixin:
             if command is not None:
                 self._decide(inst, command)
 
-        if pending is not None and not pending.announced:
+        if pending is not None:
             # Announce even if a NACK marked the round done earlier: a
             # quorum of ACKs means the values ARE chosen, and silence
             # here would strand the decision at this node alone.
@@ -509,19 +517,23 @@ class ProposerMixin:
         decides it there outright and elicits the missing ack.  Stops
         as soon as every node acked, if a decision was superseded
         (laggards then heal via gap recovery on the activity the resent
-        Accept recorded), or after the configured attempt cap."""
+        Accept recorded), or after the configured attempt cap -- and
+        stopping is what retires the round's ``_pending_accepts`` entry."""
         cfg = self.config
         if cfg.learn_resend_timeout <= 0 or attempt > cfg.learn_resend_attempts:
+            self._pending_accepts.pop(req, None)
             return
 
         def fire() -> None:
             pending = self._pending_accepts.get(req)
-            if pending is None or len(pending.acked) >= self.env.n_nodes:
+            if pending is None:
+                return  # the last ack already retired it
+            if len(pending.acked) >= self.env.n_nodes or any(
+                (decided := self.state.decided_at(inst)) is None or decided.cid != cmd.cid
+                for inst, cmd in pending.to_decide.items()
+            ):
+                del self._pending_accepts[req]
                 return
-            for inst, cmd in pending.to_decide.items():
-                decided = self.state.decided_at(inst)
-                if decided is None or decided.cid != cmd.cid:
-                    return
             for dst in self.env.nodes:
                 if dst not in pending.acked:
                     self.env.send(

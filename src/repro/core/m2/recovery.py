@@ -24,7 +24,7 @@ class RecoveryMixin:
         reservations heals in one shot instead of one per timeout."""
         self.stats["gap_recoveries"] += 1
         obj = self.state.obj(l)
-        top = min(obj.max_decided(), position + self.GAP_BATCH)
+        top = min(obj.max_decided, position + self.GAP_BATCH)
         instances = [
             (l, p)
             for p in range(position, max(top, position) + 1)
@@ -81,6 +81,15 @@ class RecoveryMixin:
     def _check_gaps(self) -> None:
         assert self.delivery is not None
         now = self.env.now()
+        # A round that never announced (NACKed, or beaten by a competing
+        # decide) is over once every instance it named is retired; one
+        # sweep of grace lets a straggling quorum of acks still announce.
+        for req, pending in list(self._pending_accepts.items()):
+            if pending.announced or not all(map(self.state.retired, pending.to_decide)):
+                continue
+            if pending.lapsed:
+                del self._pending_accepts[req]
+            pending.lapsed = True
         for l in list(self.state.gap_candidates):
             gap = self.delivery.undelivered_gap(l)
             if gap is None:

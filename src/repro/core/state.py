@@ -47,7 +47,12 @@ class ObjectState:
     owner_epoch: int = 0
     appended: int = 0
     next_slot: int = 1
+    # The decision log, written only through ``record`` so its views
+    # stay exact: ``decided_pos`` (cid -> a position it is decided at:
+    # Algorithm 1 line 2 as a lookup) and the highest decided position.
     decided: dict[int, Command] = field(default_factory=dict)
+    decided_pos: dict[tuple[int, int], int] = field(default_factory=dict)
+    max_decided: int = 0
     last_progress: float = 0.0  # for gap-recovery timeouts
     # Acceptor-side read-lease grant (serving tier; inert unless the
     # config enables leases).  While ``lease_until`` (this node's clock)
@@ -72,8 +77,12 @@ class ObjectState:
         if position >= self.next_slot:
             self.next_slot = position + 1
 
-    def max_decided(self) -> int:
-        return max(self.decided, default=0)
+    def record(self, position: int, command: Command) -> None:
+        """``Decided[l][position] = command`` -- the log's one write path."""
+        self.decided[position] = command
+        self.decided_pos.setdefault(command.cid, position)
+        self.max_decided = max(self.max_decided, position)
+        self.observe_position(position)
 
 
 @dataclass
@@ -98,7 +107,12 @@ class InstanceState:
 
 
 class M2PaxosState:
-    """Aggregates the dictionaries and provides defaulting accessors."""
+    """Aggregates the dictionaries and provides defaulting accessors.
+
+    ``instances``, ``active_positions`` and ``acks`` hold only instances
+    above their object's append frontier; ``advance`` *retires* the rest,
+    whose decided value answers from then on (DESIGN.md, "State lifetime").
+    """
 
     def __init__(self, home_hint=None) -> None:
         # ``home_hint(l) -> node id`` statically assigns epoch-0
@@ -121,8 +135,8 @@ class M2PaxosState:
         self.gap_candidates: set[str] = set()
         # Acks[l][in][e] of the paper, keyed further by command id so a
         # quorum is only counted for matching votes:
-        # acks[(instance, epoch, cid)] = set of voter node ids.
-        self.acks: dict[tuple[Instance, int, tuple[int, int]], set[int]] = {}
+        # acks[instance][(epoch, cid)] = set of voter node ids.
+        self.acks: dict[Instance, dict[tuple[int, tuple[int, int]], set[int]]] = {}
 
     def obj(self, l: str) -> ObjectState:
         state = self.objects.get(l)
@@ -133,13 +147,28 @@ class M2PaxosState:
             self.objects[l] = state
         return state
 
-    def inst(self, instance: Instance) -> InstanceState:
+    def retired(self, instance: Instance) -> bool:
+        """Is ``instance`` at or below its object's append frontier?"""
+        obj = self.objects.get(instance[0])
+        return obj is not None and instance[1] <= obj.appended
+
+    def inst(self, instance: Instance) -> Optional[InstanceState]:
+        """Mutable state of a live instance, created on first use; None once retired."""
         state = self.instances.get(instance)
-        if state is None:
+        if state is None and not self.retired(instance):
             state = InstanceState()
             self.instances[instance] = state
             self.active_positions.setdefault(instance[0], set()).add(instance[1])
         return state
+
+    def advance(self, l: str) -> None:
+        """Move ``l``'s append frontier one position, retiring the instance it passes."""
+        obj = self.objects[l]
+        obj.appended += 1
+        instance = (l, obj.appended)
+        if self.instances.pop(instance, None) is not None:
+            self.active_positions[l].discard(obj.appended)
+        self.acks.pop(instance, None)
 
     def positions_with_activity(self, l: str, at_or_above: int) -> list[int]:
         """Positions >= ``at_or_above`` of ``l`` with any recorded
@@ -152,7 +181,8 @@ class M2PaxosState:
         }
         obj = self.objects.get(l)
         if obj is not None:
-            positions.update(p for p in obj.decided if p >= at_or_above)
+            tail = range(at_or_above, obj.max_decided + 1)
+            positions.update(p for p in tail if p in obj.decided)
         return sorted(positions)
 
     def decided_at(self, instance: Instance) -> Optional[Command]:
@@ -165,20 +195,28 @@ class M2PaxosState:
     def is_decided_for(self, l: str, command: Command) -> bool:
         """``exists in : Decided[l][in] = c`` (Algorithm 1, line 2)."""
         state = self.objects.get(l)
-        if state is None:
-            return False
-        return any(c.cid == command.cid for c in state.decided.values())
+        return state is not None and command.cid in state.decided_pos
+
+    def instances_of(self, command: Command) -> tuple[Instance, ...]:
+        """``command``'s decided instances, by object: its full set once decided everywhere."""
+        return tuple(
+            (l, self.objects[l].decided_pos[command.cid])
+            for l in sorted(command.ls)
+            if self.is_decided_for(l, command)
+        )
 
     def record_ack(
         self, instance: Instance, epoch: int, cid: tuple[int, int], voter: int
-    ) -> set[int]:
-        """Register one ACKACCEPT vote; return the voter set so far.
+    ) -> Optional[set[int]]:
+        """Register one ACKACCEPT vote; return the voter set so far, or
+        None (nothing recorded) for a retired instance.
 
         Returning the set (not just its size) lets membership-based
         quorum systems (zone grids) judge the round, not only counting
         ones.
         """
-        key = (instance, epoch, cid)
-        voters = self.acks.setdefault(key, set())
+        if self.retired(instance):
+            return None
+        voters = self.acks.setdefault(instance, {}).setdefault((epoch, cid), set())
         voters.add(voter)
         return voters

@@ -100,3 +100,50 @@ def test_arrival_order_invariance(decisions, seed_a, seed_b):
             }
         )
     assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    decisions=decision_sets(),
+    seed=st.integers(0, 2**16),
+    twice=st.integers(0, 9),
+    cut=st.integers(0, 30),
+)
+def test_decision_log_views_agree_with_the_scans_they_replace(
+    decisions, seed, twice, cut
+):
+    """``decided_pos`` / ``max_decided`` / the tail walk are kept by the
+    log's write path; the linear scans they replaced are the reference.
+    One command is additionally decided at a second position of its
+    first object (a NACKed round forced to completion after the retry),
+    decisions arrive in any order, and delivery -- which retires
+    instances but never decisions -- runs on a prefix of them."""
+    state, engine, _delivered = build_engine()
+    obj, _position, again = decisions[twice % len(decisions)]
+    top = max(p for o, p, _c in decisions if o == obj)
+    shuffled = decisions + [(obj, top + 1, again)]
+    random.Random(seed).shuffle(shuffled)
+    for step, (l, position, command) in enumerate(shuffled):
+        engine.record_decision(l, position, command, now=0.0)
+        if step < cut:
+            engine.pump(dirty=[l])
+    commands = {c.cid: c for _o, _p, c in decisions}
+    for l in OBJECTS + ["never-touched"]:
+        log = state.objects[l].decided if l in state.objects else {}
+        for command in commands.values():
+            scan = any(c.cid == command.cid for c in log.values())
+            assert state.is_decided_for(l, command) == scan
+            if scan:
+                assert log[state.objects[l].decided_pos[command.cid]].cid == command.cid
+        if l in state.objects:
+            assert state.objects[l].max_decided == max(log, default=0)
+        for start in range(1, len(log) + 3):
+            assert state.positions_with_activity(l, start) == sorted(
+                p for p in log if p >= start
+            )
+    for command in commands.values():
+        found = state.instances_of(command)
+        assert all(state.decided_at(inst).cid == command.cid for inst in found)
+        assert [l for l, _p in found] == sorted(
+            l for l in command.ls if state.is_decided_for(l, command)
+        )

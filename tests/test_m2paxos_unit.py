@@ -32,7 +32,7 @@ class TestObjectState:
         state = M2PaxosState()
         command = cmd(0, 0, ["x"])
         assert not state.is_decided_for("x", command)
-        state.obj("x").decided[1] = command
+        state.obj("x").record(1, command)
         assert state.is_decided_for("x", command)
         assert not state.is_decided_for("y", command)
 
