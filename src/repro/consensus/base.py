@@ -69,33 +69,58 @@ class Message:
         return cached
 
 
-_FIELD_NAME_CACHE: dict[type, tuple[str, ...]] = {}
+_SIZERS: dict[type, object] = {}
+"""Exact type -> how to size a value of it: an ``int`` (fixed-size
+scalars) or a callable.  :func:`_sizer_for` fills it the first time a
+type is seen, so the ``isinstance`` ladder runs once per class instead
+of once per value."""
 
 
 def _estimate_size(value: object) -> int:
     """Recursive size estimate for message payloads."""
-    if value is None or isinstance(value, bool):
-        return 1
-    if isinstance(value, (int, float)):
-        return 8
-    if isinstance(value, str):
-        return len(value)
-    if isinstance(value, Command):
-        return value.size_bytes()
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return 4 + sum(_estimate_size(v) for v in value)
-    if isinstance(value, dict):
-        return 4 + sum(
-            _estimate_size(k) + _estimate_size(v) for k, v in value.items()
+    sizer = _SIZERS.get(type(value))
+    if sizer is None:
+        sizer = _sizer_for(type(value))
+    return sizer if sizer.__class__ is int else sizer(value)
+
+
+def _size_items(values, total: int = 4) -> int:
+    """``total`` (a collection's 4-byte length prefix) plus the
+    estimate of every element of ``values``."""
+    get = _SIZERS.get
+    for value in values:
+        sizer = get(type(value))
+        if sizer is None:
+            sizer = _sizer_for(type(value))
+        total += sizer if sizer.__class__ is int else sizer(value)
+    return total
+
+
+def _sizer_for(cls: type) -> object:
+    """Resolve and remember the sizer of ``cls``: the first test that
+    matches wins, in the order the estimate has always applied them, so
+    a subclass (a ``Command`` subclass, a named tuple) is sized as its
+    base is."""
+    sizer: object = 8
+    if cls is type(None) or issubclass(cls, bool):
+        sizer = 1
+    elif issubclass(cls, (int, float)):
+        pass
+    elif issubclass(cls, str):
+        sizer = len
+    elif issubclass(cls, Command):
+        sizer = cls.size_bytes
+    elif issubclass(cls, (list, tuple, set, frozenset)):
+        sizer = _size_items
+    elif issubclass(cls, dict):
+        sizer = lambda value: _size_items(value.values(), _size_items(value))  # noqa: E731
+    elif hasattr(cls, "__dataclass_fields__"):
+        names = tuple(f.name for f in fields(cls))
+        sizer = lambda value: _size_items(  # noqa: E731
+            [getattr(value, name) for name in names], 0
         )
-    if hasattr(value, "__dataclass_fields__"):
-        cls = type(value)
-        names = _FIELD_NAME_CACHE.get(cls)
-        if names is None:
-            names = tuple(f.name for f in fields(value))  # type: ignore[arg-type]
-            _FIELD_NAME_CACHE[cls] = names
-        return sum(_estimate_size(getattr(value, name)) for name in names)
-    return 8
+    _SIZERS[cls] = sizer
+    return sizer
 
 
 @dataclass(frozen=True)
