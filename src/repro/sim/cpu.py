@@ -65,15 +65,18 @@ class CpuModel:
         serial = cost * serial_fraction
         parallel = cost - serial
 
-        start_serial = max(now, self._lock_free)
-        end_serial = start_serial + serial
+        end_serial = self._lock_free
+        if end_serial < now:
+            end_serial = now
+        end_serial += serial
         self._lock_free = end_serial
 
-        # Least-loaded core runs the parallel part after the serial part.
-        idx = min(range(len(self._core_free)), key=self._core_free.__getitem__)
-        start_parallel = max(end_serial, self._core_free[idx])
-        end = start_parallel + parallel
-        self._core_free[idx] = end
+        # Least-loaded core (lowest index on ties) runs the parallel
+        # part after the serial part.
+        cores = self._core_free
+        free = min(cores)
+        end = (end_serial if end_serial > free else free) + parallel
+        cores[cores.index(free)] = end
 
         self.busy_time += cost
         return end
