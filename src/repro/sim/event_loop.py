@@ -1,9 +1,12 @@
 """A minimal, deterministic discrete-event loop.
 
-The loop maintains a priority queue of ``(time, seq, callback)`` entries.
-``seq`` is a monotonically increasing counter that breaks ties between
-events scheduled for the same instant, which makes every run with the
-same inputs bit-for-bit reproducible.
+The loop maintains a priority queue of ``(time, seq, fn, args, event)``
+entries.  ``seq`` is a monotonically increasing counter that breaks ties
+between events scheduled for the same instant, which makes every run
+with the same inputs bit-for-bit reproducible.  A callback's arguments
+ride on its entry, so the hot callers (message arrivals, CPU
+completions, client ticks) schedule a bound method instead of building a
+closure per event.
 
 Time is a ``float`` in **seconds** of virtual time.  Nothing in the
 simulator ever reads the wall clock.
@@ -12,6 +15,7 @@ simulator ever reads the wall clock.
 from __future__ import annotations
 
 import heapq
+from math import inf
 from typing import Callable, Optional
 
 
@@ -24,23 +28,21 @@ class Event:
     compacts the heap lazily once cancelled entries outnumber live ones
     (protocols under churn cancel far more timers than they fire).
 
-    Heap entries are ``(time, seq, event)`` tuples so ordering is
-    decided by C-level float/int comparisons, never by calling into
-    Python -- a measurable win at millions of events per run.
+    Heap entries are ``(time, seq, fn, args, event)`` tuples so ordering
+    is decided by C-level float/int comparisons (``seq`` is unique, so
+    the comparison never reaches ``fn``), never by calling into Python
+    -- a measurable win at millions of events per run.  The event is
+    only the cancellation handle; entries nobody can cancel carry
+    ``None`` instead (:meth:`EventLoop.post_at`).
     """
 
-    __slots__ = ("time", "seq", "fn", "cancelled", "loop")
+    __slots__ = ("time", "seq", "cancelled", "loop")
 
     def __init__(
-        self,
-        time: float,
-        seq: int,
-        fn: Callable[[], None],
-        loop: Optional["EventLoop"] = None,
+        self, time: float, seq: int, loop: Optional["EventLoop"] = None
     ) -> None:
         self.time = time
         self.seq = seq
-        self.fn = fn
         self.cancelled = False
         self.loop = loop
 
@@ -101,7 +103,7 @@ class EventLoop:
     COMPACT_FLOOR = 64
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Callable, tuple, Optional[Event]]] = []
         self._now = 0.0
         self._seq = 0
         self._stopped = False
@@ -121,26 +123,38 @@ class EventLoop:
         """Number of callbacks executed so far (for tests/diagnostics)."""
         return self._processed
 
-    def schedule(self, delay: float, fn: Callable[[], None]) -> Event:
-        """Schedule ``fn`` to run ``delay`` seconds from now.
+    def schedule(self, delay: float, fn: Callable[..., None], *args) -> Event:
+        """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
 
         ``delay`` must be non-negative; a zero delay runs the callback
         after all events already scheduled for the current instant.
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay!r}")
-        return self.schedule_at(self._now + delay, fn)
+        return self.schedule_at(self._now + delay, fn, *args)
 
-    def schedule_at(self, time: float, fn: Callable[[], None]) -> Event:
-        """Schedule ``fn`` at an absolute virtual time."""
+    def schedule_at(self, time: float, fn: Callable[..., None], *args) -> Event:
+        """Schedule ``fn(*args)`` at an absolute virtual time."""
         if time < self._now:
             raise ValueError(
                 f"cannot schedule in the past: {time!r} < now {self._now!r}"
             )
-        event = Event(time, self._seq, fn, self)
-        heapq.heappush(self._heap, (time, self._seq, event))
+        event = Event(time, self._seq, self)
+        heapq.heappush(self._heap, (time, self._seq, fn, args, event))
         self._seq += 1
         return event
+
+    def post_at(self, time: float, fn: Callable[..., None], *args) -> None:
+        """:meth:`schedule_at` for a callback nobody will cancel: same
+        queue, same ``(time, seq)`` order, no :class:`Event` handle.
+        Message arrivals, CPU completions and client ticks -- most of a
+        saturated run's events -- are of this kind."""
+        if time < self._now:
+            raise ValueError(
+                f"cannot schedule in the past: {time!r} < now {self._now!r}"
+            )
+        heapq.heappush(self._heap, (time, self._seq, fn, args, None))
+        self._seq += 1
 
     def schedule_repeating(
         self, interval: float, fn: Callable[[], None]
@@ -160,12 +174,15 @@ class EventLoop:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify.
+        """Drop cancelled entries and re-heapify, in place (a running
+        :meth:`_drain` holds the list).
 
         Pop order is unchanged: the surviving ``(time, seq)`` keys are
         unique, so any valid heap over them drains identically.
         """
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
+        self._heap[:] = [
+            entry for entry in self._heap if entry[4] is None or not entry[4].cancelled
+        ]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
 
@@ -173,41 +190,39 @@ class EventLoop:
         """Make the currently running ``run*`` call return promptly."""
         self._stopped = True
 
+    def _drain(self, deadline: float, max_events: float) -> None:
+        """The one dispatch loop: run events with ``time <= deadline``
+        until the heap drains, ``stop()`` is called or ``max_events``
+        callbacks have executed (``inf`` = no such bound)."""
+        self._stopped = False
+        heap, pop = self._heap, heapq.heappop
+        executed = 0
+        while heap and executed < max_events and not self._stopped:
+            if heap[0][0] > deadline:
+                break
+            time, _seq, fn, args, event = pop(heap)
+            if event is not None:
+                if event.cancelled:
+                    self._cancelled_in_heap -= 1
+                    continue
+                # Detach before running: a late cancel() on a fired
+                # event must not count a tombstone that is no longer in
+                # the heap.
+                event.loop = None
+            self._now = time
+            fn(*args)
+            self._processed += 1
+            executed += 1
+
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, ``stop()`` is called, or
         ``max_events`` callbacks have executed."""
-        self._stopped = False
-        executed = 0
-        while self._heap and not self._stopped:
-            if max_events is not None and executed >= max_events:
-                return
-            _time, _seq, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._cancelled_in_heap -= 1
-                continue
-            # Detach before running: a late cancel() on a fired event
-            # must not count a tombstone that is no longer in the heap.
-            event.loop = None
-            self._now = event.time
-            event.fn()
-            self._processed += 1
-            executed += 1
+        self._drain(inf, inf if max_events is None else max_events)
 
     def run_until(self, deadline: float) -> None:
         """Run events with ``time <= deadline``; afterwards ``now`` is
         exactly ``deadline`` (even if the heap drained earlier)."""
-        self._stopped = False
-        while self._heap and not self._stopped:
-            if self._heap[0][0] > deadline:
-                break
-            _time, _seq, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._cancelled_in_heap -= 1
-                continue
-            event.loop = None
-            self._now = event.time
-            event.fn()
-            self._processed += 1
+        self._drain(deadline, inf)
         if not self._stopped and self._now < deadline:
             self._now = deadline
 

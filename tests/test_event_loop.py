@@ -218,3 +218,65 @@ def test_cancel_after_fire_does_not_corrupt_count():
     assert loop.pending() == 1
     second.cancel()
     assert loop.pending() == 0
+
+
+def test_arguments_ride_on_the_entry_and_keep_fifo_tie_break():
+    """``schedule``/``schedule_at``/``post_at`` with arguments and
+    closure-scheduled callbacks share one ``seq`` counter: at the same
+    instant they run in the order they were scheduled."""
+    loop = EventLoop()
+    seen = []
+    loop.schedule(0.5, seen.append, "args-0")
+    loop.schedule(0.5, lambda: seen.append("closure-1"))
+    loop.post_at(0.5, seen.append, "post-2")
+    loop.schedule_at(0.5, lambda tag: seen.append(tag), "args-3")
+    loop.post_at(0.5, lambda: seen.append("post-4"))
+    loop.post_at(0.25, seen.extend, ("early", "two-args-are-one-tuple"))
+    loop.run()
+    assert seen == [
+        "early", "two-args-are-one-tuple",
+        "args-0", "closure-1", "post-2", "args-3", "post-4",
+    ]
+    assert loop.processed_events == 6
+
+
+def test_post_at_rejects_the_past_and_counts_as_pending():
+    loop = EventLoop()
+    loop.post_at(1.0, lambda: None)
+    assert loop.pending() == 1
+    loop.run()
+    assert loop.pending() == 0
+    with pytest.raises(ValueError):
+        loop.post_at(0.5, lambda: None)
+
+
+def test_cancelled_timers_among_handle_free_entries():
+    """Tombstones are skipped and compacted while entries without an
+    ``Event`` (which can never be tombstones) all survive, in order --
+    including a compaction triggered from inside a running callback,
+    when the dispatch loop holds the heap."""
+    loop = EventLoop()
+    seen = []
+    timers = [loop.schedule(2.0 + i, seen.append, ("timer", i)) for i in range(70)]
+    for i in range(40):
+        loop.post_at(1.0 + i, seen.append, ("post", i))
+
+    def cancel_most():
+        for timer in timers[5:]:
+            timer.cancel()
+
+    probes = []
+    loop.post_at(0.5, cancel_most)
+    loop.post_at(0.75, lambda: probes.append((loop.pending(), len(loop._heap))))
+    assert loop.pending() == 112
+    loop.run()
+    # Compacted inside cancel_most, as soon as tombstones passed half
+    # the heap; the running loop went on with the compacted heap.
+    (pending, heap_size), = probes
+    assert pending == 45 and heap_size < 110
+    # Timers were scheduled first, so they win ties against the posts.
+    expected = [(2.0 + i, 0, ("timer", i)) for i in range(5)]
+    expected += [(1.0 + i, 1, ("post", i)) for i in range(40)]
+    assert seen == [tag for _time, _order, tag in sorted(expected)]
+    assert loop.pending() == 0 and loop._cancelled_in_heap == 0
+    assert loop.processed_events == 47
