@@ -14,6 +14,7 @@ failure-injection hooks used by the fault-tolerance tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import methodcaller
 from typing import Callable, Optional
 
 from repro.sim.event_loop import EventLoop
@@ -78,6 +79,13 @@ class Network:
         self.config = config
         self.zones = zones
         self._rng = rng.stream("network")
+        # Wire size charged for a message, per ``config.frame_sizes``
+        # (validated by the config), resolved once rather than per send.
+        self.size_of: Callable[[object], int] = methodcaller("size_bytes")
+        if config.frame_sizes == "codec":
+            from repro.runtime.codec import wire_size
+
+            self.size_of = wire_size
         self._receivers: dict[int, Callable[[int, object, int], None]] = {}
         self._crashed: set[int] = set()
         self._partitions: list[tuple[frozenset[int], frozenset[int]]] = []
@@ -140,14 +148,6 @@ class Network:
     # Sending
     # ------------------------------------------------------------------
 
-    def size_of(self, message: object) -> int:
-        """Wire size charged for ``message``, per ``config.frame_sizes``."""
-        if self.config.frame_sizes == "codec":
-            from repro.runtime.codec import wire_size
-
-            return wire_size(message)
-        return message.size_bytes()  # type: ignore[attr-defined]
-
     def transmission_delay(self, size: int) -> float:
         """Serialisation delay on the wire for ``size`` payload bytes."""
         header = self.config.header_bytes
@@ -159,53 +159,56 @@ class Network:
         """Send ``message`` (``size`` payload bytes) from ``src`` to ``dst``."""
         self.messages_sent += 1
         self.bytes_sent += size
-        if self.zones is not None and self.zones[src] != self.zones[dst]:
+        zones = self.zones
+        if zones is not None and zones[src] != zones[dst]:
             self.messages_cross_zone += 1
             self.bytes_cross_zone += size
-        if src in self._crashed or dst in self._crashed:
+        crashed = self._crashed
+        if src in crashed or dst in crashed:
             self.messages_dropped += 1
             return
-        if self._partitioned(src, dst):
+        if self._partitions and self._partitioned(src, dst):
             self.messages_dropped += 1
             return
-        if self.config.drop_probability and (
-            self._rng.random() < self.config.drop_probability
-        ):
+        drop_probability = self.config.drop_probability
+        if drop_probability and self._rng.random() < drop_probability:
             self.messages_dropped += 1
             return
-        if self.injector is not None and src != dst:
-            offsets = self.injector(src, dst, self.loop.now)
-            if not offsets:
-                self.messages_dropped += 1
-                return
-            self.messages_duplicated += len(offsets) - 1
-        else:
-            offsets = (0.0,)
+        if self.injector is None or src == dst:
+            self._schedule_delivery(src, dst, message, size, 0.0)
+            return
+        offsets = self.injector(src, dst, self.loop.now)
+        if not offsets:
+            self.messages_dropped += 1
+            return
+        self.messages_duplicated += len(offsets) - 1
         for extra in offsets:
             self._schedule_delivery(src, dst, message, size, extra)
 
     def _schedule_delivery(
         self, src: int, dst: int, message: object, size: int, extra: float
     ) -> None:
-        delay = self.config.latency.sample(src, dst, self._rng)
+        config = self.config
+        delay = config.latency.sample(src, dst, self._rng)
         delay += self.transmission_delay(size) + extra
         arrival = self.loop.now + delay
-        if self.config.fifo_links and src != dst:
+        if config.fifo_links and src != dst:
             link = (src, dst)
-            arrival = max(arrival, self._last_delivery.get(link, 0.0))
+            last = self._last_delivery.get(link, 0.0)
+            if arrival < last:
+                arrival = last
             self._last_delivery[link] = arrival
+        self.loop.post_at(arrival, self._deliver, src, dst, message, size)
 
-        def deliver() -> None:
-            # Re-check crash state at delivery time: the receiver may have
-            # crashed while the message was in flight.
-            if dst in self._crashed:
-                self.messages_dropped += 1
-                return
-            receiver = self._receivers.get(dst)
-            if receiver is None:
-                self.messages_dropped += 1
-                return
-            self.messages_delivered += 1
-            receiver(src, message, size)
-
-        self.loop.schedule_at(arrival, deliver)
+    def _deliver(self, src: int, dst: int, message: object, size: int) -> None:
+        # Re-check crash state at delivery time: the receiver may have
+        # crashed while the message was in flight.
+        if dst in self._crashed:
+            self.messages_dropped += 1
+            return
+        receiver = self._receivers.get(dst)
+        if receiver is None:
+            self.messages_dropped += 1
+            return
+        self.messages_delivered += 1
+        receiver(src, message, size)
