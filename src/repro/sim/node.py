@@ -203,11 +203,11 @@ class SimNode:
     # Inbound events -- all charged to the CPU model.
     # ------------------------------------------------------------------
 
-    def run_event(self, fn: Callable[[], None]) -> None:
-        """Run one protocol event inside the env's outbox scope, so its
-        sends flush as batches when the event completes.  Exceptions
-        (e.g. SafetyViolation) still propagate; the depth counter is
-        restored either way.
+    def run_event(self, fn: Callable[..., None], *args) -> None:
+        """Run one protocol event, ``fn(*args)``, inside the env's
+        outbox scope, so its sends flush as batches when the event
+        completes.  Exceptions (e.g. SafetyViolation) still propagate;
+        the depth counter is restored either way.
 
         :class:`StorageFull` -- from a modelled capacity cap during the
         handler, or from a real write failure during the end-of-event
@@ -218,7 +218,7 @@ class SimNode:
         storage_failed = False
         try:
             try:
-                fn()
+                fn(*args)
             except StorageFull:
                 storage_failed = True
         finally:
@@ -230,22 +230,25 @@ class SimNode:
         if storage_failed:
             self.crash()
 
-    def _charge_and_run(self, message: Optional[Message], fn: Callable[[], None]) -> None:
+    def _charge_and_run(
+        self, message: Optional[Message], fn: Callable[..., None], *args
+    ) -> None:
+        """Charge one event's CPU cost and run ``fn(*args)`` as a
+        protocol event when the CPU model says it completes."""
         cost, serial = self.protocol.processing_cost(message)
-        done = self.cpu.submit(self.loop.now, cost, serial)
-        incarnation = self.incarnation
-
-        def run() -> None:
-            # The CPU-completion callback may be reached after a crash
-            # (and even after a restart): work charged to a dead
-            # incarnation must never execute.
-            if not self.crashed and self.incarnation == incarnation:
-                self.run_event(fn)
-
-        if done <= self.loop.now:
-            run()
+        now = self.loop.now
+        done = self.cpu.submit(now, cost, serial)
+        if done <= now:
+            self._run_charged(self.incarnation, fn, args)
         else:
-            self.loop.schedule_at(done, run)
+            self.loop.post_at(done, self._run_charged, self.incarnation, fn, args)
+
+    def _run_charged(self, incarnation: int, fn: Callable[..., None], args: tuple) -> None:
+        # The CPU-completion callback may be reached after a crash (and
+        # even after a restart): work charged to a dead incarnation
+        # must never execute.
+        if not self.crashed and self.incarnation == incarnation:
+            self.run_event(fn, *args)
 
     def _on_network_message(self, sender: int, message: object, size: int) -> None:
         if self.crashed:
@@ -254,12 +257,11 @@ class SimNode:
         occupancy, occupancy_serial = self.protocol.occupancy_cost(message)
         if occupancy > 0:
             self.cpu.submit(self.loop.now, occupancy, occupancy_serial)
+        self._charge_and_run(message, self._handle_message, sender, message)
 
-        def handle() -> None:
-            if not self.crashed:
-                self.protocol.on_message(sender, message)
-
-        self._charge_and_run(message, handle)
+    def _handle_message(self, sender: int, message: Message) -> None:
+        if not self.crashed:
+            self.protocol.on_message(sender, message)
 
     def propose(self, command: Command) -> None:
         """Client-side C-PROPOSE entry point.
@@ -277,12 +279,11 @@ class SimNode:
             self.cpu.submit(
                 self.loop.now, costs.propose_cost, costs.propose_serial_fraction
             )
+        self._charge_and_run(None, self._handle_propose, command)
 
-        def handle() -> None:
-            if not self.crashed:
-                self.protocol.propose(command)
-
-        self._charge_and_run(None, handle)
+    def _handle_propose(self, command: Command) -> None:
+        if not self.crashed:
+            self.protocol.propose(command)
 
     # ------------------------------------------------------------------
     # Delivery and failure injection

@@ -106,7 +106,8 @@ class OpenLoopClients:
         self._running = False
 
     def _schedule(self, node: int, delay: float) -> None:
-        self.cluster.loop.schedule(delay, lambda: self._tick(node))
+        loop = self.cluster.loop
+        loop.post_at(loop.now + delay, self._tick, node)
 
     def _tick(self, node: int) -> None:
         if not self._running:

@@ -17,9 +17,12 @@ from dataclasses import dataclass, fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.consensus.base import Message
+from repro.consensus.base import Message, Protocol, handles
 from repro.consensus.commands import Command
+from repro.sim.cluster import Cluster, ClusterConfig
 from repro.sim.cpu import CpuConfig, CpuModel
+from repro.sim.latency import FixedLatency
+from repro.sim.network import NetworkConfig
 from tests.test_codec_fuzz import _message_classes, _sample, random_message
 
 # ----------------------------------------------------------------------
@@ -192,3 +195,74 @@ def test_cpu_model_matches_the_reference(cores, speed, jobs):
     assert new.busy_time == old.busy_time
     assert new._core_free == old._core_free
     assert new._lock_free == old._lock_free
+
+
+# ----------------------------------------------------------------------
+# (iii) work charged to a dead incarnation never runs
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Ping(Message):
+    n: int
+
+
+class _Recorder(Protocol):
+    """Records what it handles, and when (virtual time)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.handled: list[tuple[int, float]] = []
+
+    @handles(_Ping)
+    def _on_ping(self, sender: int, message: _Ping) -> None:
+        self.handled.append((message.n, self.env.now()))
+
+    def propose(self, command: Command) -> None:
+        self.handled.append((command.cid[1], self.env.now()))
+
+
+def _two_nodes() -> Cluster:
+    config = ClusterConfig(n_nodes=2, network=NetworkConfig(latency=FixedLatency(100e-6)))
+    cluster = Cluster(config, lambda node_id, n: _Recorder())
+    cluster.start()
+    return cluster
+
+
+def _ping_and_propose(cluster: Cluster) -> float:
+    """At t=0 node 0 sends node 1 a ``_Ping`` and node 1 gets a
+    proposal; returns when the ping reaches node 1."""
+    cluster.nodes[0].env.send(1, _Ping(1))
+    cluster.nodes[1].propose(Command.make(1, 7, ["o"]))
+    return 100e-6 + cluster.network.transmission_delay(_Ping(1).size_bytes())
+
+
+def test_handlers_run_when_their_cpu_charge_completes():
+    cluster = _two_nodes()
+    arrival = _ping_and_propose(cluster)
+    cluster.run()
+    (first, proposed_at), (second, pinged_at) = cluster.nodes[1].protocol.handled
+    assert (first, second) == (7, 1)
+    assert arrival + 10e-6 < proposed_at < pinged_at  # what the crash cases rely on
+
+
+@pytest.mark.parametrize("restart", [False, True], ids=["crashed", "crashed-then-restarted"])
+def test_crash_between_arrival_and_cpu_completion_never_runs_the_handler(restart):
+    cluster = _two_nodes()
+    node = cluster.nodes[1]
+    arrival = _ping_and_propose(cluster)
+    cluster.run_until(arrival + 10e-6)
+    # The ping arrived and was charged; both completions are queued.
+    assert cluster.network.messages_delivered == 1
+    assert cluster.loop.pending() == 2 and node.protocol.handled == []
+    node.crash()
+    if restart:
+        cluster.run_until(arrival + 20e-6)
+        node.restart()  # same protocol object, next incarnation
+        assert not node.crashed and node.incarnation == 1
+    cluster.run()
+    assert cluster.loop.pending() == 0 and node.protocol.handled == []
+    if restart:  # the new incarnation is live: new work does run
+        cluster.nodes[0].env.send(1, _Ping(2))
+        cluster.run()
+        assert [n for n, _at in node.protocol.handled] == [2]
