@@ -42,7 +42,9 @@ class RunResult:
     extra: dict = field(default_factory=dict)
     # Flush-point observability: every protocol event's sends pass
     # through one Env flush, where the collector counts them by message
-    # type and sums payload bytes headed for the wire.
+    # type; ``wire_bytes`` is what the substrate says it put on the
+    # wire (sim: the sizes priced for the network model; TCP runtime:
+    # encoded frame bytes written to sockets, loopback excluded).
     message_types: dict = field(default_factory=dict)
     flush_batches: int = 0
     wire_messages: int = 0
@@ -167,7 +169,8 @@ class MetricsCollector:
         duration = max(end - self._window_start, 1e-12)
         latency = summarize(self._latencies) if self._latencies else None
         # The sim network counts every transmitted message; the runtime
-        # has no such tap, so wire counters from the flush point stand in.
+        # has no such tap, so the flush-point message count and the
+        # frame bytes its nodes report writing stand in.
         network = getattr(self.cluster, "network", None)
         messages_sent = (
             network.messages_sent if network is not None else self.obs.wire_messages

@@ -208,11 +208,11 @@ class ObsCollector(EnvObserver):
 
     def on_flush(self, node_id: int, queued, batches) -> None:
         self.flush_batches += len(batches)
+        self.wire_messages += len(queued)
+        types = self.message_types
         for _dst, message in queued:
             name = type(message).__name__
-            self.message_types[name] = self.message_types.get(name, 0) + 1
-            self.wire_messages += 1
-            self.wire_bytes += message.size_bytes()
+            types[name] = types.get(name, 0) + 1
         for dst, messages in batches.items():
             if len(messages) > self.outbox_depth.get(dst, 0):
                 self.outbox_depth[dst] = len(messages)
@@ -259,6 +259,12 @@ class ObsCollector(EnvObserver):
                 )
 
     def on_note(self, node_id: int, kind: str, fields: dict) -> None:
+        if kind == "wire_bytes":
+            # What the substrate put on the wire at this flush: the
+            # sizes the simulator just priced for its network model, the
+            # encoded frame bytes on the TCP runtime.
+            self.wire_bytes += fields["bytes"]
+            return
         if kind in ("read_local", "session_hit"):
             # A leased owner-local read (or an exactly-once session
             # replay) completes at its proposer without ever being

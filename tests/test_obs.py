@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import json
 
+from repro.consensus.base import EnvObserver
 from repro.consensus.commands import Command
 from repro.core.protocol import M2Paxos, M2PaxosConfig
 from repro.metrics.collector import MetricsCollector, RunResult
@@ -196,10 +197,13 @@ class TestSimRuntimeParity:
         collector.end_window()
         return collector.result(), collector.obs
 
-    def runtime_result(self) -> tuple[RunResult, ObsCollector]:
+    def runtime_result(self, observer=None) -> tuple[RunResult, ObsCollector]:
         async def scenario():
             cluster = LocalCluster(3, self.factory)
             collector = MetricsCollector(cluster)
+            if observer is not None:
+                for node in cluster.nodes:
+                    node.env.add_observer(observer)
             await cluster.start()
             collector.begin_window()
             for k, (node, seq, objs) in enumerate(self.PROPOSALS, start=1):
@@ -214,6 +218,42 @@ class TestSimRuntimeParity:
             return result, collector.obs
 
         return asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+
+    def test_wire_bytes_are_what_the_substrate_put_on_the_wire(self):
+        """Not a second estimate: the simulator reports the bytes it
+        priced for its network model (in either ``frame_sizes`` mode),
+        the TCP runtime the encoded frame bytes it wrote -- the sum of
+        its ``wire_bytes`` notes."""
+        sim_bytes = {}
+        for frame_sizes in ("estimate", "codec"):
+            cluster = make_cluster(
+                self.factory, n_nodes=3, network=NetworkConfig(frame_sizes=frame_sizes)
+            )
+            collector = MetricsCollector(cluster)
+            collector.begin_window()
+            for node, seq, objs in self.PROPOSALS:
+                cluster.propose(node, Command.make(node, seq, objs))
+                cluster.run_for(0.5)
+            result = collector.result()
+            assert result.wire_bytes == cluster.network.bytes_sent == result.bytes_sent > 0
+            assert result.wire_messages == cluster.network.messages_sent
+            sim_bytes[frame_sizes] = result.wire_bytes
+        assert sim_bytes["codec"] < sim_bytes["estimate"]
+
+        noted = []
+
+        class WireNotes(EnvObserver):
+            note_kinds = frozenset({"wire_bytes"})
+            wants_handler_timing = False
+
+            def on_note(self, node_id, kind, fields):
+                noted.append(fields["bytes"])
+
+        rt_result, rt_obs = self.runtime_result(WireNotes())
+        assert rt_result.wire_bytes == rt_result.bytes_sent == sum(noted) > 0
+        # Real frames, minus loopback (which never crosses a socket):
+        # less than the simulator charges for the same messages.
+        assert rt_result.wire_bytes < sim_bytes["codec"]
 
     def test_same_messages_same_paths_same_result_shape(self):
         sim_result, sim_obs = self.sim_result()
