@@ -101,7 +101,7 @@ def _sizer_for(cls: type) -> object:
     matches wins, in the order the estimate has always applied them, so
     a subclass (a ``Command`` subclass, a named tuple) is sized as its
     base is."""
-    sizer: object = 8
+    sizer: object = 8  # numbers, and anything unrecognised
     if cls is type(None) or issubclass(cls, bool):
         sizer = 1
     elif issubclass(cls, (int, float)):

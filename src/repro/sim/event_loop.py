@@ -196,8 +196,8 @@ class EventLoop:
         callbacks have executed (``inf`` = no such bound)."""
         self._stopped = False
         heap, pop = self._heap, heapq.heappop
-        executed = 0
-        while heap and executed < max_events and not self._stopped:
+        limit = self._processed + max_events
+        while heap and self._processed < limit and not self._stopped:
             if heap[0][0] > deadline:
                 break
             time, _seq, fn, args, event = pop(heap)
@@ -212,7 +212,6 @@ class EventLoop:
             self._now = time
             fn(*args)
             self._processed += 1
-            executed += 1
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, ``stop()`` is called, or

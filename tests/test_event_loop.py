@@ -231,10 +231,10 @@ def test_arguments_ride_on_the_entry_and_keep_fifo_tie_break():
     loop.post_at(0.5, seen.append, "post-2")
     loop.schedule_at(0.5, lambda tag: seen.append(tag), "args-3")
     loop.post_at(0.5, lambda: seen.append("post-4"))
-    loop.post_at(0.25, seen.extend, ("early", "two-args-are-one-tuple"))
+    loop.post_at(0.25, seen.extend, ("early-a", "early-b"))
     loop.run()
     assert seen == [
-        "early", "two-args-are-one-tuple",
+        "early-a", "early-b",
         "args-0", "closure-1", "post-2", "args-3", "post-4",
     ]
     assert loop.processed_events == 6
