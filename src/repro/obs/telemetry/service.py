@@ -23,7 +23,7 @@ from .sampler import IntervalSampler
 
 def _protocol_listener(node, handler):
     def listener(event) -> None:
-        if getattr(node, "crashed", False):
+        if node.crashed:
             return
         run_event = getattr(node, "run_event", None)
         if run_event is not None:

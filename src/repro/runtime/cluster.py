@@ -113,26 +113,14 @@ class LocalCluster:
         await self.nodes[node_id].stop()
 
     async def restart(self, node_id: int, mode: str = "durable") -> None:
-        """Boot a new incarnation of a crashed node (see SimNode).
-
-        With a durable storage bound, ``mode="durable"`` replays the
-        store's snapshot + log tail into a factory-fresh protocol (the
-        real recovery scan); without one it keeps the protocol object as
-        the legacy durable-log shortcut.
-        """
+        """Boot a new incarnation of a crashed node: ``mode="durable"``
+        (recovery scan when a durable store is bound, else the protocol
+        object survives) or ``"amnesia"`` -- see :meth:`Host.restart_args`."""
         node = self.nodes[node_id]
-        if mode == "durable":
-            if node.env.storage.durable:
-                protocol = self.protocol_factory(node_id, self.n_nodes)
-                await node.restart(protocol, recover=True)
-            else:
-                await node.restart()
-        elif mode == "amnesia":
-            node.env.storage.wipe()
-            protocol = self.protocol_factory(node_id, self.n_nodes)
-            await node.restart(protocol)
-        else:
-            raise ValueError(f"unknown restart mode: {mode!r}")
+        protocol, recover = node.restart_args(
+            mode, lambda: self.protocol_factory(node_id, self.n_nodes)
+        )
+        await node.restart(protocol, recover=recover)
 
     def attach_faults(self, plan, seed: int = 0) -> None:
         """Install ``plan``'s wire faults on every node's send path.

@@ -13,11 +13,12 @@ one sender per destination means wire order always matches send order
 -- including across reconnects, where the old ad-hoc
 ``_connect_and_send`` futures could race each other and direct writes.
 
-Failure semantics match the simulator's: :meth:`RuntimeNode.stop` is a
-real crash (timers cancelled, senders killed, the listening server
-*and* every established inbound connection closed, so a dead node
-processes nothing), and :meth:`RuntimeNode.restart` boots a new
-incarnation either durably or with amnesia.  An optional
+What a node *is* -- application log, listeners, event scope, crash and
+restart -- lives in :class:`repro.consensus.host.Host`, shared with the
+simulator; this module adds sockets, sender tasks and framing.
+:meth:`RuntimeNode.stop` is a real crash (beyond the host's prologue,
+senders are killed and the listening server *and* every established
+inbound connection closed, so a dead node processes nothing).  An optional
 :class:`~repro.chaos.injector.WireFaults` shim on the send path drops,
 duplicates, or delays outbound messages per a declarative fault plan.
 """
@@ -28,15 +29,9 @@ import asyncio
 import random
 from typing import Callable, Optional
 
-from repro.consensus.base import (
-    Env,
-    Message,
-    Protocol,
-    Storage,
-    StorageFull,
-    TimerHandle,
-)
+from repro.consensus.base import Env, Message, Protocol, Storage, TimerHandle
 from repro.consensus.commands import Command
+from repro.consensus.host import Host
 from repro.runtime.codec import (
     FRAME_HEADER,
     MAX_FRAME,
@@ -45,7 +40,6 @@ from repro.runtime.codec import (
     encode_message,
     encode_message_into,
 )
-from repro.storage.recovery import recover_protocol
 
 Address = tuple[str, int]
 
@@ -95,7 +89,7 @@ class RuntimeEnv(Env):
     def set_timer(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
         node = self._node
         timer = _AsyncTimer(node._timers)
-        if node._closed:
+        if node.crashed:
             # A crashed machine arms nothing; the handle is inert.
             return timer
         loop = asyncio.get_running_loop()
@@ -112,10 +106,7 @@ class RuntimeEnv(Env):
         return asyncio.get_running_loop().time()
 
     def _deliver(self, command: Command) -> None:
-        self._node.delivered.append(command)
-        now = self.now()
-        for listener in self._node.deliver_listeners:
-            listener(self.node_id, command, now)
+        self._node.on_deliver(command)
 
     def _deliver_read(self, command: Command, result: object) -> None:
         self._node.on_read(command, result)
@@ -125,7 +116,7 @@ class RuntimeEnv(Env):
         return self._rng
 
 
-class RuntimeNode:
+class RuntimeNode(Host):
     """Hosts one protocol instance on a real TCP endpoint."""
 
     def __init__(
@@ -137,23 +128,7 @@ class RuntimeNode:
     ) -> None:
         if node_id not in peers:
             raise ValueError("peers must include this node's own address")
-        self.node_id = node_id
         self.peers = peers
-        self.protocol = protocol
-        self.delivered: list[Command] = []
-        # One entry per finished amnesia incarnation, as in SimNode.
-        self.delivery_history: list[list[Command]] = []
-        self.incarnation = 0
-        # Same shape as SimNode's: ``listener(node_id, command, now)``,
-        # so one metrics collector serves both substrates.
-        self.deliver_listeners: list[Callable[[int, Command, float], None]] = []
-        # Locally-served (leased) reads and exactly-once session replays,
-        # kept apart from ``delivered``: served reads happen at the owner
-        # alone and never enter the replicated decision log.
-        self.read_log: list[tuple[Command, object]] = []
-        self.read_listeners: list[
-            Callable[[int, Command, object, float], None]
-        ] = []
         # Optional chaos shim (repro.chaos.injector.WireFaults): maps
         # ``(src, dst, now)`` to the delay offsets of the copies of each
         # outbound message -- [] drops, [0.0] passes, more duplicates.
@@ -169,17 +144,8 @@ class RuntimeNode:
         # Last per-destination depth reported via the ``outbox_depth``
         # note (emit-on-change; see ``_enqueue_frames``).
         self._outbox_noted: dict[int, int] = {}
-        self._timers: set[_AsyncTimer] = set()
-        self._closed = False
-
-        self.env = RuntimeEnv(self)
-        if storage is not None:
-            # The storage object survives crash/restart on the env,
-            # exactly as a disk survives a process death (and for
-            # DiskStorage it *is* real files).
-            self.env.storage = storage
-            storage.attach(self.env, lambda: self.protocol.snapshot_payload())
-        protocol.bind(self.env)
+        self._stopping: Optional[asyncio.Future] = None
+        super().__init__(node_id, protocol, RuntimeEnv, storage)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -193,24 +159,15 @@ class RuntimeNode:
     async def stop(self) -> None:
         """Crash this node for real.
 
-        Beyond cancelling timers and senders, every established inbound
-        connection is closed too -- a stopped node must not keep
-        processing frames that arrive on sockets accepted before the
-        "crash".  The node stays constructible into a new incarnation
-        via :meth:`restart`.
+        Beyond the host's prologue (timers cancelled, unflushed records
+        dropped), every sender is killed and the listening server *and*
+        every established inbound connection closed -- a stopped node
+        must not keep processing frames that arrive on sockets accepted
+        before the "crash".  The node stays constructible into a new
+        incarnation via :meth:`restart`.
         """
-        if self._closed:
+        if not self._crash_prologue():
             return
-        self.env.observe("fault", event="crash", incarnation=self.incarnation)
-        self._closed = True
-        # Protocol timers must not fire into a closed node: cancel every
-        # live handle (fired/cancelled timers deregister themselves).
-        for timer in list(self._timers):
-            timer.cancel()
-        self._timers.clear()
-        # Records and group-commit releases not yet fsynced die with the
-        # process; only what the storage flushed survives.
-        self.env.storage.discard_pending()
         senders = list(self._senders.values())
         self._senders.clear()
         for task in senders:
@@ -229,108 +186,32 @@ class RuntimeNode:
             writer.close()
         self._inbound.clear()
 
+    def _fail_stop(self) -> None:
+        # ``stop()`` is async, so the crash lands on the next loop tick;
+        # the discarded outbox already guarantees no unpersisted ack
+        # escaped.
+        self._stopping = asyncio.ensure_future(self.stop())
+
     async def restart(
         self, protocol: Optional[Protocol] = None, *, recover: bool = False
     ) -> None:
-        """Boot a new incarnation of this node.
-
-        ``recover=True`` (requires a fresh ``protocol`` and a durable
-        storage) replays the store's snapshot + log tail into it -- the
-        same recovery scan the simulator's ``restart_from_storage``
-        runs.  Otherwise ``protocol=None`` is the legacy durable-log
-        restart (the protocol object survives; :meth:`Protocol.on_restart`
-        clears volatile round state) and passing a fresh ``protocol``
-        without ``recover`` is an amnesia restart (the old delivery log
-        is archived, the node rejoins blank).
-        """
-        if not self._closed:
-            raise RuntimeError(f"node {self.node_id} is not stopped")
-        if recover:
-            if protocol is None:
-                raise ValueError("recover=True requires a fresh protocol")
-            if not self.env.storage.durable:
-                raise RuntimeError(
-                    f"node {self.node_id} has no durable storage"
-                )
-        self.incarnation += 1
-        if recover:
-            mode = "durable"
-            self.delivery_history.append(self.delivered)
-            self.delivered = []
-            protocol.bind(self.env)
-            self.protocol = protocol
-        elif protocol is None:
-            mode = "durable"
-            self.protocol.on_restart()
-        else:
-            mode = "amnesia"
-            self.delivery_history.append(self.delivered)
-            self.delivered = []
-            protocol.bind(self.env)
-            self.protocol = protocol
-        self._closed = False
-        self.env.observe(
-            "fault",
-            event="restart",
-            mode=mode,
-            incarnation=self.incarnation,
-            recovered=recover,
-        )
-        if recover:
-
-            def replay() -> None:
-                stats = recover_protocol(self.protocol, self.env.storage)
-                self.env.observe(
-                    "recovery", delivered=len(self.delivered), **stats
-                )
-
-            self.run_event(replay)
+        """Boot a new incarnation of this node: durable-legacy
+        (``protocol=None``), amnesia (a fresh ``protocol``) or, with
+        ``recover=True``, a fresh ``protocol`` rebuilt from the durable
+        store (see :meth:`Host._reboot`)."""
+        self._reboot(protocol, recover)
         await self.start()
 
     # ------------------------------------------------------------------
     # Outbound
     # ------------------------------------------------------------------
 
-    def run_event(self, fn: Callable[[], None]) -> None:
-        """Run one protocol event inside the env's outbox scope.
-
-        :class:`StorageFull` is fail-stop, as in the simulator: the
-        event's outbox is discarded and the node crashes (``stop()`` is
-        scheduled -- it is async -- but the discarded outbox already
-        guarantees no unpersisted ack escaped)."""
-        if self._closed:
-            return
-        self.env.begin_event()
-        storage_failed = False
-        try:
-            try:
-                fn()
-            except StorageFull:
-                storage_failed = True
-        finally:
-            try:
-                self.env.end_event(discard=storage_failed)
-            except StorageFull:
-                storage_failed = True
-                self.env.storage.discard_pending()
-        if storage_failed:
-            asyncio.ensure_future(self.stop())
-
     def propose(self, command: Command) -> None:
-        if self._closed:
+        if self.crashed:
             # A dead machine takes no client requests.
             return
         self.env.observe_propose(command)
-        self.run_event(lambda: self.protocol.propose(command))
-
-    def on_read(self, command: Command, result: object) -> None:
-        """Record one locally-served read/session-replay result."""
-        if self._closed:
-            return
-        self.read_log.append((command, result))
-        now = asyncio.get_running_loop().time()
-        for listener in self.read_listeners:
-            listener(self.node_id, command, result, now)
+        self.run_event(self.protocol.propose, command)
 
     def _encode_batch(self, messages: list[Message]) -> bytearray:
         """One flush batch's frames, encoded back to back into a single
@@ -343,7 +224,7 @@ class RuntimeNode:
 
     def enqueue(self, dst: int, messages: list[Message]) -> None:
         """Queue one flush batch for ``dst`` and kick its sender task."""
-        if self._closed:
+        if self.crashed:
             return
         if dst == self.node_id:
             # Local loopback: dispatch on the next loop tick so handlers
@@ -384,7 +265,7 @@ class RuntimeNode:
             self._enqueue_frames(dst, b"".join(on_time))
 
     def _enqueue_frames(self, dst: int, frames: "bytes | bytearray") -> None:
-        if self._closed:
+        if self.crashed:
             return
         queue = self._outgoing.setdefault(dst, [])
         queue.append(frames)
@@ -413,7 +294,7 @@ class RuntimeNode:
         once per message it wrote.  ``writelines`` hands the frame
         buffers to the transport as-is, avoiding a second copy of the
         whole backlog."""
-        while not self._closed:
+        while not self.crashed:
             pending = self._outgoing.get(dst)
             if not pending:
                 return
@@ -427,7 +308,7 @@ class RuntimeNode:
                     # protocol's own timers, which re-send fresh state.
                     self._outgoing[dst] = []
                     return
-                if self._closed:
+                if self.crashed:
                     writer.close()
                     return
                 self._writers[dst] = writer
@@ -459,7 +340,7 @@ class RuntimeNode:
         buffer = bytearray()
         header_size = FRAME_HEADER.size
         try:
-            while not self._closed:
+            while not self.crashed:
                 chunk = await reader.read(_READ_CHUNK)
                 if not chunk:
                     break  # clean EOF (mid-frame leftovers are dropped)
@@ -500,4 +381,4 @@ class RuntimeNode:
             writer.close()
 
     def _dispatch(self, sender: int, message: Message) -> None:
-        self.run_event(lambda: self.protocol.on_message(sender, message))
+        self.run_event(self.protocol.on_message, sender, message)

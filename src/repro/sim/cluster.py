@@ -131,31 +131,14 @@ class Cluster:
         self.nodes[node_id].crash()
 
     def restart(self, node_id: int, mode: str = "durable") -> None:
-        """Boot a new incarnation of a crashed node.
-
-        ``mode="durable"`` with a durable storage bound replays the
-        node's snapshot + log tail into a factory-fresh protocol (the
-        real recovery scan); without one it falls back to the legacy
-        shortcut of keeping the protocol object (its state standing in
-        for the durable log) and clearing volatile round state.
-        ``mode="amnesia"`` wipes the store and binds a fresh instance --
-        all acceptor promises are lost, exactly the failure the paper's
-        crash-recovery sketch has to survive.
-        """
+        """Boot a new incarnation of a crashed node: ``mode="durable"``
+        (recovery scan when a durable store is bound, else the protocol
+        object survives) or ``"amnesia"`` -- see :meth:`Host.restart_args`."""
         node = self.nodes[node_id]
-        if mode == "durable":
-            if node.env.storage.durable:
-                node.restart_from_storage(
-                    self.protocol_factory(node_id, self.config.n_nodes)
-                )
-            else:
-                node.restart()
-        elif mode == "amnesia":
-            node.env.storage.wipe()
-            protocol = self.protocol_factory(node_id, self.config.n_nodes)
-            node.restart(protocol)
-        else:
-            raise ValueError(f"unknown restart mode: {mode!r}")
+        protocol, recover = node.restart_args(
+            mode, lambda: self.protocol_factory(node_id, self.config.n_nodes)
+        )
+        node.restart(protocol, recover=recover)
 
     def partition(self, group_a: set[int], group_b: set[int]) -> None:
         self.network.partition(group_a, group_b)

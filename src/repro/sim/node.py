@@ -7,17 +7,11 @@ handlers *complete* only after their simulated CPU cost has been paid --
 this is what creates the saturation behaviour the paper's throughput
 figures measure.
 
-Crash--restart is real here, not a message filter: :meth:`SimNode.crash`
-cancels every live timer, quarantines the node (no sends, receives,
-proposals, timer firings, or deliveries), and bumps an incarnation
-counter so in-flight events charged to the old life can never execute
-in the new one.  :meth:`SimNode.restart` rejoins the cluster either
-*durably* (the protocol object -- acceptor promises, accepted values,
-decided log -- survives as if reloaded from disk, with volatile round
-state cleared via :meth:`Protocol.on_restart`) or with *amnesia* (a
-fresh protocol instance; the previous delivery log is archived to
-``delivery_history`` because the application state machine restarts
-from scratch too).
+What a node *is* -- application log, listeners, event scope, crash and
+restart -- lives in :class:`repro.consensus.host.Host`.  This module adds
+what only the simulator has: the CPU model (with an incarnation guard,
+so work charged to a dead life never executes in the next one) and the
+simulated network.
 """
 
 from __future__ import annotations
@@ -25,20 +19,13 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-from repro.consensus.base import (
-    Env,
-    Message,
-    Protocol,
-    Storage,
-    StorageFull,
-    TimerHandle,
-)
+from repro.consensus.base import Env, Message, Protocol, Storage, TimerHandle
 from repro.consensus.commands import Command
+from repro.consensus.host import Host
 from repro.sim.cpu import CpuConfig, CpuModel
 from repro.sim.event_loop import Event, EventLoop
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
-from repro.storage.recovery import recover_protocol
 
 
 class _SimTimer(TimerHandle):
@@ -127,7 +114,7 @@ class SimEnv(Env):
 
         def fire() -> None:
             node._timers.discard(event)
-            if not node.crashed and node.incarnation == incarnation:
+            if node.incarnation == incarnation:
                 node.run_event(callback)
 
         event = node.loop.schedule(delay, fire)
@@ -148,7 +135,7 @@ class SimEnv(Env):
         return self._node.rng
 
 
-class SimNode:
+class SimNode(Host):
     """One simulated machine running one protocol instance."""
 
     def __init__(
@@ -161,38 +148,11 @@ class SimNode:
         cpu_config: Optional[CpuConfig] = None,
         storage: Optional[Storage] = None,
     ) -> None:
-        self.node_id = node_id
         self.loop = loop
         self.network = network
-        self.protocol = protocol
         self.rng = rng.stream(f"node-{node_id}")
         self.cpu = CpuModel(cpu_config or CpuConfig())
-        self.crashed = False
-        self.incarnation = 0
-        self.delivered: list[Command] = []
-        # One entry per finished amnesia incarnation: the delivery log
-        # the application had built before that crash wiped it.
-        self.delivery_history: list[list[Command]] = []
-        self.deliver_listeners: list[Callable[[int, Command, float], None]] = []
-        # Serving tier: locally-answered reads / cached session replies.
-        # Kept apart from ``delivered`` on purpose -- served reads happen
-        # at the owner alone and must never enter the replicated
-        # decision log the consistency checker byte-compares.
-        self.read_log: list[tuple[Command, object]] = []
-        self.read_listeners: list[
-            Callable[[int, Command, object, float], None]
-        ] = []
-        self._timers: set[Event] = set()
-
-        self.env = SimEnv(self)
-        if storage is not None:
-            # The storage object *is* the node's disk: it stays on the
-            # env across crash/restart, and its group-commit timer runs
-            # on the node's virtual clock (cancelled by a crash, exactly
-            # like an in-flight fsync dies with the process).
-            self.env.storage = storage
-            storage.attach(self.env, lambda: self.protocol.snapshot_payload())
-        protocol.bind(self.env)
+        super().__init__(node_id, protocol, SimEnv, storage)
         network.register(node_id, self._on_network_message)
 
     def start(self) -> None:
@@ -202,33 +162,6 @@ class SimNode:
     # ------------------------------------------------------------------
     # Inbound events -- all charged to the CPU model.
     # ------------------------------------------------------------------
-
-    def run_event(self, fn: Callable[..., None], *args) -> None:
-        """Run one protocol event, ``fn(*args)``, inside the env's
-        outbox scope, so its sends flush as batches when the event
-        completes.  Exceptions (e.g. SafetyViolation) still propagate;
-        the depth counter is restored either way.
-
-        :class:`StorageFull` -- from a modelled capacity cap during the
-        handler, or from a real write failure during the end-of-event
-        commit -- is fail-stop: the event's outbox is discarded (a node
-        that could not persist must not acknowledge) and the node
-        crashes."""
-        self.env.begin_event()
-        storage_failed = False
-        try:
-            try:
-                fn(*args)
-            except StorageFull:
-                storage_failed = True
-        finally:
-            try:
-                self.env.end_event(discard=storage_failed)
-            except StorageFull:
-                storage_failed = True
-                self.env.storage.discard_pending()
-        if storage_failed:
-            self.crash()
 
     def _charge_and_run(
         self, message: Optional[Message], fn: Callable[..., None], *args
@@ -246,8 +179,8 @@ class SimNode:
     def _run_charged(self, incarnation: int, fn: Callable[..., None], args: tuple) -> None:
         # The CPU-completion callback may be reached after a crash (and
         # even after a restart): work charged to a dead incarnation
-        # must never execute.
-        if not self.crashed and self.incarnation == incarnation:
+        # must never execute.  (``run_event`` itself refuses while down.)
+        if self.incarnation == incarnation:
             self.run_event(fn, *args)
 
     def _on_network_message(self, sender: int, message: object, size: int) -> None:
@@ -257,11 +190,7 @@ class SimNode:
         occupancy, occupancy_serial = self.protocol.occupancy_cost(message)
         if occupancy > 0:
             self.cpu.submit(self.loop.now, occupancy, occupancy_serial)
-        self._charge_and_run(message, self._handle_message, sender, message)
-
-    def _handle_message(self, sender: int, message: Message) -> None:
-        if not self.crashed:
-            self.protocol.on_message(sender, message)
+        self._charge_and_run(message, self.protocol.on_message, sender, message)
 
     def propose(self, command: Command) -> None:
         """Client-side C-PROPOSE entry point.
@@ -279,114 +208,32 @@ class SimNode:
             self.cpu.submit(
                 self.loop.now, costs.propose_cost, costs.propose_serial_fraction
             )
-        self._charge_and_run(None, self._handle_propose, command)
-
-    def _handle_propose(self, command: Command) -> None:
-        if not self.crashed:
-            self.protocol.propose(command)
+        self._charge_and_run(None, self.protocol.propose, command)
 
     # ------------------------------------------------------------------
-    # Delivery and failure injection
+    # Failure injection
     # ------------------------------------------------------------------
-
-    def on_deliver(self, command: Command) -> None:
-        if self.crashed:
-            return
-        self.delivered.append(command)
-        now = self.loop.now
-        for listener in self.deliver_listeners:
-            listener(self.node_id, command, now)
-
-    def on_read(self, command: Command, result: object) -> None:
-        if self.crashed:
-            return
-        self.read_log.append((command, result))
-        now = self.loop.now
-        for listener in self.read_listeners:
-            listener(self.node_id, command, result, now)
 
     def crash(self) -> None:
-        """Crash this node for real: cancel every live timer, stop all
-        sends/receives/proposals/deliveries, and notify observers.  The
-        process is dead until :meth:`restart`; nothing it scheduled
-        before the crash may run."""
-        if self.crashed:
-            return
-        self.env.observe("fault", event="crash", incarnation=self.incarnation)
-        self.crashed = True
-        for event in self._timers:
-            event.cancel()
-        self._timers.clear()
-        # Un-fsynced records and queued group-commit releases die with
-        # the process; only what the storage flushed survives.
-        self.env.storage.discard_pending()
-        self.network.crash(self.node_id)
-        self.protocol.crash()
+        """Crash this node for real: the host goes down (timers
+        cancelled, no sends/receives/proposals/deliveries) and the
+        network stops carrying its traffic.  The process is dead until
+        :meth:`restart`; nothing it scheduled before the crash may run."""
+        if self._crash_prologue():
+            self.network.crash(self.node_id)
 
-    def restart(self, protocol: Optional[Protocol] = None) -> None:
-        """Boot a new incarnation of this machine.
+    def _fail_stop(self) -> None:
+        self.crash()
 
-        ``protocol=None`` is a *durable-log* restart: the existing
-        protocol object's state survives (it is the durable log) and
-        :meth:`Protocol.on_restart` clears its volatile round state.
-        Passing a fresh ``protocol`` is an *amnesia* restart: all
-        acceptor state is lost, the application log is archived, and
-        the node rejoins as a blank participant.
-        """
-        if not self.crashed:
-            raise RuntimeError(f"node {self.node_id} is not crashed")
-        self.incarnation += 1
-        mode = "durable" if protocol is None else "amnesia"
-        if protocol is None:
-            self.protocol.on_restart()
-        else:
-            self.delivery_history.append(self.delivered)
-            self.delivered = []
-            protocol.bind(self.env)
-            self.protocol = protocol
-        self.crashed = False
-        self.network.recover(self.node_id)
-        self.env.observe(
-            "fault", event="restart", mode=mode, incarnation=self.incarnation
-        )
+    def restart(
+        self, protocol: Optional[Protocol] = None, *, recover: bool = False
+    ) -> None:
+        """Boot a new incarnation of this machine: durable-legacy
+        (``protocol=None``), amnesia (a fresh ``protocol``) or, with
+        ``recover=True``, a fresh ``protocol`` rebuilt from the durable
+        store (see :meth:`Host._reboot`)."""
+        self._reboot(protocol, recover)
         self.run_event(self.protocol.on_start)
 
-    def restart_from_storage(self, protocol: Protocol) -> None:
-        """Boot a new incarnation from the durable store.
-
-        A factory-fresh ``protocol`` is bound and rebuilt by replaying
-        the storage's snapshot + log tail through
-        :func:`repro.storage.recovery.recover_protocol` -- the same scan
-        the asyncio runtime uses.  The pre-crash delivery log is
-        archived; replay must rebuild it as a byte-identical prefix of
-        the new incarnation's log (the chaos checker asserts this), so
-        the node is *not* amnesiac.
-        """
-        if not self.crashed:
-            raise RuntimeError(f"node {self.node_id} is not crashed")
-        storage = self.env.storage
-        if not storage.durable:
-            raise RuntimeError(f"node {self.node_id} has no durable storage")
-        self.incarnation += 1
-        self.delivery_history.append(self.delivered)
-        self.delivered = []
-        protocol.bind(self.env)
-        self.protocol = protocol
-        self.crashed = False
+    def _rejoin(self) -> None:
         self.network.recover(self.node_id)
-        self.env.observe(
-            "fault",
-            event="restart",
-            mode="durable",
-            incarnation=self.incarnation,
-            recovered=True,
-        )
-
-        def replay() -> None:
-            stats = recover_protocol(self.protocol, storage)
-            self.env.observe(
-                "recovery", delivered=len(self.delivered), **stats
-            )
-
-        self.run_event(replay)
-        self.run_event(self.protocol.on_start)

@@ -170,13 +170,13 @@ class TestRuntimeHardening:
             assert node._timers
             await cluster.stop()
             assert not node._timers
-            assert node._closed
+            assert node.crashed
             # Post-stop sends are dropped, not queued or written.
             node.enqueue(1, [Note(0)])
             assert node._outgoing == {}
             node.propose(Command.make(0, 1, ["k"]))  # no-op, must not raise
             # Give any stray callbacks a chance to fire into the closed
-            # node; run_event's _closed guard must discard them.
+            # node; run_event's crashed guard must discard them.
             await asyncio.sleep(0.05)
 
         self.run(scenario())
