@@ -17,7 +17,7 @@ from dataclasses import replace
 from repro.bench.harness import PointSpec, run_point, saturated_spec
 from repro.bench.report import print_table
 from repro.core.protocol import M2Paxos, M2PaxosConfig
-from repro.metrics.collector import MetricsCollector
+from repro.obs.collect import ObsCollector
 from repro.sim.cluster import Cluster, ClusterConfig
 from repro.sim.cpu import CpuConfig
 from repro.sim.latency import GaussianLatency
@@ -43,14 +43,13 @@ def run_m2(n_nodes, m2_config, batching=True, clients=64, think=0.002,
     workload = SyntheticWorkload(
         SyntheticConfig(), n_nodes, RngRegistry(seed * 7919 + 13).stream("wl")
     )
-    collector = MetricsCollector(cluster)
+    collector = ObsCollector.for_cluster(cluster)
     drivers = OpenLoopClients(
         cluster,
         workload,
         ClientConfig(
             clients_per_node=clients, think_time=think, max_inflight_per_node=cap
         ),
-        collector=collector,
     )
     cluster.start()
     drivers.start()

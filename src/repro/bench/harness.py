@@ -19,7 +19,7 @@ from repro.consensus.epaxos import EPaxos, EPaxosConfig
 from repro.consensus.genpaxos import GenPaxos, GenPaxosConfig
 from repro.consensus.multipaxos import MultiPaxos, MultiPaxosConfig
 from repro.core.protocol import M2Paxos, M2PaxosConfig
-from repro.metrics.collector import MetricsCollector, RunResult
+from repro.obs.collect import ObsCollector, RunResult
 from repro.sim.cluster import Cluster
 from repro.sim.cpu import CpuConfig
 from repro.sim.latency import GaussianLatency
@@ -164,7 +164,7 @@ class RunHandle:
     spec: PointSpec
     cluster: Cluster
     workload: object
-    collector: MetricsCollector
+    collector: ObsCollector
     clients: OpenLoopClients
 
     def start(self) -> None:
@@ -178,7 +178,7 @@ class RunHandle:
         result.extra["protocol_stats"] = [
             dict(node.protocol.stats) for node in self.cluster.nodes
         ]
-        result.extra["obs"] = self.collector.obs
+        result.extra["obs"] = self.collector
         self.cluster.close_storage()
         return result
 
@@ -242,7 +242,7 @@ def build_run(
     )
     workload_rng = RngRegistry(spec.seed * 7919 + 13)
     workload = build_workload(spec, workload_rng)
-    collector = MetricsCollector(cluster, warmup=spec.warmup, record_spans=record_spans)
+    collector = ObsCollector.for_cluster(cluster, record_spans=record_spans)
     clients = OpenLoopClients(
         cluster,
         workload,
@@ -252,7 +252,6 @@ def build_run(
             max_inflight_per_node=spec.max_inflight,
             sessions_per_node=spec.sessions_per_node,
         ),
-        collector=collector,
     )
     return RunHandle(
         spec=spec,

@@ -2,15 +2,4 @@
 
 from repro.metrics.stats import Summary, percentile, summarize
 
-__all__ = ["Summary", "percentile", "summarize", "MetricsCollector"]
-
-
-def __getattr__(name):
-    # Imported lazily to break the cycle metrics -> collector ->
-    # obs.collect -> obs.span -> metrics.stats: anyone may now import
-    # the obs and metrics packages in either order.
-    if name == "MetricsCollector":
-        from repro.metrics.collector import MetricsCollector
-
-        return MetricsCollector
-    raise AttributeError(name)
+__all__ = ["Summary", "percentile", "summarize"]

@@ -8,6 +8,7 @@ same definition as ``numpy.percentile``'s default).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import fsum
 from typing import Sequence
 
 
@@ -32,7 +33,9 @@ def percentile(values: Sequence[float], q: float) -> float:
 def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("no values")
-    return sum(values) / len(values)
+    # Exactly rounded, so a summary does not depend on the order its
+    # samples were collected in.
+    return fsum(values) / len(values)
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,10 @@ class SimClock(Clock):
     """Virtual time of a simulator event loop."""
 
     def __init__(self, loop) -> None:
-        self._loop = loop
+        self.loop = loop
 
     def now(self) -> float:
-        return self._loop.now
+        return self.loop.now
 
 
 class WallClock(Clock):
@@ -36,3 +36,11 @@ class WallClock(Clock):
 
     def now(self) -> float:
         return time.monotonic()
+
+
+def clock_for(cluster) -> Clock:
+    """The clock of ``cluster``'s substrate: virtual time when it runs
+    on a simulator event loop (a sim ``Cluster``), wall time otherwise
+    (a runtime ``LocalCluster``)."""
+    loop = getattr(cluster, "loop", None)
+    return SimClock(loop) if loop is not None else WallClock()

@@ -16,6 +16,11 @@ protocols' structured notes (``path`` / ``quorum`` / ``decide`` /
   clock as command traces -- and, in span mode, audit that a crashed
   node performed *zero* transitions while down (no handler or wire
   span may fall inside a crash window);
+- the run's ledger: a measurement window (``begin_window`` /
+  ``end_window``) and :meth:`ObsCollector.result`, which computes the
+  :class:`RunResult` of the run in one pass over the command traces --
+  every timestamp a throughput or latency number needs is already on
+  them, so nothing books a command a second time;
 - optionally (``record_spans=True``) a full span log for the Chrome
   trace exporter.  Span retention is opt-in *and* bounded: at most
   ``max_spans`` spans are kept (default
@@ -35,7 +40,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.consensus.base import EnvObserver, Message
-from repro.obs.clock import Clock, SimClock, WallClock
+from repro.metrics.stats import Summary, summarize
+from repro.obs.clock import Clock, clock_for
 from repro.obs.span import (
     Cid,
     CommandTrace,
@@ -44,6 +50,56 @@ from repro.obs.span import (
     fast_ratio,
     path_breakdown,
 )
+
+READ_PATHS = ("read_local", "session_hit")
+"""Path labels of commands answered at their proposer without
+consensus: a leased owner-local read, an exactly-once session replay."""
+
+
+@dataclass
+class RunResult:
+    """What one run (simulated or live) produced."""
+
+    duration: float
+    delivered: int
+    throughput: float
+    latency: Optional[Summary]
+    messages_sent: int
+    bytes_sent: int
+    proposed: int = 0
+    extra: dict = field(default_factory=dict)
+    # Flush-point observability: every protocol event's sends pass
+    # through one Env flush, where the collector counts them by message
+    # type; ``wire_bytes`` is what the substrate says it put on the
+    # wire (sim: the sizes priced for the network model; TCP runtime:
+    # encoded frame bytes written to sockets, loopback excluded).
+    message_types: dict = field(default_factory=dict)
+    flush_batches: int = 0
+    wire_messages: int = 0
+    wire_bytes: int = 0
+    # Decision-path breakdown from the span layer: path name ->
+    # PathStats (count + latency summary), window-scoped like the
+    # throughput and latency numbers above.
+    paths: dict[str, PathStats] = field(default_factory=dict)
+    # Commands proposed and not (yet) delivered at their proposer by the
+    # end of the run: lost, or still in flight when it was read.
+    inflight: int = 0
+    # Reads answered locally by a leased owner (plus exactly-once
+    # session replays): completed client operations that never enter the
+    # decision log, counted into ``throughput`` alongside ``delivered``.
+    reads_served: int = 0
+
+    @property
+    def avg_batch_size(self) -> float:
+        """Messages per flush batch (1.0 means no batching win)."""
+        if self.flush_batches == 0:
+            return 0.0
+        return self.wire_messages / self.flush_batches
+
+    @property
+    def fast_ratio(self) -> float:
+        """Fraction of windowed commands that stayed on the fast path."""
+        return fast_ratio(self.paths)
 
 
 @dataclass
@@ -128,6 +184,9 @@ class ObsCollector(EnvObserver):
         self.wire_messages = 0
         self.wire_bytes = 0
         self._attached: list = []  # envs we observe, for detach()
+        self._network = None  # the sim network's counters, where there is one
+        self._window_start: Optional[float] = None
+        self._window_end: Optional[float] = None
         # Handler spans nest (a handler may deliver, whose listener
         # proposes); per-node stacks pair entries with exits.
         self._handler_starts: dict[int, list[float]] = {}
@@ -146,9 +205,9 @@ class ObsCollector(EnvObserver):
         """Build and attach to a sim ``Cluster`` or runtime ``LocalCluster``:
         the virtual clock when the cluster has an event loop, wall time
         otherwise."""
-        loop = getattr(cluster, "loop", None)
-        clock: Clock = SimClock(loop) if loop is not None else WallClock()
-        collector = cls(clock, record_spans=record_spans, max_spans=max_spans)
+        collector = cls(
+            clock_for(cluster), record_spans=record_spans, max_spans=max_spans
+        )
         collector.attach(cluster)
         return collector
 
@@ -160,6 +219,7 @@ class ObsCollector(EnvObserver):
         self.spans.append(span)
 
     def attach(self, cluster) -> None:
+        self._network = getattr(cluster, "network", None)
         for node in cluster.nodes:
             node.env.add_observer(self)
             self._attached.append(node.env)
@@ -265,7 +325,7 @@ class ObsCollector(EnvObserver):
             # encoded frame bytes on the TCP runtime.
             self.wire_bytes += fields["bytes"]
             return
-        if kind in ("read_local", "session_hit"):
+        if kind in READ_PATHS:
             # A leased owner-local read (or an exactly-once session
             # replay) completes at its proposer without ever being
             # decided or delivered: close its trace here so the
@@ -392,11 +452,90 @@ class ObsCollector(EnvObserver):
     ) -> float:
         return fast_ratio(self.path_stats(window_start, window_end))
 
-    def inflight(self) -> int:
-        """Commands proposed but never delivered anywhere (lost or still
-        in flight when the collector was read)."""
+    def never_delivered(self) -> int:
+        """Commands proposed but not delivered *anywhere* when the
+        collector was read -- lost, or not yet decided.  (Stricter than
+        in flight: see :attr:`inflight_of`.)"""
         return sum(
             1 for t in self.traces.values() if t.first_delivered_at is None
+        )
+
+    # ------------------------------------------------------------------
+    # The run ledger
+    # ------------------------------------------------------------------
+
+    def begin_window(self) -> None:
+        """Start the measurement window (end of warm-up)."""
+        self._window_start = self.clock.now()
+
+    def end_window(self) -> None:
+        self._window_end = self.clock.now()
+
+    @property
+    def proposed(self) -> int:
+        """Commands a live node accepted from a client so far."""
+        return len(self.traces)
+
+    @property
+    def inflight_of(self) -> dict[Cid, float]:
+        """Commands in flight -- proposed and not yet delivered (or
+        answered on the read channel) at their proposer, the moment a
+        client is acknowledged: cid -> propose time."""
+        return {
+            cid: trace.proposed_at
+            for cid, trace in self.traces.items()
+            if trace.delivered_at is None
+        }
+
+    def result(self) -> RunResult:
+        """The run so far, measured over the window.
+
+        A command counts once, at its first delivery anywhere inside the
+        window (``delivered``), or as a served read when it was answered
+        on the read channel instead (``reads_served``); its latency is
+        measured at its *proposer*, from C-PROPOSE to the moment the
+        proposer's own replica delivers it -- the point at which a
+        replicated state machine could answer the client."""
+        start = self._window_start
+        if start is None:
+            raise RuntimeError("begin_window() was never called")
+        end = self._window_end if self._window_end is not None else self.clock.now()
+        delivered = reads = inflight = 0
+        latencies: list[float] = []
+        for trace in self.traces.values():
+            first = trace.first_delivered_at
+            if first is not None and start <= first <= end:
+                if trace.path in READ_PATHS:
+                    reads += 1
+                else:
+                    delivered += 1
+            done = trace.delivered_at
+            if done is None:
+                inflight += 1
+            elif start <= done <= end:
+                latencies.append(done - trace.proposed_at)
+        duration = max(end - start, 1e-12)
+        # The sim network counts every transmitted message; the runtime
+        # has no such tap, so the flush-point message count and the
+        # frame bytes its nodes report writing stand in.
+        network = self._network
+        return RunResult(
+            duration=duration,
+            delivered=delivered,
+            throughput=(delivered + reads) / duration,
+            latency=summarize(latencies) if latencies else None,
+            messages_sent=(
+                network.messages_sent if network is not None else self.wire_messages
+            ),
+            bytes_sent=network.bytes_sent if network is not None else self.wire_bytes,
+            proposed=len(self.traces),
+            message_types=dict(self.message_types),
+            flush_batches=self.flush_batches,
+            wire_messages=self.wire_messages,
+            wire_bytes=self.wire_bytes,
+            paths=self.path_stats(start, end),
+            inflight=inflight,
+            reads_served=reads,
         )
 
     def activity_spans(

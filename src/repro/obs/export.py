@@ -137,7 +137,7 @@ def jsonl_records(collector: ObsCollector) -> Iterator[dict]:
         "kind": "summary",
         "path_counts": collector.path_counts(),
         "fast_ratio": collector.fast_ratio(),
-        "inflight": collector.inflight(),
+        "never_delivered": collector.never_delivered(),
         "message_types": collector.message_types,
         "flush_batches": collector.flush_batches,
         "wire_messages": collector.wire_messages,

@@ -123,7 +123,7 @@ def path_breakdown(
 
     Counts every trace whose first delivery falls inside the window;
     latency summaries use the proposer-local latency of the traces that
-    have one (the same latency definition as the metrics collector).
+    have one (the same latency definition as ``RunResult.latency``).
     """
 
     def in_window(t: Optional[float]) -> bool:

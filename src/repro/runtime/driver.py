@@ -9,8 +9,8 @@ per node, refilled the moment a decision lands back at its proposer --
 round N+1 is on the wire while round N is still collecting acks.
 
 Completion of a proposal is *delivery at its proposing node* (the
-client that submitted it got its response), observed through the same
-``deliver_listeners`` hook the metrics layer uses.  The driver emits an
+client that submitted it got its response), observed through the host's
+``deliver_listeners`` and ``read_listeners``.  The driver emits an
 ``inflight`` note on each proposer's env so an attached
 :class:`~repro.obs.collect.ObsCollector` gauges pipeline depth on the
 runtime path exactly as it does queue depths.

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Protocol as TypingProtocol
 
 from repro.consensus.commands import Command
-from repro.metrics.collector import MetricsCollector
 from repro.sim.cluster import Cluster
 
 
@@ -62,26 +61,22 @@ class OpenLoopClients:
         cluster: Cluster,
         workload: Workload,
         config: ClientConfig,
-        collector: Optional[MetricsCollector] = None,
         nodes: Optional[list[int]] = None,
     ) -> None:
         self.cluster = cluster
         self.workload = workload
         self.config = config
-        self.collector = collector
         self.nodes = nodes if nodes is not None else list(range(cluster.config.n_nodes))
         self._inflight: dict[int, int] = {node: 0 for node in self.nodes}
         self._running = False
         self._rng = cluster.rng.stream("clients")
         for node in cluster.nodes:
             node.deliver_listeners.append(self._on_deliver)
-            listeners = getattr(node, "read_listeners", None)
-            if listeners is not None:
-                # Leased reads complete at the proposer without ever
-                # reaching the delivery stream; without this hook their
-                # in-flight slots would leak and the open loop would
-                # stall at max_inflight.
-                listeners.append(self._on_read)
+            # Leased reads complete at the proposer without ever
+            # reaching the delivery stream; without this hook their
+            # in-flight slots would leak and the open loop would stall
+            # at max_inflight.
+            node.read_listeners.append(self._on_read)
         self._outstanding: dict[tuple[int, int], int] = {}
         # Issue interval per timer: aggregate session mode folds a whole
         # node's sessions into one repeating timer.
@@ -116,8 +111,6 @@ class OpenLoopClients:
             command = self.workload.next_command(node)
             self._inflight[node] += 1
             self._outstanding[command.cid] = node
-            if self.collector is not None:
-                self.collector.on_propose(command)
             self.cluster.propose(node, command)
         # Open loop: sleep and go again whether or not we issued.
         self._schedule(node, self._interval)
@@ -135,31 +128,3 @@ class OpenLoopClients:
         if origin is not None:
             self._inflight[origin] -= 1
 
-
-def drive(
-    cluster: Cluster,
-    workload: Workload,
-    client_config: ClientConfig,
-    duration: float,
-    warmup: float = 0.0,
-    collector: Optional[MetricsCollector] = None,
-    drain: float = 0.0,
-) -> MetricsCollector:
-    """Convenience: run clients for ``warmup + duration`` and collect.
-
-    Returns the collector (created if not given) with a closed window.
-    """
-    if collector is None:
-        collector = MetricsCollector(cluster, warmup=warmup)
-    clients = OpenLoopClients(cluster, workload, client_config, collector)
-    cluster.start()
-    clients.start()
-    if warmup > 0:
-        cluster.run_for(warmup)
-    collector.begin_window()
-    cluster.run_for(duration)
-    collector.end_window()
-    clients.stop()
-    if drain > 0:
-        cluster.run_for(drain)
-    return collector

@@ -4,7 +4,7 @@ import pytest
 
 from repro.consensus.commands import Command
 from repro.core.protocol import M2Paxos
-from repro.metrics.collector import MetricsCollector
+from repro.obs.collect import ObsCollector
 from repro.metrics.stats import mean, percentile, summarize
 from repro.sim.cluster import Cluster, ClusterConfig
 
@@ -59,9 +59,9 @@ class TestSummarize:
 
 
 class TestMetricsCollector:
-    def run_cluster(self, warmup=0.0):
+    def run_cluster(self):
         cluster = Cluster(ClusterConfig(n_nodes=3, seed=0), lambda i, n: M2Paxos())
-        collector = MetricsCollector(cluster, warmup=warmup)
+        collector = ObsCollector.for_cluster(cluster)
         cluster.start()
         return cluster, collector
 
@@ -69,7 +69,6 @@ class TestMetricsCollector:
         cluster, collector = self.run_cluster()
         collector.begin_window()
         command = Command.make(0, 0, ["x"])
-        collector.on_propose(command)
         cluster.propose(0, command)
         cluster.run_for(1.0)
         collector.end_window()
@@ -84,7 +83,6 @@ class TestMetricsCollector:
         collector.begin_window()
         for seq in range(5):
             command = Command.make(0, seq, ["x"])
-            collector.on_propose(command)
             cluster.propose(0, command)
         cluster.run_for(2.0)
         collector.end_window()
@@ -95,12 +93,10 @@ class TestMetricsCollector:
         cluster, collector = self.run_cluster()
         # Deliver one command before the window opens.
         early = Command.make(0, 0, ["x"])
-        collector.on_propose(early)
         cluster.propose(0, early)
         cluster.run_for(1.0)
         collector.begin_window()
         late = Command.make(0, 1, ["x"])
-        collector.on_propose(late)
         cluster.propose(0, late)
         cluster.run_for(1.0)
         collector.end_window()
@@ -116,7 +112,6 @@ class TestMetricsCollector:
         cluster, collector = self.run_cluster()
         collector.begin_window()
         command = Command.make(0, 0, ["x"])
-        collector.on_propose(command)
         cluster.propose(0, command)
         cluster.run_for(1.0)
         collector.end_window()

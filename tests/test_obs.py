@@ -18,8 +18,8 @@ import json
 from repro.consensus.base import EnvObserver
 from repro.consensus.commands import Command
 from repro.core.protocol import M2Paxos, M2PaxosConfig
-from repro.metrics.collector import MetricsCollector, RunResult
 from repro.obs import ObsCollector, to_chrome_trace
+from repro.obs.collect import RunResult
 from repro.runtime.cluster import LocalCluster
 from repro.sim.latency import FixedLatency
 from repro.sim.network import NetworkConfig
@@ -187,20 +187,19 @@ class TestSimRuntimeParity:
 
     def sim_result(self) -> tuple[RunResult, ObsCollector]:
         cluster = make_cluster(self.factory, n_nodes=3)
-        collector = MetricsCollector(cluster)
+        collector = ObsCollector.for_cluster(cluster)
         collector.begin_window()
         for node, seq, objs in self.PROPOSALS:
             command = Command.make(node, seq, objs)
-            collector.on_propose(command)
             cluster.propose(node, command)
             cluster.run_for(0.5)  # fully settle before the next proposal
         collector.end_window()
-        return collector.result(), collector.obs
+        return collector.result(), collector
 
     def runtime_result(self, observer=None) -> tuple[RunResult, ObsCollector]:
         async def scenario():
             cluster = LocalCluster(3, self.factory)
-            collector = MetricsCollector(cluster)
+            collector = ObsCollector.for_cluster(cluster)
             if observer is not None:
                 for node in cluster.nodes:
                     node.env.add_observer(observer)
@@ -208,14 +207,13 @@ class TestSimRuntimeParity:
             collector.begin_window()
             for k, (node, seq, objs) in enumerate(self.PROPOSALS, start=1):
                 command = Command.make(node, seq, objs)
-                collector.on_propose(command)
                 cluster.propose(node, command)
                 # Every node at k deliveries: the round fully settled.
                 await cluster.wait_delivered(k)
             collector.end_window()
             result = collector.result()
             await cluster.stop()
-            return result, collector.obs
+            return result, collector
 
         return asyncio.run(asyncio.wait_for(scenario(), timeout=30))
 
@@ -229,7 +227,7 @@ class TestSimRuntimeParity:
             cluster = make_cluster(
                 self.factory, n_nodes=3, network=NetworkConfig(frame_sizes=frame_sizes)
             )
-            collector = MetricsCollector(cluster)
+            collector = ObsCollector.for_cluster(cluster)
             collector.begin_window()
             for node, seq, objs in self.PROPOSALS:
                 cluster.propose(node, Command.make(node, seq, objs))
@@ -307,30 +305,29 @@ class TestChromeExport:
 class TestInflight:
     def test_undelivered_proposals_are_counted_then_drained(self):
         cluster = fixed_latency_cluster()
-        collector = MetricsCollector(cluster)
+        collector = ObsCollector.for_cluster(cluster)
         collector.begin_window()
         command = Command.make(0, 0, ["x"])
-        collector.on_propose(command)
         cluster.propose(0, command)
         cluster.run_for(D / 10)  # shorter than one network hop
-        assert collector.obs.inflight() == 1
-        assert len(collector._propose_times) == 1
+        assert collector.never_delivered() == 1
+        assert list(collector.inflight_of) == [command.cid]
 
         cluster.run_for(1.0)
         collector.end_window()
         result = collector.result()
         assert result.delivered == 1
         assert result.inflight == 0
-        # The propose-time table drains on delivery: no unbounded growth.
-        assert len(collector._propose_times) == 0
+        assert collector.never_delivered() == 0
+        assert not collector.inflight_of
 
     def test_detach_stops_observing(self):
         cluster = fixed_latency_cluster()
-        collector = MetricsCollector(cluster)
+        collector = ObsCollector.for_cluster(cluster)
         collector.begin_window()
         collector.detach()
         cluster.propose(0, Command.make(0, 0, ["x"]))
         cluster.run_for(1.0)
-        assert collector.obs.traces == {}
-        assert collector.obs.message_types == {}
+        assert collector.traces == {}
+        assert collector.message_types == {}
         assert len(cluster.delivered(0)) == 1  # the cluster still works

@@ -22,7 +22,7 @@ from repro.chaos.runner import _CHAOS_M2, run_scenario
 from repro.chaos.scenarios import SMOKE, by_name
 from repro.consensus.commands import Command
 from repro.core.protocol import M2Paxos, M2PaxosConfig
-from repro.metrics.collector import MetricsCollector
+from repro.obs.collect import ObsCollector
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.codec import (
     FRAME_HEADER,
@@ -97,7 +97,7 @@ class TestPipelineDriver:
     def test_window_fills_to_depth_but_never_past_it(self):
         async def scenario():
             cluster = LocalCluster(3, pipelined_factory)
-            collector = MetricsCollector(cluster)
+            collector = ObsCollector.for_cluster(cluster)
             await cluster.start()
             try:
                 proposals = [(0, c) for _, c in own_object_proposals(1, 12)]
@@ -107,7 +107,7 @@ class TestPipelineDriver:
                 # loop can deliver anything, so the peak is exactly 4.
                 assert driver.max_inflight == 4
                 # ... and the obs layer saw the same gauge.
-                assert collector.obs.client_inflight[0] == 4
+                assert collector.client_inflight[0] == 4
             finally:
                 await cluster.stop()
 
@@ -284,32 +284,29 @@ class TestSimRuntimeParityPipelined:
 
     def sim_paths(self):
         cluster = make_cluster(self.factory, n_nodes=self.N_NODES)
-        collector = MetricsCollector(cluster)
+        collector = ObsCollector.for_cluster(cluster)
         collector.begin_window()
         proposals = own_object_proposals(self.N_NODES, self.PER_NODE)
         for node, command in proposals:
-            collector.on_propose(command)
             cluster.propose(node, command)
         cluster.run_for(10.0)
         collector.end_window()
         assert_all_delivered(cluster, [c for _, c in proposals])
-        return collector.result(), collector.obs.path_counts()
+        return collector.result(), collector.path_counts()
 
     def runtime_paths(self):
         async def scenario():
             cluster = LocalCluster(self.N_NODES, self.factory)
-            collector = MetricsCollector(cluster)
+            collector = ObsCollector.for_cluster(cluster)
             await cluster.start()
             try:
                 collector.begin_window()
                 proposals = own_object_proposals(self.N_NODES, self.PER_NODE)
-                for _, command in proposals:
-                    collector.on_propose(command)
                 driver = PipelineDriver(cluster, depth=4)
                 await driver.run(proposals)
                 await cluster.wait_delivered(len(proposals))
                 collector.end_window()
-                return collector.result(), collector.obs.path_counts()
+                return collector.result(), collector.path_counts()
             finally:
                 await cluster.stop()
 
