@@ -21,10 +21,10 @@ from dataclasses import replace
 
 from repro.bench.harness import PointSpec, run_point, saturated_spec
 from repro.bench.report import print_table
+from repro.spec import PROTOCOLS
 from repro.workloads.synthetic import SyntheticConfig
 from repro.workloads.tpcc import TpccConfig
 
-PROTOCOLS = ("m2paxos", "multipaxos", "genpaxos", "epaxos")
 
 NODES_FULL = (3, 5, 7, 11, 25, 49)
 NODES_FAST = (3, 5, 11)

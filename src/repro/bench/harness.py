@@ -10,7 +10,6 @@ them).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -25,14 +24,11 @@ from repro.sim.cpu import CpuConfig
 from repro.sim.latency import GaussianLatency
 from repro.sim.network import NetworkConfig
 from repro.sim.rng import RngRegistry
-from repro.spec import ClusterSpec, ZoneLatency
+from repro.spec import PROTOCOLS, ClusterSpec, ZoneLatency
 from repro.storage.base import StorageConfig
 from repro.workloads.client import ClientConfig, OpenLoopClients
 from repro.workloads.synthetic import SyntheticConfig, SyntheticWorkload
 from repro.workloads.tpcc import TpccConfig, TpccWorkload
-
-PROTOCOLS = ("m2paxos", "multipaxos", "genpaxos", "epaxos")
-
 
 # M2Paxos as every bench runs it: library defaults except for the
 # supervision timeouts (see the module docstring).
@@ -99,8 +95,6 @@ class PointSpec:
     seed: int = 1
     cores: int = 16
     batching: bool = True
-    latency_mean: float = 100e-6
-    latency_stddev: float = 10e-6
     # M2Paxos fast-path batching (1 = off, the seed-identical default).
     max_batch: int = 1
     batch_wait: float = 0.0
@@ -125,14 +119,6 @@ class PointSpec:
     nearest_accept: bool = False
     quorum_rtt: Optional[tuple] = None
     quorum: Optional[object] = None
-
-    def scaled_for_fast_mode(self) -> "PointSpec":
-        """Cheaper variant used when REPRO_BENCH_FAST is set."""
-        return replace(self, duration=self.duration / 2, warmup=self.warmup / 2)
-
-
-def fast_mode() -> bool:
-    return bool(os.environ.get("REPRO_BENCH_FAST"))
 
 
 def build_workload(spec: PointSpec, rng: RngRegistry):
@@ -188,7 +174,7 @@ def build_run(
 ) -> RunHandle:
     """Assemble cluster + workload + collector + clients for ``spec``."""
     network = NetworkConfig(
-        latency=GaussianLatency(spec.latency_mean, spec.latency_stddev),
+        latency=GaussianLatency(100e-6, 10e-6),
         batching=spec.batching,
         frame_sizes=spec.frame_sizes,
     )
@@ -279,8 +265,6 @@ def run_point(
     ``Telemetry`` handle rides along in ``result.extra["telemetry"]``.
     Sampler callbacks only read, so decision logs are unchanged.
     """
-    if fast_mode():
-        spec = spec.scaled_for_fast_mode()
     handle = build_run(spec, record_spans=record_spans, costs=costs)
     cluster, collector = handle.cluster, handle.collector
     telemetry = None

@@ -19,8 +19,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.harness import PROTOCOLS, PointSpec, run_point, saturated_spec
+from repro.bench.harness import PointSpec, run_point, saturated_spec
 from repro.bench.report import print_table
+from repro.spec import PROTOCOLS
 from repro.workloads.synthetic import SyntheticConfig
 from repro.workloads.tpcc import TpccConfig
 
@@ -324,12 +325,10 @@ def cmd_top(args) -> int:
 
     import math
 
-    from repro.bench.harness import build_run, fast_mode
+    from repro.bench.harness import build_run
     from repro.obs.telemetry import Telemetry, render_screen
 
     spec = _spec_from_args(args, args.protocol)
-    if fast_mode():
-        spec = spec.scaled_for_fast_mode()
     interval = args.interval
     handle = build_run(spec)
     telemetry = Telemetry(handle.cluster, interval=interval)

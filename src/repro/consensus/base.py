@@ -780,10 +780,6 @@ class Protocol(Dispatcher, ABC):
         Default: none."""
         return 0.0, 0.0
 
-    def crash(self) -> None:
-        """Called by failure injection; default protocols are memoryless
-        about it (the runtime stops feeding them events)."""
-
     def on_restart(self) -> None:
         """Called on a *durable-log* restart, before :meth:`on_start`.
 

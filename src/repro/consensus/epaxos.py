@@ -137,7 +137,6 @@ class EPaxosConfig:
     # saturation queueing): the simplified recovery assumes the instance
     # leader is actually gone, as real EPaxos deployments tune it.
     commit_timeout: float = 3.0
-    paranoid: bool = True
     enable_recovery: bool = True
 
 

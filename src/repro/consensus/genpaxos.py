@@ -119,7 +119,6 @@ class GenPaxosConfig:
     collision_check_period: float = 0.05
     collision_timeout: float = 0.05
     retry_timeout: float = 0.3
-    paranoid: bool = True
 
 
 class GenPaxos(Protocol):
@@ -295,7 +294,7 @@ class GenPaxos(Protocol):
         l, idx = inst
         existing = self.state.decided_at(inst)
         if existing is not None:
-            if self.config.paranoid and existing.cid != command.cid:
+            if existing.cid != command.cid:
                 raise AssertionError(
                     f"instance {inst}: {existing} learned, got {command}"
                 )

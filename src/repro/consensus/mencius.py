@@ -67,7 +67,6 @@ class MnSkip(Message):
 @dataclass(frozen=True)
 class MenciusConfig:
     skip_check_period: float = 0.02
-    paranoid: bool = True
 
 
 class Mencius(Protocol):
@@ -118,7 +117,7 @@ class Mencius(Protocol):
 
     @handles(MnAccept)
     def _on_accept(self, sender: int, msg: MnAccept) -> None:
-        if self.config.paranoid and msg.slot % self.env.n_nodes != sender:
+        if msg.slot % self.env.n_nodes != sender:
             raise AssertionError(
                 f"node {sender} proposed in foreign slot {msg.slot}"
             )
@@ -214,8 +213,7 @@ class Mencius(Protocol):
         existing = self.decided.get(slot, "unset")
         if existing != "unset":
             if (
-                self.config.paranoid
-                and existing is not None
+                existing is not None
                 and value is not None
                 and existing.cid != value.cid
             ):

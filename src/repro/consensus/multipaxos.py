@@ -88,7 +88,6 @@ class MpPromise(Message):
 @dataclass(frozen=True)
 class MultiPaxosConfig:
     leader_timeout: float = 0.3
-    paranoid: bool = True
 
 
 class MultiPaxos(Protocol):
@@ -223,7 +222,7 @@ class MultiPaxos(Protocol):
     def _decide(self, slot: int, command: Command) -> None:
         existing = self.decided.get(slot)
         if existing is not None:
-            if self.config.paranoid and existing.cid != command.cid:
+            if existing.cid != command.cid:
                 raise AssertionError(
                     f"slot {slot}: {existing} decided, got {command}"
                 )

@@ -91,7 +91,6 @@ class _Round:
 class PaxosConfig:
     retry_backoff: float = 0.004
     supervise_timeout: float = 1.5
-    paranoid: bool = True
 
 
 class ClassicPaxos(Protocol):
@@ -303,7 +302,7 @@ class ClassicPaxos(Protocol):
     def _decide(self, slot: int, value: Command) -> None:
         existing = self.decided.get(slot)
         if existing is not None:
-            if self.config.paranoid and existing.cid != value.cid:
+            if existing.cid != value.cid:
                 raise AssertionError(
                     f"slot {slot}: {existing} decided, got {value}"
                 )

@@ -153,8 +153,7 @@ class M2Paxos(
         self.delivery = DeliveryEngine(self.state, self._on_append)
 
     def on_start(self) -> None:
-        if self.config.gap_recovery:
-            self._schedule_gap_check()
+        self._schedule_gap_check()
         self._serving_on_start()
 
     def on_restart(self) -> None:

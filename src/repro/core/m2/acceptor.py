@@ -274,7 +274,7 @@ class AcceptorMixin:
         l, position = inst
         existing = self.state.decided_at(inst)
         if existing is not None:
-            if self.config.paranoid and existing.cid != command.cid:
+            if existing.cid != command.cid:
                 if existing.noop and command.noop:
                     # Two recovery rounds racing to fill the same hole
                     # may carry distinct no-op ids; no-ops are

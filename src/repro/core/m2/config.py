@@ -72,8 +72,6 @@ class M2PaxosConfig:
     batch_adaptive: bool = False
     ack_to_all: bool = False
     max_forward_hops: int = 1
-    gap_recovery: bool = True
-    paranoid: bool = True
     # Optional deterministic epoch-0 ownership map (``l -> node id``),
     # identical on every node.  Lets an application with a natural data
     # partitioning (e.g. TPC-C warehouses) start on the fast path

@@ -2,36 +2,24 @@
 
 ``Telemetry(cluster)`` wires collector → sampler → detector for a sim
 ``Cluster`` (virtual clock, event-loop timer cadence) or a runtime
-``LocalCluster`` (wall clock, asyncio task cadence), mirroring
-``ObsCollector.for_cluster``'s substrate detection.  Optional per-node
+``LocalCluster`` (wall clock, asyncio task cadence), on the clock
+``repro.obs.clock.clock_for`` picks for it.  Optional per-node
 Prometheus endpoints share the one registry (samples carry ``node``
 labels, so any endpoint exposes the full cluster view).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Tuple
 
-from repro.obs.clock import Clock, SimClock, WallClock
+from repro.obs.clock import SimClock, clock_for
 
 from .collector import TelemetryCollector
 from .health import HealthConfig, HealthDetector
 from .prometheus import MetricsServer
 from .registry import MetricsRegistry
 from .sampler import IntervalSampler
-
-
-def _protocol_listener(node, handler):
-    def listener(event) -> None:
-        if node.crashed:
-            return
-        run_event = getattr(node, "run_event", None)
-        if run_event is not None:
-            run_event(lambda: handler(event))
-        else:
-            handler(event)
-
-    return listener
 
 
 class Telemetry:
@@ -48,18 +36,19 @@ class Telemetry:
         const_labels: Optional[dict] = None,
     ) -> None:
         self.cluster = cluster
-        self._sim_loop = getattr(cluster, "loop", None)
-        self.clock: Clock = (
-            SimClock(self._sim_loop) if self._sim_loop is not None else WallClock()
+        self.clock = clock_for(cluster)
+        self._sim_loop = (
+            self.clock.loop if isinstance(self.clock, SimClock) else None
         )
         self.registry = (
             registry
             if registry is not None
             else MetricsRegistry(const_labels=const_labels)
         )
-        # Geo runs: pick the zone map off the cluster config (sim
-        # ClusterConfig and runtime configs both carry ``zones``) so
+        # Geo runs: pick the zone map off the sim cluster's config so
         # per-zone instruments appear without any explicit wiring.
+        # (``LocalCluster`` has no ``config``: per-zone labels are a
+        # simulator feature.)
         zones = getattr(getattr(cluster, "config", None), "zones", None)
         self.collector = TelemetryCollector(
             self.clock,
@@ -124,15 +113,15 @@ class Telemetry:
     def subscribe_protocols(self) -> int:
         """Wire every protocol exposing ``on_health_event`` (e.g. the
         :class:`~repro.core.switcher.AdaptiveSwitcher`) to the detector.
-        Handlers run inside the node's event scope when the substrate has
-        one, so any sends they issue flush as normal batches.  Returns
-        the number of nodes subscribed."""
+        Handlers run inside the node's event scope, so any sends they
+        issue flush as normal batches (and a crashed host runs nothing).
+        Returns the number of nodes subscribed."""
         wired = 0
         for node in self.cluster.nodes:
             handler = getattr(node.protocol, "on_health_event", None)
             if handler is None:
                 continue
-            self.detector.subscribe(_protocol_listener(node, handler))
+            self.detector.subscribe(partial(node.run_event, handler))
             wired += 1
         return wired
 

@@ -223,14 +223,6 @@ class TestConfigKnobs:
         )
         assert_all_delivered(cluster, proposed)
 
-    def test_paranoid_off_does_not_crash_on_duplicates(self):
-        config = M2PaxosConfig(paranoid=False)
-        cluster = make_cluster(m2(config), n_nodes=5, seed=14)
-        proposed = run_workload(
-            cluster, 5, lambda rng, node, r: ["hot"], settle=10.0
-        )
-        assert_all_delivered(cluster, proposed)
-
     def test_invalid_command_propose_is_safe(self):
         cluster = make_cluster(m2(), n_nodes=3, seed=15)
         c = Command.make(0, 0, ["x"])

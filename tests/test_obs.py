@@ -35,12 +35,13 @@ TOL = D / 2
 
 
 def quiet_config(**overrides) -> M2PaxosConfig:
-    """M2Paxos with every background timer disabled, so the only
-    messages on the wire are the ones the proposal itself causes."""
+    """M2Paxos with every background timer disabled (or, for the gap
+    checker, beyond any test's horizon), so the only messages on the
+    wire are the ones the proposal itself causes."""
     defaults = dict(
         supervise_timeout=0.0,
         learn_resend_timeout=0.0,
-        gap_recovery=False,
+        gap_check_period=3600.0,
         forward_timeout=30.0,
         round_timeout=30.0,
     )
