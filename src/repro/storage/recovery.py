@@ -1,8 +1,8 @@
 """Recovery driver: rebuild a protocol from snapshot + log tail.
 
-The substrate-side restart paths (``SimNode.restart_from_storage``,
-``RuntimeNode.restart(recover=True)``) both funnel through here, so
-crash-recovery is one code path under the deterministic simulator and
+``Host._reboot(protocol, recover=True)`` -- the one restart path behind
+``SimNode.restart`` and ``RuntimeNode.restart`` -- replays through here,
+so crash-recovery is one code path under the deterministic simulator and
 the asyncio runtime -- the property the chaos harness's byte-identical
 prefix check verifies.
 """

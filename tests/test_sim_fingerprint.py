@@ -82,7 +82,7 @@ half the accesses remote, a tenth complex commands)."""
 
 
 def _point(spec: PointSpec, warmup: float, duration: float) -> dict:
-    """``run_point`` without its ``REPRO_BENCH_FAST`` rescaling."""
+    """``run_point``'s steps, keeping the cluster for its counters."""
     handle = build_run(spec)
     cluster, collector = handle.cluster, handle.collector
     handle.start()
