@@ -174,7 +174,7 @@ def build_run(
 ) -> RunHandle:
     """Assemble cluster + workload + collector + clients for ``spec``."""
     network = NetworkConfig(
-        latency=GaussianLatency(100e-6, 10e-6),
+        latency=GaussianLatency(100e-6, 10e-6),  # the paper's ~0.1 ms LAN
         batching=spec.batching,
         frame_sizes=spec.frame_sizes,
     )

@@ -18,7 +18,7 @@ protocols' structured notes (``path`` / ``quorum`` / ``decide`` /
   span may fall inside a crash window);
 - the run's ledger: a measurement window (``begin_window`` /
   ``end_window``) and :meth:`ObsCollector.result`, which computes the
-  :class:`RunResult` of the run in one pass over the command traces --
+  :class:`RunResult` of the run from the command traces when asked --
   every timestamp a throughput or latency number needs is already on
   them, so nothing books a command a second time;
 - optionally (``record_spans=True``) a full span log for the Chrome
@@ -500,15 +500,12 @@ class ObsCollector(EnvObserver):
         if start is None:
             raise RuntimeError("begin_window() was never called")
         end = self._window_end if self._window_end is not None else self.clock.now()
-        delivered = reads = inflight = 0
+        paths = self.path_stats(start, end)
+        reads = sum(paths[path].count for path in READ_PATHS if path in paths)
+        delivered = sum(stats.count for stats in paths.values()) - reads
+        inflight = 0
         latencies: list[float] = []
         for trace in self.traces.values():
-            first = trace.first_delivered_at
-            if first is not None and start <= first <= end:
-                if trace.path in READ_PATHS:
-                    reads += 1
-                else:
-                    delivered += 1
             done = trace.delivered_at
             if done is None:
                 inflight += 1
@@ -528,12 +525,12 @@ class ObsCollector(EnvObserver):
                 network.messages_sent if network is not None else self.wire_messages
             ),
             bytes_sent=network.bytes_sent if network is not None else self.wire_bytes,
-            proposed=len(self.traces),
+            proposed=self.proposed,
             message_types=dict(self.message_types),
             flush_batches=self.flush_batches,
             wire_messages=self.wire_messages,
             wire_bytes=self.wire_bytes,
-            paths=self.path_stats(start, end),
+            paths=paths,
             inflight=inflight,
             reads_served=reads,
         )
