@@ -2,8 +2,8 @@
 
 PR 19 deleted ``metrics/collector.py::MetricsCollector`` -- its own
 ``cid -> propose time`` map, first-delivery set and latency list, fed by
-an explicit ``collector.on_propose()`` call from the client plus a
-deliver and a read listener on every node -- and computes ``RunResult``
+an explicit ``on_propose()`` call from the client plus a deliver and a
+read listener on every node -- and computes ``RunResult``
 from the command traces ``ObsCollector`` already keeps.  The deleted
 class lives on here as the oracle: it is attached beside the ledger to
 the *same* run, and every ``RunResult`` field must be ``==``.
