@@ -18,9 +18,12 @@ whatever is wrong with one, :func:`decode_message` raises
 
 from __future__ import annotations
 
+import linecache
 import struct
+import types
+import typing
 from dataclasses import fields, is_dataclass
-from typing import Any
+from typing import Any, Callable, Optional
 
 from repro.consensus import epaxos, genpaxos, mencius, multipaxos, paxos
 from repro.consensus.base import Message
@@ -29,16 +32,19 @@ from repro.core import messages as core_messages
 
 _MESSAGE_CLASSES: dict[str, type] = {}
 
-# Binary-codec caches, invalidated per class on (re-)registration.
-_BIN_CLASS_INFO: dict[type, tuple[bytes, tuple[str, ...]]] = {}
-_BIN_FIELDS_BY_NAME: dict[str, tuple[type, tuple[str, ...]]] = {}
+# The generated functions, made on a class's first encode or decode and
+# dropped on (re-)registration: ``encode(value, out)`` by class and
+# ``decode(buf, pos) -> (value, pos)`` by the name on the wire.
+_ENCODERS: dict[type, Callable] = {}
+_DECODERS: dict[str, Callable] = {}
 
 
 def register_message(cls: type) -> None:
-    """Make ``cls`` encodable and decodable; idempotent."""
+    """Make ``cls`` encodable and decodable; idempotent.  A class that
+    was registered under the same name stops being encodable."""
+    _ENCODERS.pop(_MESSAGE_CLASSES.get(cls.__name__), None)
+    _DECODERS.pop(cls.__name__, None)
     _MESSAGE_CLASSES[cls.__name__] = cls
-    _BIN_CLASS_INFO.pop(cls, None)
-    _BIN_FIELDS_BY_NAME.pop(cls.__name__, None)
 
 
 for module in (core_messages, multipaxos, genpaxos, epaxos, paxos, mencius):
@@ -98,25 +104,6 @@ def _read_uvarint(buf: memoryview, pos: int) -> tuple[int, int]:
 
 def _unzigzag(u: int) -> int:
     return (u >> 1) if not (u & 1) else -((u + 1) >> 1)
-
-
-def _class_info(cls: type) -> tuple[bytes, tuple[str, ...]]:
-    """``(length-prefixed name bytes, field names)`` for a registered
-    dataclass message; generated once per class and cached."""
-    info = _BIN_CLASS_INFO.get(cls)
-    if info is None:
-        if _MESSAGE_CLASSES.get(cls.__name__) is not cls or not is_dataclass(cls):
-            raise TypeError(
-                f"cannot encode {cls.__name__}: not a dataclass registered "
-                f"with repro.runtime.codec.register_message"
-            )
-        raw = cls.__name__.encode()
-        prefixed = bytearray()
-        _write_uvarint(prefixed, len(raw))
-        prefixed += raw
-        info = (bytes(prefixed), tuple(f.name for f in fields(cls)))
-        _BIN_CLASS_INFO[cls] = info
-    return info
 
 
 def _encode_command_body(command: Command) -> bytes:
@@ -195,11 +182,10 @@ def _bin_encode(value: Any, out: bytearray) -> None:
         out.append(_T_FLOAT)
         out += _F64.pack(value)
     else:
-        name_bytes, field_names = _class_info(t)
-        out.append(_T_OBJ)
-        out += name_bytes
-        for name in field_names:
-            _bin_encode(getattr(value, name), out)
+        encode = _ENCODERS.get(t)
+        if encode is None:
+            encode = _compile(t)[0]
+        encode(value, out)
 
 
 # Decoded Command bodies, memoised by their exact byte encoding: the
@@ -256,7 +242,7 @@ def _decode_command_body(body: bytes) -> Command:
     return command
 
 
-def _bin_decode(buf: memoryview, pos: int) -> tuple[Any, int]:
+def _bin_decode(buf: bytes, pos: int) -> tuple[Any, int]:
     tag = buf[pos]
     pos += 1
     if tag == _T_INT:
@@ -264,7 +250,7 @@ def _bin_decode(buf: memoryview, pos: int) -> tuple[Any, int]:
         return _unzigzag(u), pos
     if tag == _T_STR:
         size, pos = _read_uvarint(buf, pos)
-        return bytes(buf[pos : pos + size]).decode(), pos + size
+        return buf[pos : pos + size].decode(), pos + size
     if tag == _T_TUPLE:
         n, pos = _read_uvarint(buf, pos)
         items = []
@@ -282,25 +268,17 @@ def _bin_decode(buf: memoryview, pos: int) -> tuple[Any, int]:
         return out, pos
     if tag == _T_CMD:
         size, pos = _read_uvarint(buf, pos)
-        body = bytes(buf[pos : pos + size])
-        return _decode_command_body(body), pos + size
+        return _decode_command_body(buf[pos : pos + size]), pos + size
     if tag == _T_OBJ:
         size, pos = _read_uvarint(buf, pos)
-        name = bytes(buf[pos : pos + size]).decode()
-        pos += size
-        cached = _BIN_FIELDS_BY_NAME.get(name)
-        if cached is None:
+        name = buf[pos : pos + size].decode()
+        decode = _DECODERS.get(name)
+        if decode is None:
             cls = _MESSAGE_CLASSES.get(name)
             if cls is None:
                 raise ValueError(f"unknown message class {name!r}")
-            cached = (cls, tuple(f.name for f in fields(cls)))
-            _BIN_FIELDS_BY_NAME[name] = cached
-        cls, field_names = cached
-        args = []
-        for _ in field_names:
-            value, pos = _bin_decode(buf, pos)
-            args.append(value)
-        return cls(*args), pos
+            decode = _compile(cls)[1]
+        return decode(buf, pos + size)
     if tag == _T_SET:
         n, pos = _read_uvarint(buf, pos)
         items = []
@@ -317,6 +295,164 @@ def _bin_decode(buf: memoryview, pos: int) -> tuple[Any, int]:
     if tag == _T_FLOAT:
         return _F64.unpack_from(buf, pos)[0], pos + 8
     raise ValueError(f"bad binary tag {tag} at offset {pos - 1}")
+
+
+# ----------------------------------------------------------------------
+# Per-class generated functions
+# ----------------------------------------------------------------------
+
+_INT1 = tuple(bytes((_T_INT, n << 1)) for n in range(64))
+"""``_T_INT`` + the one-byte zigzag varint of 0..63."""
+
+
+def _put(src: list[str], depth: int, *lines: str) -> None:
+    src.extend("    " * depth + line for line in lines)
+
+
+def _put_head(src: list[str], depth: int, tag: int, size: str) -> None:
+    """Write ``tag`` + uvarint ``size``; below 128 the byte is the varint."""
+    _put(src, depth, f"out.append({tag}); n = {size}",
+         "if n < 128: out.append(n)", "else: _write_uvarint(out, n)")
+
+
+def _put_size(src: list[str], depth: int) -> None:
+    """Read the uvarint that follows the tag at ``pos`` into ``n``."""
+    _put(src, depth, "n = buf[pos + 1]; pos += 2",
+         "if n > 127: n, pos = _read_uvarint(buf, pos - 1)")
+
+
+def _shape(hint: Any) -> tuple[Any, tuple]:
+    """``(kind, parameters)`` of an annotation the generator inlines
+    (``...`` is ``tuple[X, ...]``), or ``(None, ())``: a bare container,
+    ``Any``, a set, a float, a nested class."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in (int, bool, str, Command):
+        return hint, ()
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and args[1] is type(None):
+        return Optional, args[:1]
+    if origin is tuple and len(args) == 2 and args[1] is ...:
+        return ..., args[:1]
+    if (origin is tuple and 0 < len(args) < 128) or (origin is dict and len(args) == 2):
+        return origin, args
+    return None, ()
+
+
+def _emit_encode(src: list[str], hint: Any, v: str, d: int) -> None:
+    """Statements appending the value of variable ``v`` to ``out``: the
+    inline form under a check of its runtime class, else the walk."""
+    kind, args = _shape(hint)
+    if kind is Optional:
+        _put(src, d, f"if {v} is None: out.append({_T_NONE})", "else:")
+        return _emit_encode(src, args[0], v, d + 1)
+    if kind is None:
+        return _put(src, d, f"_bin_encode({v}, out)")
+    # A container's parts are done with before its sibling starts, so
+    # names need only differ by depth (fields are ``f_<name>``).
+    parts = [f"t{d}_{i}" for i in range(len(args))]
+    if kind is int:
+        _put(src, d, f"if {v}.__class__ is int:",
+             f"    if 0 <= {v} < 64: out += _INT1[{v}]",
+             f"    else: out.append({_T_INT}); _write_svarint(out, {v})")
+    elif kind is bool:
+        _put(src, d, f"if {v}.__class__ is bool: out.append({_T_TRUE} if {v} else {_T_FALSE})")
+    elif kind is str or kind is Command:
+        body = f"{v}.encode()" if kind is str else (
+            f"{v}.__dict__.get('_bin_body') or _encode_command_body({v})")
+        _put(src, d, f"if {v}.__class__ is {kind.__name__}:", f"    raw = {body}")
+        _put_head(src, d + 1, _T_STR if kind is str else _T_CMD, "len(raw)")
+        _put(src, d + 1, "out += raw")
+    elif kind is tuple:
+        _put(src, d, f"if {v}.__class__ is tuple and len({v}) == {len(args)}:",
+             f"    out += {bytes((_T_TUPLE, len(args)))!r}; {', '.join(parts)}, = {v}")
+    else:
+        _put(src, d, f"if {v}.__class__ is {'dict' if kind is dict else 'tuple'}:")
+        _put_head(src, d + 1, _T_MAP if kind is dict else _T_TUPLE, f"len({v})")
+        _put(src, d + 1, f"for {', '.join(parts)} in {v}{'.items()' if kind is dict else ''}:")
+    for part, arg in zip(parts, args):
+        _emit_encode(src, arg, part, d + 1 if kind is tuple else d + 2)
+    _put(src, d, "else:", f"    _bin_encode({v}, out)")
+
+
+def _emit_decode(src: list[str], hint: Any, v: str, d: int) -> None:
+    """Statements reading the value at ``buf[pos]`` into variable ``v``:
+    the inline form under a check of the tag on the wire, else the walk."""
+    kind, args = _shape(hint)
+    if kind is Optional:
+        _put(src, d, f"if buf[pos] == {_T_NONE}: {v} = None; pos += 1", "else:")
+        return _emit_decode(src, args[0], v, d + 1)
+    if kind is None:
+        return _put(src, d, f"{v}, pos = _bin_decode(buf, pos)")
+    parts = [f"t{d}_{i}" for i in range(len(args))]
+    if kind is bool:
+        _put(src, d, f"if {_T_TRUE} <= buf[pos] <= {_T_FALSE}: "
+                     f"{v} = buf[pos] == {_T_TRUE}; pos += 1")
+    elif kind is tuple:
+        _put(src, d, f"if buf[pos] == {_T_TUPLE} and buf[pos + 1] == {len(args)}:",
+             "    pos += 2")
+        for part, arg in zip(parts, args):
+            _emit_decode(src, arg, part, d + 1)
+        _put(src, d + 1, f"{v} = ({', '.join(parts)},)")
+    else:
+        tag = {int: _T_INT, str: _T_STR, Command: _T_CMD, ...: _T_TUPLE, dict: _T_MAP}[kind]
+        _put(src, d, f"if buf[pos] == {tag}:")
+        _put_size(src, d + 1)
+        if kind is int:
+            _put(src, d + 1, f"{v} = n >> 1 if not n & 1 else -((n + 1) >> 1)")
+        elif kind is str:
+            _put(src, d + 1, f"{v} = buf[pos:pos + n].decode(); pos += n")
+        elif kind is Command:
+            _put(src, d + 1, "raw = buf[pos:pos + n]; pos += n",
+                 f"{v} = _CMD_DECODE_CACHE.get(raw) or _decode_command_body(raw)")
+        else:
+            _put(src, d + 1, f"{v} = {'{}' if kind is dict else '[]'}", "for _ in range(n):")
+            for part, arg in zip(parts, args):
+                _emit_decode(src, arg, part, d + 2)
+            if kind is dict:
+                _put(src, d + 2, f"{v}[{parts[0]}] = {parts[1]}")
+            else:
+                _put(src, d + 2, f"{v}.append({parts[0]})")
+                _put(src, d + 1, f"{v} = tuple({v})")
+    _put(src, d, "else:", f"    {v}, pos = _bin_decode(buf, pos)")
+
+
+def generated_source(cls: type) -> str:
+    """The Python source of ``cls``'s encoder and decoder.  Built from
+    the class's own name, field names and annotations -- never from
+    anything received -- and the same text every time."""
+    try:
+        hints = typing.get_type_hints(cls)
+    except (NameError, TypeError):  # e.g. a class local to a function
+        hints = {}
+    names = [f.name for f in fields(cls)]
+    head = bytearray([_T_OBJ])
+    _write_uvarint(head, len(cls.__name__.encode()))
+    src = ["def encode(value, out):", f"    out += {bytes(head) + cls.__name__.encode()!r}"]
+    for name in names:
+        _put(src, 1, f"f_{name} = value.{name}")
+        _emit_encode(src, hints.get(name), f"f_{name}", 1)
+    _put(src, 0, "", "", "def decode(buf, pos):")
+    for name in names:
+        _emit_decode(src, hints.get(name), f"f_{name}", 1)
+    _put(src, 1, f"return cls({', '.join('f_' + name for name in names)}), pos")
+    return "\n".join(src) + "\n"
+
+
+def _compile(cls: type) -> tuple[Callable, Callable]:
+    """Generate, ``exec`` and remember ``(encode, decode)`` for ``cls``;
+    ``TypeError`` unless it is a registered dataclass.  The source is
+    put in ``linecache`` so tracebacks and profilers show its lines."""
+    name = cls.__name__
+    if _MESSAGE_CLASSES.get(name) is not cls or not is_dataclass(cls):
+        raise TypeError(
+            f"cannot encode {name}: not a dataclass registered "
+            f"with repro.runtime.codec.register_message"
+        )
+    source, filename = generated_source(cls), f"<repro.codec {name}>"
+    namespace = dict(globals(), cls=cls)
+    exec(compile(source, filename, "exec"), namespace)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    pair = _ENCODERS[cls], _DECODERS[name] = namespace["encode"], namespace["decode"]
+    return pair
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +513,7 @@ def decode_message(payload: "bytes | memoryview") -> tuple[int, Message]:
     """
     if not payload or payload[0] != _BIN_MAGIC:
         raise FrameError("frame payload does not start with the 0xB1 marker")
-    buf = payload if type(payload) is memoryview else memoryview(payload)
+    buf = payload if payload.__class__ is bytes else bytes(payload)
     try:
         u, pos = _read_uvarint(buf, 1)
         message, end = _bin_decode(buf, pos)
@@ -427,7 +563,7 @@ def encode_value_binary(value: Any) -> bytes:
 
 def decode_value_binary(data: bytes) -> Any:
     """Inverse of :func:`encode_value_binary`."""
-    value, end = _bin_decode(memoryview(data), 0)
+    value, end = _bin_decode(data if data.__class__ is bytes else bytes(data), 0)
     if end != len(data):
         raise ValueError(f"trailing bytes in binary value: {len(data) - end}")
     return value

@@ -26,7 +26,8 @@ import asyncio
 import enum
 import random
 import struct
-from dataclasses import dataclass, fields, is_dataclass
+import traceback
+from dataclasses import dataclass, fields, is_dataclass, make_dataclass
 from typing import Any, Optional
 
 import pytest
@@ -633,3 +634,61 @@ def test_one_message_sent_by_two_nodes_carries_each_sender():
         codec.encode_message_into(out, sender, message)
         assert bytes(out) == ref_encode_message(sender, message)
         assert codec.decode_message(_payload(bytes(out)))[0] == sender
+
+
+# ----------------------------------------------------------------------
+# The generated functions themselves
+# ----------------------------------------------------------------------
+
+
+def test_re_registration_replaces_the_generated_pair():
+    """A same-named class with another field list: both directions use
+    the new list, and the class it displaced is no longer encodable
+    (its frames would decode as the new one)."""
+
+    def evolving(*names):
+        return make_dataclass(
+            "_Evolving", [(name, int) for name in names], bases=(Message,), frozen=True
+        )
+
+    old, new = evolving("a"), evolving("a", "b")
+    codec.register_message(old)
+    frame = codec.encode_message(2, old(a=1))
+    assert frame == ref_encode_message(2, old(a=1))
+    assert codec.decode_message(_payload(frame)) == (2, old(a=1))
+    codec.register_message(new)
+    frame = codec.encode_message(2, new(a=1, b=70))
+    assert frame == ref_encode_message(2, new(a=1, b=70))
+    sender, message = codec.decode_message(_payload(frame))
+    assert (sender, message) == (2, new(a=1, b=70)) and type(message) is new
+    with pytest.raises(TypeError, match="_Evolving"):
+        codec.encode_message(2, old(a=1))
+    codec.register_message(old)
+    assert codec.decode_message(_payload(codec.encode_message(2, old(a=5)))) == (2, old(a=5))
+
+
+def test_generated_source_is_what_a_traceback_shows():
+    class _Level(enum.IntEnum):
+        HIGH = 3
+
+    source = codec.generated_source(Prepare)
+    assert "def encode(value, out):" in source and "def decode(buf, pos):" in source
+    assert "        _bin_encode(f_req, out)" in source.splitlines()
+    with pytest.raises(TypeError, match="_Level") as caught:
+        codec.encode_message(1, Prepare(req=_Level.HIGH, eps={}))
+    text = "".join(traceback.format_exception(caught.value))
+    assert 'File "<repro.codec Prepare>"' in text
+    assert "\n    _bin_encode(f_req, out)\n" in text  # as traceback indents it
+
+
+def test_nothing_is_generated_before_a_class_is_used():
+    @dataclass(frozen=True)
+    class _Lazy(Message):
+        n: int  # also the name of a local of the generated functions
+
+    codec.register_message(_Lazy)
+    assert _Lazy not in codec._ENCODERS and "_Lazy" not in codec._DECODERS
+    frame = codec.encode_message(1, _Lazy(n=200))
+    assert frame == ref_encode_message(1, _Lazy(n=200))
+    assert codec.decode_message(_payload(frame)) == (1, _Lazy(n=200))
+    assert _Lazy in codec._ENCODERS and "_Lazy" in codec._DECODERS
