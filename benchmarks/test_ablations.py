@@ -148,8 +148,8 @@ def test_ablation_home_hint_tpcc(benchmark):
 
                 original = harness.protocol_factory
 
-                def no_hint_factory(name, home_hint=None):
-                    return original(name, home_hint=None)
+                def no_hint_factory(name, home_hint=None, **kwargs):
+                    return original(name, home_hint=None, **kwargs)
 
                 harness.protocol_factory = no_hint_factory
                 try:
