@@ -54,7 +54,9 @@ class Message:
     approximate wire size from the fields so the network model can
     charge transmission time (this is how dependency metadata makes
     EPaxos/GenPaxos messages bigger, one of the effects the paper
-    measures).
+    measures).  A message and the containers it holds are immutable
+    once handed to ``env.send``: its size, its frame and its commands'
+    encoded bodies are each computed once and kept on the object.
     """
 
     TAG_BYTES = 4
