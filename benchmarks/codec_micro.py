@@ -7,10 +7,10 @@ oracle in ``tests/test_codec_reference.py``, so pytest and hypothesis
 must be importable) against the live codec, on ``Accept``, ``AckAccept``
 and ``Decide`` shaped like ``tcp-sat``'s (one instance per command,
 short object ids, small epochs) at a batch of 1 and of 8 commands.
-Each figure is the best of seven repeats; encodes write into a fresh
-buffer with the frame memo cleared, so both columns pay a full encode.
-It is a ruler for the codec alone: what a change is worth end to end is
-``benchmarks/ab_pairs.py``'s to say.
+Each figure is the best of seven repeats of 2,000 calls, walk and live
+alternating (``Command`` bodies are interned and decoded bodies
+memoised on both sides, as in a warm run).  It is a ruler for the codec alone: what a change is worth
+end to end is ``benchmarks/ab_pairs.py``'s to say.
 """
 
 from __future__ import annotations
@@ -45,36 +45,33 @@ def fast_path_frames(batch: int) -> list:
     ]
 
 
-def best_us(fn, *args) -> float:
-    best = float("inf")
+def best_pair(walk, live, *args) -> tuple[float, float]:
+    """Best microseconds per call of each, the two timed alternately so
+    that a slow stretch of the host falls on both."""
+    best = [float("inf"), float("inf")]
     for _ in range(REPEATS):
-        start = perf_counter()
-        for _ in range(CALLS):
-            fn(*args)
-        best = min(best, perf_counter() - start)
-    return best / CALLS * 1e6
-
-
-def _live_encode(sender: int, message) -> bytes:
-    message.__dict__.pop("_frame", None)
-    return codec.encode_message(sender, message)
+        for side, fn in enumerate((walk, live)):
+            start = perf_counter()
+            for _ in range(CALLS):
+                fn(*args)
+            best[side] = min(best[side], (perf_counter() - start) / CALLS * 1e6)
+    return best[0], best[1]
 
 
 def main() -> int:
-    print(f"{'frame':10} {'batch':>5} {'bytes':>6} "
-          f"{'enc walk':>9} {'enc live':>9} {'dec walk':>9} {'dec live':>9}   (us per call)")
+    print(f"{'frame':10} {'batch':>5} {'bytes':>6} {'enc walk':>9} {'enc live':>9} {'ratio':>6} "
+          f"{'dec walk':>9} {'dec live':>9} {'ratio':>6}   (us per call)")
     for batch in (1, 8):
         for message in fast_path_frames(batch):
             frame = ref_encode_message(1, message)
-            assert _live_encode(1, message) == frame
-            payload = frame[codec.FRAME_HEADER.size:]
-            view = memoryview(payload)
+            assert codec.encode_message(1, message) == frame
+            view = memoryview(frame)[codec.FRAME_HEADER.size:]
             assert codec.decode_message(view) == ref_decode_message(view) == (1, message)
+            enc = best_pair(ref_encode_message, codec.encode_message, 1, message)
+            dec = best_pair(ref_decode_message, codec.decode_message, view)
             print(f"{type(message).__name__:10} {batch:5d} {len(frame):6d} "
-                  f"{best_us(ref_encode_message, 1, message):9.2f} "
-                  f"{best_us(_live_encode, 1, message):9.2f} "
-                  f"{best_us(ref_decode_message, view):9.2f} "
-                  f"{best_us(codec.decode_message, view):9.2f}")
+                  f"{enc[0]:9.2f} {enc[1]:9.2f} {enc[1] / enc[0]:6.2f} "
+                  f"{dec[0]:9.2f} {dec[1]:9.2f} {dec[1] / dec[0]:6.2f}")
     return 0
 
 

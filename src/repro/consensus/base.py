@@ -55,8 +55,9 @@ class Message:
     charge transmission time (this is how dependency metadata makes
     EPaxos/GenPaxos messages bigger, one of the effects the paper
     measures).  A message and the containers it holds are immutable
-    once handed to ``env.send``: its size, its frame and its commands'
-    encoded bodies are each computed once and kept on the object.
+    once handed to ``env.send``: its size, its frame size and its
+    commands' encoded bodies are each computed once and kept on the
+    object.
     """
 
     TAG_BYTES = 4

@@ -20,9 +20,8 @@ the walk itself -- bare containers, ``Any``, sets, floats, a registered
 class nested in another, a class whose hints do not resolve -- and all
 of the value API the storage layer uses.  *Interned:* a
 :class:`Command` body is encoded once and the bytes reused across every
-Accept/Decide/resend that carries it, decoded bodies are memoised the
-same way, and :func:`encode_message_into` keeps each finished frame on
-its message so a broadcast is one encode; all three rely on a message
+Accept/Decide/resend that carries it, and decoded bodies are memoised
+the same way; like :func:`wire_size`'s memo, that relies on a message
 and everything it holds being immutable once sent.
 
 Every message class that crosses the wire must be a dataclass made
@@ -454,27 +453,19 @@ def _compile(cls: type) -> tuple[Callable, Callable]:
 def encode_message_into(out: bytearray, sender: int, message: Message) -> None:
     """Append one length-prefixed frame for ``message`` to ``out``.
 
-    The encoder writes straight into the caller's (reused) buffer and
-    back-patches the 4-byte length prefix once the payload size is
-    known.  The finished frame is then kept on the message, under the
-    ``sender`` it names, so a broadcast is one encode and an append per
-    further peer -- which holds because a message and its containers do
-    not change once sent (see :class:`Message`).  ``TypeError`` for a
-    message (or a field value) of a class that is not a registered
-    dataclass; ``out`` then ends in a partial frame and is not fit to
-    send, and nothing is kept.
+    This is the zero-copy encode path: the encoder writes straight into
+    the caller's (reused) buffer -- no per-message ``bytes`` object, no
+    join -- and the 4-byte length prefix is back-patched once the
+    payload size is known.  ``TypeError`` for a message (or a field
+    value) of a class that is not a registered dataclass; ``out`` then
+    ends in a partial frame and is not fit to send.
     """
-    memo = message.__dict__.get("_frame")
-    if memo is not None and memo[0] == sender:
-        out += memo[1]
-        return
     mark = len(out)
     out += _HEADER_PLACEHOLDER
     out.append(_BIN_MAGIC)
     _write_svarint(out, sender)
     _bin_encode(message, out)
     FRAME_HEADER.pack_into(out, mark, len(out) - mark - FRAME_HEADER.size)
-    object.__setattr__(message, "_frame", (sender, bytes(out[mark:])))
 
 
 def encode_message(sender: int, message: Message) -> bytes:
