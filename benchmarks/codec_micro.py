@@ -9,8 +9,9 @@ and ``Decide`` shaped like ``tcp-sat``'s (one instance per command,
 short object ids, small epochs) at a batch of 1 and of 8 commands.
 Each figure is the best of seven repeats of 2,000 calls, walk and live
 alternating (``Command`` bodies are interned and decoded bodies
-memoised on both sides, as in a warm run).  It is a ruler for the codec alone: what a change is worth
-end to end is ``benchmarks/ab_pairs.py``'s to say.
+memoised on both sides, as in a warm run).  It is a ruler for the codec
+alone: what a change is worth end to end is ``benchmarks/ab_pairs.py``'s
+to say.
 """
 
 from __future__ import annotations

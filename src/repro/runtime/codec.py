@@ -419,7 +419,7 @@ def generated_source(cls: type) -> str:
     head = bytearray([_T_OBJ])
     _write_uvarint(head, len(cls.__name__.encode()))
     enc = ["def encode(value, out):", f"    out += {bytes(head) + cls.__name__.encode()!r}"]
-    dec = ["def decode(buf, pos):"]
+    dec = ["def decode(buf, pos, cls=cls):"]
     for name in names:
         _put(enc, 1, f"f_{name} = value.{name}")
         _emit(enc, dec, hints.get(name), f"f_{name}", 1)
@@ -438,10 +438,10 @@ def _compile(cls: type) -> tuple[Callable, Callable]:
             f"with repro.runtime.codec.register_message"
         )
     source, filename = generated_source(cls), f"<repro.codec {name}>"
-    namespace = dict(globals(), cls=cls)
-    exec(compile(source, filename, "exec"), namespace)
+    made = {"cls": cls}  # bound as ``decode``'s default; the module is their globals
+    exec(compile(source, filename, "exec"), globals(), made)
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    pair = _ENCODERS[cls], _DECODERS[name] = namespace["encode"], namespace["decode"]
+    pair = _ENCODERS[cls], _DECODERS[name] = made["encode"], made["decode"]
     return pair
 
 
@@ -498,9 +498,8 @@ def decode_message(payload: "bytes | memoryview") -> tuple[int, Message]:
 
     Accepts a ``memoryview`` so the inbound path can slice frames out of
     its receive buffer; a view is copied to ``bytes`` here, once, because
-    the decoders index and slice the payload a few hundred times and on
-    ``bytes`` an index costs 19 ns against 32, a decoded slice 90 against
-    190.
+    the decoders index and slice the payload a few hundred times and
+    both cost about half as much on ``bytes`` (EXPERIMENTS.md, "PR 20").
     """
     if not payload or payload[0] != _BIN_MAGIC:
         raise FrameError("frame payload does not start with the 0xB1 marker")

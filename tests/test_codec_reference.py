@@ -675,7 +675,7 @@ def test_generated_source_is_what_a_traceback_shows():
         HIGH = 3
 
     source = codec.generated_source(Prepare)
-    assert "def encode(value, out):" in source and "def decode(buf, pos):" in source
+    assert "def encode(value, out):" in source and "def decode(buf, pos, cls=cls):" in source
     assert "        _bin_encode(f_req, out)" in source.splitlines()
     with pytest.raises(TypeError, match="_Level") as caught:
         codec.encode_message(1, Prepare(req=_Level.HIGH, eps={}))
