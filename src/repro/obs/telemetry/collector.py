@@ -97,7 +97,7 @@ class TelemetryCollector(EnvObserver):
         )
         self.outbox_depth = r.gauge(
             "repro_outbox_depth",
-            "queued frames behind the per-destination sender",
+            "flush batches held back behind a connecting or paused link (worst destination)",
             ("node",),
         )
         self.client_window = r.gauge(
@@ -181,7 +181,7 @@ class TelemetryCollector(EnvObserver):
         self._deliveries_c: Dict[int, object] = {}
         self._wire_messages_c: Dict[int, object] = {}
         self._wire_bytes_c: Dict[int, object] = {}
-        self._outbox_depth_c: Dict[int, object] = {}
+        self._outbox_held: Dict[int, Dict[int, int]] = {}
         self._decides_c: Dict[Tuple[int, str], object] = {}
         self._latency_c: Dict[str, object] = {}
         self._zone_decides_c: Dict[Tuple[str, str], object] = {}
@@ -361,14 +361,10 @@ class TelemetryCollector(EnvObserver):
         counter.value += fields["bytes"]
 
     def _note_outbox_depth(self, node_id: int, fields: dict) -> None:
-        gauge = self._outbox_depth_c.get(node_id)
-        if gauge is None:
-            gauge = self._outbox_depth_c[node_id] = self.outbox_depth.child(
-                node_id
-            )
-        depth = fields["depth"]
-        if depth > gauge.value:
-            gauge.value = depth
+        # dst -> batches held back for it right now
+        held = self._outbox_held.setdefault(node_id, {})
+        held[fields["dst"]] = fields["depth"]
+        self.outbox_depth.child(node_id).value = max(held.values())
 
     def _note_inflight(self, node_id: int, fields: dict) -> None:
         self.client_window.child(node_id).set(fields["depth"])

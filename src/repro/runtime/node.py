@@ -4,21 +4,24 @@ The protocol object is single-threaded by construction: every inbound
 frame, timer, and proposal is dispatched on the event loop, so no locks
 are needed -- the same execution model as the simulator.
 
-Outbound traffic mirrors the simulator's outbox pipeline: each protocol
-event's sends are buffered, then flushed per destination.  A flush
-appends the encoded frames to a per-destination queue drained by a
-single sender task, which coalesces everything queued into one
-``writer.write`` and awaits ``drain()`` for backpressure.  One queue +
-one sender per destination means wire order always matches send order
--- including across reconnects, where the old ad-hoc
-``_connect_and_send`` futures could race each other and direct writes.
+The transport is two small :class:`asyncio.Protocol` classes, with no
+task and no future on the per-message path.  Outbound mirrors the
+simulator's outbox pipeline: each protocol event's sends are buffered,
+then flushed per destination, and a flush batch goes straight to
+``transport.write`` on that destination's one :class:`_Link`.  While the
+link is still connecting, or between the transport's ``pause_writing``
+and ``resume_writing`` (its buffer is over the high-water mark: the
+backpressure signal), batches are held in ``_outgoing[dst]`` and flushed
+in order before anything newer, so wire order equals send order across
+connect, pause and reconnect.  Inbound, :class:`_Inbound` slices frames
+out of each socket read and dispatches them in the read callback.
 
 What a node *is* -- application log, listeners, event scope, crash and
 restart -- lives in :class:`repro.consensus.host.Host`, shared with the
-simulator; this module adds sockets, sender tasks and framing.
+simulator; this module adds sockets and framing.
 :meth:`RuntimeNode.stop` is a real crash (beyond the host's prologue,
-senders are killed and the listening server *and* every established
-inbound connection closed, so a dead node processes nothing).  An optional
+every link and every established inbound connection is aborted, then the
+listening server closed, so a dead node processes nothing).  An optional
 :class:`~repro.chaos.injector.WireFaults` shim on the send path drops,
 duplicates, or delays outbound messages per a declarative fault plan.
 """
@@ -42,10 +45,6 @@ from repro.runtime.codec import (
 )
 
 Address = tuple[str, int]
-
-_READ_CHUNK = 256 * 1024
-"""Inbound socket read size: many frames arrive per syscall at
-saturation, and the frame parser slices them out of one buffer."""
 
 
 class _AsyncTimer(TimerHandle):
@@ -116,6 +115,114 @@ class RuntimeEnv(Env):
         return self._rng
 
 
+class _Link(asyncio.Protocol):
+    """The one outbound connection to ``dst``.  ``writable`` is true
+    only while batches may go straight to ``transport``; otherwise
+    ``RuntimeNode._enqueue_frames`` holds them in ``_outgoing[dst]``."""
+
+    __slots__ = ("node", "dst", "transport", "writable", "connecting")
+
+    def __init__(self, node: "RuntimeNode", dst: int) -> None:
+        self.node = node
+        self.dst = dst
+        self.transport: Optional[asyncio.Transport] = None
+        self.writable = False
+        self.connecting: Optional[asyncio.Task] = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        if self.node._links.get(self.dst) is not self:
+            transport.abort()  # the node stopped while this was connecting
+            return
+        self.transport = transport
+        self.resume_writing()
+
+    def pause_writing(self) -> None:
+        self.writable = False
+
+    def resume_writing(self) -> None:
+        """Hand over everything held, oldest first, in one call.  The
+        transport may pause again while taking it; the backlog is in its
+        buffer by then, ahead of whatever is enqueued next."""
+        self.writable = True
+        held = self.node._outgoing.pop(self.dst, None)
+        if held:
+            self.transport.writelines(held)
+            self.node.env.observe("outbox_depth", dst=self.dst, depth=0)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        """The peer hung up, or (called by the connect task) was never
+        reached: what was held for this link is dropped with it, and the
+        next send connects afresh.  Retries ride on the protocol's own
+        timers, which re-send fresh state."""
+        self.writable = False
+        node = self.node
+        if node._links.get(self.dst) is self:
+            del node._links[self.dst]
+            if node._outgoing.pop(self.dst, None):
+                node.env.observe("outbox_depth", dst=self.dst, depth=0)
+
+
+class _Inbound(asyncio.Protocol):
+    """One accepted connection: complete frames are sliced out of the
+    ``bytes`` each socket read returns (many per read at saturation) and
+    dispatched in the read callback; a partial frame waits in
+    ``partial`` for the next read.  A handler exception propagates to
+    the transport, which reports it to the loop's exception handler and
+    closes this connection only."""
+
+    __slots__ = ("node", "transport", "partial")
+
+    def __init__(self, node: "RuntimeNode") -> None:
+        self.node = node
+        self.transport: Optional[asyncio.Transport] = None
+        self.partial = bytearray()
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        if self.node.crashed:
+            transport.abort()
+        else:
+            self.node._inbound.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.node._inbound.discard(self.transport)
+
+    def data_received(self, data: bytes) -> None:
+        node = self.node
+        if node.crashed:
+            return
+        partial = self.partial
+        if partial:
+            partial += data
+            data = partial
+        header_size = FRAME_HEADER.size
+        end = len(data)
+        pos = 0
+        try:
+            while end - pos >= header_size:
+                (size,) = FRAME_HEADER.unpack_from(data, pos)
+                if size > MAX_FRAME:
+                    raise FrameError(f"oversized frame: {size}")
+                start = pos + header_size
+                if end - start < size:
+                    break
+                sender, message = decode_message(data[start : start + size])
+                pos = start + size
+                node._dispatch(sender, message)
+        except FrameError:
+            # An oversized or undecodable frame: whatever sent it is not
+            # a peer speaking this protocol.  Nothing behind the bad
+            # frame can be trusted to be aligned, so this connection
+            # goes; the node and its other connections carry on.
+            node.env.observe("fault", event="bad_frame")
+            self.transport.close()
+            return
+        if data is partial:
+            del partial[:pos]
+        elif pos < end:
+            partial += data[pos:]
+
+
 class RuntimeNode(Host):
     """Hosts one protocol instance on a real TCP endpoint."""
 
@@ -137,13 +244,11 @@ class RuntimeNode(Host):
         # stamped by LocalCluster.start_telemetry(serve=True).
         self.metrics_address: Optional[Address] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: dict[int, asyncio.StreamWriter] = {}
-        self._inbound: set[asyncio.StreamWriter] = set()
-        self._outgoing: dict[int, list[bytes]] = {}
-        self._senders: dict[int, asyncio.Task] = {}
-        # Last per-destination depth reported via the ``outbox_depth``
-        # note (emit-on-change; see ``_enqueue_frames``).
-        self._outbox_noted: dict[int, int] = {}
+        self._links: dict[int, _Link] = {}
+        self._inbound: set[asyncio.Transport] = set()
+        # Flush batches held back per destination while its link is
+        # connecting or paused; empty when every link is writable.
+        self._outgoing: dict[int, list["bytes | bytearray"]] = {}
         self._stopping: Optional[asyncio.Future] = None
         super().__init__(node_id, protocol, RuntimeEnv, storage)
 
@@ -153,38 +258,37 @@ class RuntimeNode(Host):
 
     async def start(self) -> None:
         host, port = self.peers[self.node_id]
-        self._server = await asyncio.start_server(self._on_connection, host, port)
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(lambda: _Inbound(self), host, port)
         self.run_event(self.protocol.on_start)
 
     async def stop(self) -> None:
         """Crash this node for real.
 
         Beyond the host's prologue (timers cancelled, unflushed records
-        dropped), every sender is killed and the listening server *and*
-        every established inbound connection closed -- a stopped node
-        must not keep processing frames that arrive on sockets accepted
-        before the "crash".  The node stays constructible into a new
-        incarnation via :meth:`restart`.
+        dropped), every link and every established inbound connection is
+        aborted and the listening server closed -- a stopped node must
+        not keep processing frames that arrive on sockets accepted
+        before the "crash".  Connections go first: since Python 3.12.1
+        ``Server.wait_closed()`` waits for the accepted ones, and peers
+        only hang up when they stop themselves.  The node stays
+        constructible into a new incarnation via :meth:`restart`.
         """
         if not self._crash_prologue():
             return
-        senders = list(self._senders.values())
-        self._senders.clear()
-        for task in senders:
-            task.cancel()
-        if senders:
-            await asyncio.gather(*senders, return_exceptions=True)
+        for link in self._links.values():
+            link.connecting.cancel()
+            if link.transport is not None:
+                link.transport.abort()
+        self._links.clear()
         self._outgoing.clear()
+        for transport in self._inbound:
+            transport.abort()
+        self._inbound.clear()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for writer in self._writers.values():
-            writer.close()
-        self._writers.clear()
-        for writer in list(self._inbound):
-            writer.close()
-        self._inbound.clear()
 
     def _fail_stop(self) -> None:
         # ``stop()`` is async, so the crash lands on the next loop tick;
@@ -223,7 +327,7 @@ class RuntimeNode(Host):
         return out
 
     def enqueue(self, dst: int, messages: list[Message]) -> None:
-        """Queue one flush batch for ``dst`` and kick its sender task."""
+        """Encode one flush batch for ``dst`` and write it to its link."""
         if self.crashed:
             return
         if dst == self.node_id:
@@ -267,118 +371,34 @@ class RuntimeNode(Host):
     def _enqueue_frames(self, dst: int, frames: "bytes | bytearray") -> None:
         if self.crashed:
             return
-        queue = self._outgoing.setdefault(dst, [])
-        queue.append(frames)
-        # Queue depth in *flush batches* awaiting the sender task: the
-        # backpressure signal a slow peer produces.  Noted only on
-        # change -- a healthy sender holds the queue at one batch, so a
-        # per-enqueue note would re-report the same depth per command,
-        # while a backlog building behind a slow peer is a sequence of
-        # new depths and always gets through.
-        depth = len(queue)
-        if depth != self._outbox_noted.get(dst):
-            self._outbox_noted[dst] = depth
-            self.env.observe("outbox_depth", dst=dst, depth=depth)
-        sender = self._senders.get(dst)
-        if sender is None or sender.done():
-            self._senders[dst] = asyncio.ensure_future(self._drain_outgoing(dst))
+        link = self._links.get(dst)
+        if link is None:
+            link = self._links[dst] = _Link(self, dst)
+            link.connecting = asyncio.ensure_future(self._connect(link))
+        elif link.writable:
+            link.transport.write(frames)
+            return
+        held = self._outgoing.setdefault(dst, [])
+        held.append(frames)
+        # ``outbox_depth``: flush batches held back for ``dst`` -- the
+        # backpressure signal a slow or unreachable peer produces.  Every
+        # hold is a new depth, the flush or drop that ends it notes 0,
+        # and the writable path above notes nothing.
+        self.env.observe("outbox_depth", dst=dst, depth=len(held))
 
-    async def _drain_outgoing(self, dst: int) -> None:
-        """Single writer for ``dst``: hand everything queued to the
-        transport in one writev-style ``writelines`` call, then await
-        ``drain()`` exactly once per coalesced flush.
-
-        One drain per flush -- never per frame or per batch -- is what
-        keeps a deep pipeline moving: the sender only parks when the
-        transport's buffer is genuinely over the high-water mark, not
-        once per message it wrote.  ``writelines`` hands the frame
-        buffers to the transport as-is, avoiding a second copy of the
-        whole backlog."""
-        while not self.crashed:
-            pending = self._outgoing.get(dst)
-            if not pending:
-                return
-            writer = self._writers.get(dst)
-            if writer is None or writer.is_closing():
-                host, port = self.peers[dst]
-                try:
-                    _reader, writer = await asyncio.open_connection(host, port)
-                except OSError:
-                    # Peer down: drop the backlog; retries ride on the
-                    # protocol's own timers, which re-send fresh state.
-                    self._outgoing[dst] = []
-                    return
-                if self.crashed:
-                    writer.close()
-                    return
-                self._writers[dst] = writer
-            self._outgoing[dst] = []
-            if len(pending) == 1:
-                writer.write(pending[0])
-            else:
-                writer.writelines(pending)
-            try:
-                await writer.drain()
-            except (ConnectionResetError, OSError):
-                self._writers.pop(dst, None)
-                writer.close()
-                return
+    async def _connect(self, link: _Link) -> None:
+        """The only task on the send side: one per (re)connect."""
+        host, port = self.peers[link.dst]
+        try:
+            await asyncio.get_running_loop().create_connection(
+                lambda: link, host, port
+            )
+        except OSError:
+            link.connection_lost(None)  # peer down: the backlog is dropped
 
     # ------------------------------------------------------------------
     # Inbound
     # ------------------------------------------------------------------
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Inbound frame pump, zero-copy: read whatever the socket has
-        (many frames per syscall at saturation), then slice complete
-        frames out of the buffer as memoryviews -- no ``readexactly``
-        pair per frame, no payload copy before decode.  A partial frame
-        stays buffered for the next read."""
-        self._inbound.add(writer)
-        buffer = bytearray()
-        header_size = FRAME_HEADER.size
-        try:
-            while not self.crashed:
-                chunk = await reader.read(_READ_CHUNK)
-                if not chunk:
-                    break  # clean EOF (mid-frame leftovers are dropped)
-                buffer += chunk
-                end = len(buffer)
-                pos = 0
-                view = memoryview(buffer)
-                try:
-                    while end - pos >= header_size:
-                        (size,) = FRAME_HEADER.unpack_from(view, pos)
-                        if size > MAX_FRAME:
-                            raise FrameError(f"oversized frame: {size}")
-                        start = pos + header_size
-                        if end - start < size:
-                            break
-                        sender, message = decode_message(view[start : start + size])
-                        pos = start + size
-                        self._dispatch(sender, message)
-                finally:
-                    # The view must be released before the bytearray can
-                    # be resized below.
-                    view.release()
-                if pos:
-                    del buffer[:pos]
-        except ConnectionResetError:
-            pass
-        except FrameError:
-            # An oversized or undecodable frame: whatever sent it is not
-            # a peer speaking this protocol.  Nothing behind the bad
-            # frame can be trusted to be aligned, so this connection
-            # goes; the node and its other connections carry on.
-            self.env.observe("fault", event="bad_frame")
-        except asyncio.CancelledError:
-            # Server shut down while this handler was awaiting a frame.
-            pass
-        finally:
-            self._inbound.discard(writer)
-            writer.close()
 
     def _dispatch(self, sender: int, message: Message) -> None:
         self.run_event(self.protocol.on_message, sender, message)

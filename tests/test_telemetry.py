@@ -313,6 +313,16 @@ class TestCollectorBounds:
         assert collector._pending[command.cid] == first
         assert collector.pending() == 1
 
+    def test_outbox_gauge_is_the_worst_destination_now_and_returns_to_zero(self):
+        from repro.obs.clock import WallClock
+        from repro.obs.telemetry import TelemetryCollector
+
+        collector = TelemetryCollector(WallClock())
+        gauge = collector.outbox_depth.child(0)
+        for dst, depth, worst in ((1, 1, 1), (1, 2, 2), (2, 1, 2), (1, 0, 1), (2, 0, 0)):
+            collector.on_note(0, "outbox_depth", {"dst": dst, "depth": depth})
+            assert gauge.value == worst
+
 
 # ----------------------------------------------------------------------
 # HealthDetector
