@@ -54,7 +54,7 @@ class Frame:
     fast_share: float  # NaN when no decides
     inflight: int  # gauge at sample time (pending at proposers)
     client_window: int  # max PipelineDriver depth across nodes
-    outbox_depth: int  # max per-destination outbox depth seen
+    outbox_depth: int  # batches held back at sample time (worst node)
     wire_messages: int
     wire_bytes: int
     fsyncs: int

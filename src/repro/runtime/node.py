@@ -116,9 +116,10 @@ class RuntimeEnv(Env):
 
 
 class _Link(asyncio.Protocol):
-    """The one outbound connection to ``dst``.  ``writable`` is true
-    only while batches may go straight to ``transport``; otherwise
-    ``RuntimeNode._enqueue_frames`` holds them in ``_outgoing[dst]``."""
+    """The one outbound connection to ``dst``, connecting from the
+    moment it is made.  ``writable`` is true only while batches may go
+    straight to ``transport``; otherwise ``RuntimeNode._enqueue_frames``
+    holds them in ``_outgoing[dst]``."""
 
     __slots__ = ("node", "dst", "transport", "writable", "connecting")
 
@@ -127,7 +128,17 @@ class _Link(asyncio.Protocol):
         self.dst = dst
         self.transport: Optional[asyncio.Transport] = None
         self.writable = False
-        self.connecting: Optional[asyncio.Task] = None
+        self.connecting = asyncio.ensure_future(self._connect())
+
+    async def _connect(self) -> None:
+        """The only task on the send side: one per (re)connect."""
+        host, port = self.node.peers[self.dst]
+        try:
+            await asyncio.get_running_loop().create_connection(
+                lambda: self, host, port
+            )
+        except OSError:
+            self.connection_lost(None)  # peer down: the backlog is dropped
 
     def connection_made(self, transport: asyncio.Transport) -> None:
         if self.node._links.get(self.dst) is not self:
@@ -373,8 +384,7 @@ class RuntimeNode(Host):
             return
         link = self._links.get(dst)
         if link is None:
-            link = self._links[dst] = _Link(self, dst)
-            link.connecting = asyncio.ensure_future(self._connect(link))
+            self._links[dst] = _Link(self, dst)
         elif link.writable:
             link.transport.write(frames)
             return
@@ -385,16 +395,6 @@ class RuntimeNode(Host):
         # hold is a new depth, the flush or drop that ends it notes 0,
         # and the writable path above notes nothing.
         self.env.observe("outbox_depth", dst=dst, depth=len(held))
-
-    async def _connect(self, link: _Link) -> None:
-        """The only task on the send side: one per (re)connect."""
-        host, port = self.peers[link.dst]
-        try:
-            await asyncio.get_running_loop().create_connection(
-                lambda: link, host, port
-            )
-        except OSError:
-            link.connection_lost(None)  # peer down: the backlog is dropped
 
     # ------------------------------------------------------------------
     # Inbound

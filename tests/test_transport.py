@@ -135,7 +135,7 @@ def test_frames_held_while_paused_arrive_in_order_and_the_depth_returns_to_zero(
     async def scenario():
         loop = asyncio.get_running_loop()
         listener = socket.socket()
-        # A small receive window, so the sender's buffers fill quickly.
+        # Small kernel buffers on both ends, so the transport's fills fast.
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         listener.bind(("127.0.0.1", 0))
         listener.listen(1)
@@ -152,6 +152,9 @@ def test_frames_held_while_paused_arrive_in_order_and_the_depth_returns_to_zero(
             peer, _ = await loop.sock_accept(listener)  # ... and never reads
             await until(lambda: node._links[1].writable)
             link = node._links[1]
+            link.transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
             assert notes.depths == [(1, 1), (1, 0)]  # held while connecting
             del notes.depths[:]
             tags = 1
@@ -218,6 +221,9 @@ def test_frames_after_a_peer_restart_are_in_send_order_with_nothing_replayed():
             before = len(received)
             first_while_down = tag
             await stream_until(lambda: tag >= first_while_down + 20)
+            # Every connect attempt failed and took its backlog with it.
+            await until(lambda: 1 not in src._links)
+            assert not src._outgoing
             assert len(received) == before  # a dead node dispatches nothing
             await cluster.restart(1)
             first_after_restart = tag
