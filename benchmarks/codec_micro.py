@@ -12,6 +12,12 @@ alternating (``Command`` bodies are interned and decoded bodies
 memoised on both sides, as in a warm run).  It is a ruler for the codec
 alone: what a change is worth end to end is ``benchmarks/ab_pairs.py``'s
 to say.
+
+The last two rows are the durable log's bill for one 7-command round
+(``tcp-durable``'s batch): the records ``core/m2/durability.py`` wrote up
+to PR 21 -- the Accept's 5-tuple, and one ``(instance, command)`` pair
+per decision, each through the generic value walk -- against the one
+message payload per ``Accept`` / ``Decide`` it writes now.
 """
 
 from __future__ import annotations
@@ -59,6 +65,30 @@ def best_pair(walk, live, *args) -> tuple[float, float]:
     return best[0], best[1]
 
 
+def log_records(batch: int) -> list:
+    """``(name, old encode, new encode, old payload bytes)`` for one
+    round's Accept and Decide records."""
+    accept, _ack, decide = fast_path_frames(batch)
+    ins_of = {command.cid: (ins,) for ins, command in accept.to_decide.items()}
+    old_accept = (1, False, accept.eps, accept.to_decide, ins_of)
+    old_decides = list(decide.to_decide.items())
+    value = codec.encode_value_binary
+    return [
+        (
+            "Accept",
+            lambda: value(old_accept),
+            lambda: codec.message_payload(1, accept),
+            len(value(old_accept)),
+        ),
+        (
+            "Decide",
+            lambda: [value(pair) for pair in old_decides],
+            lambda: codec.message_payload(1, decide),
+            sum(len(value(pair)) for pair in old_decides),
+        ),
+    ]
+
+
 def main() -> int:
     print(f"{'frame':10} {'batch':>5} {'bytes':>6} {'enc walk':>9} {'enc live':>9} {'ratio':>6} "
           f"{'dec walk':>9} {'dec live':>9} {'ratio':>6}   (us per call)")
@@ -73,6 +103,14 @@ def main() -> int:
             print(f"{type(message).__name__:10} {batch:5d} {len(frame):6d} "
                   f"{enc[0]:9.2f} {enc[1]:9.2f} {enc[1] / enc[0]:6.2f} "
                   f"{dec[0]:9.2f} {dec[1]:9.2f} {dec[1] / dec[0]:6.2f}")
+    print(f"\n{'log record':10} {'batch':>5} {'old B':>6} {'new B':>6} "
+          f"{'enc old':>9} {'enc new':>9} {'ratio':>6}   (us per round)")
+    for name, old, new, old_bytes in log_records(7):
+        sender, message = codec.decode_message(new())
+        assert sender == 1 and codec.encode_message(1, message)[4:] == new()
+        enc = best_pair(old, new)
+        print(f"{name:10} {7:5d} {old_bytes:6d} {len(new()):6d} "
+              f"{enc[0]:9.2f} {enc[1]:9.2f} {enc[1] / enc[0]:6.2f}")
     return 0
 
 

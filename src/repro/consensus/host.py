@@ -7,7 +7,7 @@ live-timer registry, the per-event outbox scope with its
 :class:`~repro.consensus.base.StorageFull` fail-stop, the crash
 prologue, and the three kinds of restart.  ``repro.sim.node.SimNode``
 adds the CPU and network models; ``repro.runtime.node.RuntimeNode`` adds
-sockets, sender tasks and framing.
+sockets, their two asyncio protocols and framing.
 
 Crash--restart is real, not a message filter.  A crash cancels every
 live timer and quarantines the node: no event, proposal, timer firing or

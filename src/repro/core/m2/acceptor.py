@@ -68,15 +68,8 @@ class AcceptorMixin:
             )
             return
 
-        # Each accepted value remembers the full instance set it was
-        # proposed with (what a later forced recovery must cover
-        # atomically): taken from the message's authoritative map when
-        # present, else derived by grouping the round's instances.
-        ins_of = instances_by_command(msg.to_decide)
-        ins_of.update(msg.cmd_ins)
-
-        self._absorb_accept(sender, msg.scoped, msg.eps, msg.to_decide, ins_of)
-        self._log_accept(sender, msg, ins_of)
+        self._absorb_accept(sender, msg)
+        self._log_accept(sender, msg)
 
         ack = AckAccept(
             req=msg.req,
@@ -94,20 +87,20 @@ class AcceptorMixin:
             # so deferred commands can take the fast path.
             self._drain_deferred()
 
-    def _absorb_accept(
-        self,
-        sender: int,
-        scoped: bool,
-        eps: dict,
-        to_decide: dict,
-        ins_of: dict,
-    ) -> None:
+    def _absorb_accept(self, sender: int, msg: Accept) -> None:
         """Apply one (non-refused) Accept's per-instance mutations.
 
         Shared by the live handler and storage-recovery replay: the
-        replayed log record carries exactly these arguments, so replay
-        reproduces the handler's state transition verbatim."""
-        for inst, epoch in eps.items():
+        log record is the message itself, so replay reproduces the
+        handler's state transition verbatim."""
+        # Each accepted value remembers the full instance set it was
+        # proposed with (what a later forced recovery must cover
+        # atomically): taken from the message's authoritative map when
+        # present, else derived by grouping the round's instances.
+        to_decide = msg.to_decide
+        ins_of = instances_by_command(to_decide)
+        ins_of.update(msg.cmd_ins)
+        for inst, epoch in msg.eps.items():
             l, position = inst
             inst_state = self.state.inst(inst)
             if inst_state is not None:
@@ -116,7 +109,7 @@ class AcceptorMixin:
                 inst_state.vdec = to_decide[inst]
                 inst_state.vdec_ins = ins_of[to_decide[inst].cid]
             obj = self.state.obj(l)
-            if not scoped:
+            if not msg.scoped:
                 # Only leadership rounds transfer ownership.
                 if obj.owner is not None and obj.owner != sender:
                     self.note("owner_handoff", obj=l, old=obj.owner, new=sender)
@@ -257,6 +250,7 @@ class AcceptorMixin:
 
     @handles(Decide)
     def _on_decide(self, sender: int, msg: Decide) -> None:
+        self._log_decide(msg.to_decide)
         ins_of = None
         for inst, cmd in msg.to_decide.items():
             # A node that missed the Accept still learns the value and
@@ -288,7 +282,6 @@ class AcceptorMixin:
             return
         if not command.noop:
             self.note("decide", cid=command.cid)
-        self._log_decide(inst, command)
         assert self.delivery is not None
         self.delivery.record_decision(l, position, command, self.env.now())
         if self._fully_decided(command):

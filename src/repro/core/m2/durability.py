@@ -2,17 +2,25 @@
 
 What must survive a crash is exactly the acceptor-side promise/vote
 state plus the decision log -- everything :meth:`M2Paxos.on_restart`
-declares durable.  Three record types cover it:
+declares durable.  Three record types cover it; two are the protocol's
+own messages, stored as ``decode_message`` accepts them:
 
-- ``REC_ACCEPT``: the arguments of one absorbed (non-refused) Accept;
-  replay re-runs :meth:`AcceptorMixin._absorb_accept` verbatim.
-- ``REC_PROMISE``: the object-level promises and per-instance ``rnd``
-  values one Prepare reply committed to; replay max-merges them
-  (idempotent, so duplicated log tails are harmless).
-- ``REC_DECIDE``: one newly learnt decision; replaying decisions in log
-  order re-runs the delivery engine's pump, which rebuilds the
-  delivered sequence byte-identically -- the property the chaos
-  checker's cross-incarnation prefix check asserts.
+- ``REC_ACCEPT`` (4): one absorbed (non-refused) ``Accept``; replay
+  re-runs :meth:`AcceptorMixin._absorb_accept` on it.
+- ``REC_PROMISE`` (2): the object-level promises and per-instance ``rnd``
+  values one Prepare reply committed to, an ``encode_value_binary``
+  pair; replay max-merges them (idempotent, so duplicated log tails are
+  harmless).
+- ``REC_DECIDE`` (5): one ``Decide`` -- as received, or as this node
+  would send it for what an ack quorum or a prepare quorum's reports
+  taught it -- logged before it is applied, and only if it decides
+  something new here.  Replay re-runs :meth:`AcceptorMixin._on_decide`;
+  decisions in log order re-run the delivery engine's pump, which
+  rebuilds the delivered sequence byte-identically -- the property the
+  chaos checker's cross-incarnation prefix check asserts.
+
+Types 1 and 3 were the per-command tuples of earlier builds: replay
+refuses them by name, it does not skip them.
 
 Records are logged *inside* the handler (buffered by the storage) and
 made durable by the env's end-of-event commit before the handler's
@@ -31,14 +39,20 @@ then continues as a normal durable restart.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.core.messages import Accept, Instance
-from repro.runtime.codec import decode_value_binary, encode_value_binary
+from repro.core.messages import Accept, Decide
+from repro.runtime.codec import (
+    decode_message,
+    decode_value_binary,
+    encode_value_binary,
+    message_payload,
+)
 
-REC_ACCEPT = 1
 REC_PROMISE = 2
-REC_DECIDE = 3
+REC_ACCEPT = 4
+REC_DECIDE = 5
+_RETIRED = {1: "(an older build's Accept tuple)", 3: "(an older build's decision)"}
 
 
 class DurabilityMixin:
@@ -48,49 +62,44 @@ class DurabilityMixin:
     _replaying = False
 
     # ------------------------------------------------------------------
-    # Logging (called from the acceptor's handlers)
+    # Logging (called from the handlers that change durable state)
     # ------------------------------------------------------------------
 
-    def _log_accept(self, sender: int, msg: Accept, ins_of: dict) -> None:
+    def _log(self, rtype: int, encode: Callable[..., bytes], *value) -> None:
         storage = self.env.storage
-        if not storage.durable or self._replaying:
-            return
-        storage.append(
-            REC_ACCEPT,
-            encode_value_binary(
-                (sender, bool(msg.scoped), msg.eps, msg.to_decide, ins_of)
-            ),
-        )
+        if storage.durable and not self._replaying:
+            storage.append(rtype, encode(*value))
+
+    def _log_accept(self, sender: int, msg: Accept) -> None:
+        self._log(REC_ACCEPT, message_payload, sender, msg)
 
     def _log_promise(self, objs: dict, insts: dict) -> None:
-        storage = self.env.storage
-        if not storage.durable or self._replaying:
-            return
-        storage.append(REC_PROMISE, encode_value_binary((objs, insts)))
+        self._log(REC_PROMISE, encode_value_binary, (objs, insts))
 
-    def _log_decide(self, inst: Instance, command) -> None:
-        storage = self.env.storage
-        if not storage.durable or self._replaying:
-            return
-        storage.append(REC_DECIDE, encode_value_binary((inst, command)))
+    def _log_decide(self, to_decide: dict) -> None:
+        """Called with the decisions a handler is about to apply."""
+        if self.env.storage.durable and any(
+            self.state.decided_at(inst) is None for inst in to_decide
+        ):
+            self._log(
+                REC_DECIDE, message_payload, self.env.node_id, Decide(to_decide)
+            )
 
     # ------------------------------------------------------------------
     # Recovery replay
     # ------------------------------------------------------------------
 
     def apply_log_record(self, rtype: int, payload: bytes) -> None:
-        value = decode_value_binary(payload)
+        if rtype in _RETIRED:
+            raise ValueError(f"cannot replay log record type {rtype} {_RETIRED[rtype]}")
         self._replaying = True
         try:
             if rtype == REC_ACCEPT:
-                sender, scoped, eps, to_decide, ins_of = value
-                self._absorb_accept(sender, scoped, eps, to_decide, ins_of)
+                self._absorb_accept(*decode_message(payload))
             elif rtype == REC_PROMISE:
-                objs, insts = value
-                self._absorb_promise(objs, insts)
+                self._absorb_promise(*decode_value_binary(payload))
             elif rtype == REC_DECIDE:
-                inst, command = value
-                self._decide(inst, command)
+                self._on_decide(*decode_message(payload))
             # Unknown record types from a newer build are skipped.
         finally:
             self._replaying = False

@@ -174,18 +174,22 @@ class OwnershipMixin:
         selected = self._select(eps, pending.replies)
 
         # Learn decided reports immediately; they leave the round.
-        decided_foreign = False
+        learnt: dict[Instance, Command] = {}
         for inst in list(selected):
             forced, fep, _fins = selected[inst]
             self.state.obj(inst[0]).observe_position(inst[1])
             if forced is not None and fep >= _DECIDED_EPOCH:
-                self._decide(inst, forced)
-                if pending.command is not None and (
-                    inst in pending.eps and forced.cid != pending.command.cid
-                ):
-                    decided_foreign = True
+                learnt[inst] = forced
                 del selected[inst]
                 eps.pop(inst, None)
+        self._log_decide(learnt)
+        decided_foreign = False
+        for inst, forced in learnt.items():
+            self._decide(inst, forced)
+            if pending.command is not None and (
+                inst in pending.eps and forced.cid != pending.command.cid
+            ):
+                decided_foreign = True
 
         if pending.kind == "acquisition":
             # Serving tier: the quorum's reports just taught us the

@@ -484,6 +484,7 @@ class ProposerMixin:
         # The ack carries ids only; resolve the command bodies from the
         # coordinator's pending round or from our own accepted values
         # (a node that missed the Accept learns from the Decide instead).
+        resolved: dict[Instance, Command] = {}
         for inst, cid in msg.cids.items():
             command = pending.to_decide.get(inst) if pending is not None else None
             if command is None or command.cid != cid:
@@ -491,7 +492,10 @@ class ProposerMixin:
                 vdec = inst_state.vdec if inst_state is not None else None
                 command = vdec if vdec is not None and vdec.cid == cid else None
             if command is not None:
-                self._decide(inst, command)
+                resolved[inst] = command
+        self._log_decide(resolved)
+        for inst, command in resolved.items():
+            self._decide(inst, command)
 
         if pending is not None:
             # Announce even if a NACK marked the round done earlier: a

@@ -475,6 +475,16 @@ def encode_message(sender: int, message: Message) -> bytes:
     return bytes(out)
 
 
+def message_payload(sender: int, message: Message) -> bytes:
+    """What :func:`decode_message` accepts: a frame without its length
+    prefix.  The durable log's ``Accept`` / ``Decide`` records; apart
+    from :func:`encode_message_into`, so none counts as a wire frame."""
+    out = bytearray((_BIN_MAGIC,))
+    _write_svarint(out, sender)
+    _bin_encode(message, out)
+    return bytes(out)
+
+
 class FrameError(ValueError):
     """Inbound bytes that are not a frame any encoder produced."""
 
@@ -542,11 +552,11 @@ MAX_FRAME = 16 * 1024 * 1024
 
 def encode_value_binary(value: Any) -> bytes:
     """Encode one bare value (no frame, no sender) with the binary
-    vocabulary.  The storage layer uses this for log-record and snapshot
-    payloads so durable state shares the wire codec's format, caches,
-    and determinism: a set encodes identically however it was built
-    (elements are sorted by their encoded bytes); a dict encodes in its
-    insertion order, which therefore is part of the value."""
+    vocabulary.  The storage layer uses this for promise records and
+    snapshot payloads so durable state shares the wire codec's format,
+    caches, and determinism: a set encodes identically however it was
+    built (elements are sorted by their encoded bytes); a dict encodes
+    in its insertion order, which therefore is part of the value."""
     out = bytearray()
     _bin_encode(value, out)
     return bytes(out)

@@ -36,7 +36,11 @@ class StorageConfig:
     one batched fsync covers it.
     ``segment_bytes``: roll the active segment after this many bytes.
     ``snapshot_every``: take a state snapshot (and truncate the covered
-    log) every N flushed records; ``0`` disables snapshots.
+    log) every N flushed records; ``0`` disables snapshots.  An M2Paxos
+    record is one Accept, Decide or promise *message*, not one command:
+    with proposer batching the same N snapshots less often per command
+    than when each decision was its own record (a third as often at
+    ``tcp-durable``'s batch: 1.14 records per command, from 3.64).
     ``capacity_bytes`` / ``capacity_nodes``: modelled log capacity --
     appends beyond it raise :class:`StorageFull` and fail-stop the node.
     ``capacity_nodes`` restricts the cap to those node ids (``None`` =

@@ -42,7 +42,7 @@ def frame_record(seq: int, rtype: int, payload: bytes) -> bytes:
     _write_uvarint(out, rtype)
     _write_uvarint(out, len(payload))
     out += payload
-    out += _CRC.pack(zlib.crc32(bytes(out)))
+    out += _CRC.pack(zlib.crc32(out))
     return bytes(out)
 
 

@@ -18,6 +18,7 @@ Three levels:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import random
 
 import pytest
@@ -25,11 +26,12 @@ import pytest
 from repro.consensus.base import NULL_STORAGE, StorageFull
 from repro.consensus.commands import Command
 from repro.core.protocol import M2Paxos, M2PaxosConfig
-from repro.runtime.codec import encode_value_binary
+from repro.runtime.codec import decode_value_binary, encode_value_binary
 from repro.sim.cluster import Cluster, ClusterConfig
 from repro.storage.base import StorageConfig
 from repro.storage.disk import DiskStorage
 from repro.storage.mem import MemStorage
+from repro.storage.recovery import recover_protocol
 from repro.storage.record import (
     frame_record,
     frame_snapshot,
@@ -258,6 +260,21 @@ class TestLogEngines:
         assert [p for _, p in final.recover().records][-1] == b"after"
         final.close()
 
+    def test_retired_record_types_are_refused_by_name(self):
+        """Types 1 and 3 were the per-command tuples of earlier builds.
+        Skipping them like an unknown type would drop every vote and
+        decision of such a log, so replay stops and names the type."""
+        command = Command.make(0, 0, ["x"])
+        old_accept = (0, False, {("x", 1): 3}, {("x", 1): command}, {})
+        for rtype, value in ((1, old_accept), (3, (("x", 1), command))):
+            store = MemStorage(StorageConfig(kind="mem"))
+            store.append(rtype, encode_value_binary(value))
+            store.commit(lambda: None)
+            with pytest.raises(ValueError, match=f"record type {rtype} "):
+                recover_protocol(M2Paxos(), store)
+        # A type this build has never written is a newer build's: skipped.
+        M2Paxos().apply_log_record(9, b"anything")
+
 
 # ----------------------------------------------------------------------
 # Cluster integration (simulator)
@@ -272,12 +289,15 @@ def _drive(
     restart_at: float = 0.6,
     rounds: int = 20,
     n_nodes: int = 3,
+    m2: M2PaxosConfig = _M2,
+    cut_off: int | None = None,
 ) -> Cluster:
     """One seeded run: every node proposes on its own object plus an
-    occasionally-shared one, with an optional durable crash-restart."""
+    occasionally-shared one, with an optional durable crash-restart, or
+    with node ``cut_off`` partitioned from the rest for a while."""
     cluster = Cluster(
         ClusterConfig(n_nodes=n_nodes, seed=seed, storage=storage),
-        lambda i, n: M2Paxos(_M2),
+        lambda i, n: M2Paxos(m2),
     )
     cluster.start()
     for round_nr in range(rounds):
@@ -297,6 +317,10 @@ def _drive(
         cluster.loop.schedule_at(
             restart_at, lambda: cluster.restart(crash_node, "durable")
         )
+    if cut_off is not None:
+        others = set(range(n_nodes)) - {cut_off}
+        cluster.loop.schedule_at(0.04, lambda: cluster.partition({cut_off}, others))
+        cluster.loop.schedule_at(0.3, cluster.heal_partitions)
     cluster.run_until(3.0)
     cluster.check_consistency()
     cluster.close_storage()
@@ -377,6 +401,40 @@ class TestClusterIntegration:
         recovered = [c.cid for c in node.delivered[: len(pre_crash)]]
         assert recovered == [c.cid for c in pre_crash]
         assert any((tmp_path / "node-1").iterdir())
+
+    @pytest.mark.parametrize(
+        "fsync_wait, ack_to_all", [(0.0, False), (0.005, False), (0.0, True)]
+    )
+    def test_replay_rebuilds_what_every_decide_site_applied(
+        self, fsync_wait, ack_to_all
+    ):
+        """A decision is logged by whichever handler learns it: a
+        received Decide, an ack quorum (the coordinator; every node
+        under ``ack_to_all``), or a prepare quorum's decided reports
+        (node 1 is cut off for a while, and its gap recovery then hears
+        of decisions it never saw).  Drop any one of the three log
+        calls and some node's log replays short."""
+        cluster = _drive(
+            StorageConfig(kind="mem", fsync_wait=fsync_wait),
+            seed=17,
+            rounds=24,
+            m2=dataclasses.replace(_M2, ack_to_all=ack_to_all),
+            cut_off=1,
+        )
+
+        def durable_state(node):
+            state = decode_value_binary(node.protocol.snapshot_payload())
+            # The two counters are not log state: replay moves ``req``
+            # clear of the dead incarnation on purpose, and ``noop``
+            # travels in snapshots only.
+            return [c.cid for c in node.delivered], {**state, "req": 0, "noop": 0}
+
+        for node in cluster.nodes:
+            assert len(node.delivered) == 24 * 3
+            before = durable_state(node)
+            cluster.crash(node.node_id)
+            cluster.restart(node.node_id, "durable")
+            assert durable_state(node) == before
 
 
 class TestRuntimeRecovery:
