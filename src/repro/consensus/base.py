@@ -380,6 +380,7 @@ class Env(ABC):
     # defaults until the first event begins.
     _event_depth: int = 0
     _outbox: Optional[list[tuple[int, Message]]] = None
+    _held: Optional[list[tuple[int, Message]]] = None  # see run_releases
     _flush_hooks: Optional[list[FlushHook]] = None
     _observers: Optional[list[EnvObserver]] = None
     _pending_deliveries: Optional[list[Command]] = None
@@ -461,13 +462,6 @@ class Env(ABC):
             self._outbox = []
         else:
             queued = []
-        batches: dict[int, list[Message]] = {}
-        for dst, message in queued:
-            batch = batches.get(dst)
-            if batch is None:
-                batches[dst] = [message]
-            else:
-                batch.append(message)
 
         def release() -> None:
             if deliveries:
@@ -475,15 +469,42 @@ class Env(ABC):
                     self._do_deliver(command)
             if not queued:
                 return
-            if self._flush_hooks:
-                for hook in self._flush_hooks:
-                    hook(self.node_id, queued, batches)
-            if self._observers:
-                for observer in self._observers:
-                    observer.on_flush(self.node_id, queued, batches)
-            self._flush(queued, batches)
+            if self._held is not None:
+                self._held += queued
+            else:
+                self._flush_queued(queued)
 
         storage.commit(release)
+
+    def run_releases(self, releases: "list[Callable[[], None]]") -> None:
+        """Run one group-commit window's ``releases`` in commit order,
+        holding their sends, then flush the concatenation once: every
+        delivery runs before any send, per-destination issue order is
+        kept, and a raising release leaves nothing held."""
+        held = self._held = []
+        try:
+            for release in releases:
+                release()
+        finally:
+            self._held = None
+            if held:
+                self._flush_queued(held)
+
+    def _flush_queued(self, queued: list[tuple[int, Message]]) -> None:
+        batches: dict[int, list[Message]] = {}
+        for dst, message in queued:
+            batch = batches.get(dst)
+            if batch is None:
+                batches[dst] = [message]
+            else:
+                batch.append(message)
+        if self._flush_hooks:
+            for hook in self._flush_hooks:
+                hook(self.node_id, queued, batches)
+        if self._observers:
+            for observer in self._observers:
+                observer.on_flush(self.node_id, queued, batches)
+        self._flush(queued, batches)
 
     def add_flush_hook(self, hook: FlushHook) -> None:
         """Observe every flush: ``hook(node_id, queued, batches)`` with

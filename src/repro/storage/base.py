@@ -33,7 +33,8 @@ class StorageConfig:
     ``fsync_wait``: group-commit window in seconds, mirroring the
     proposer's ``batch_wait``.  ``0`` fsyncs synchronously per event;
     ``> 0`` defers each event's release (sends *and* deliveries) until
-    one batched fsync covers it.
+    one batched fsync covers it, and the window's sends then leave as
+    one flush.
     ``segment_bytes``: roll the active segment after this many bytes.
     ``snapshot_every``: take a state snapshot (and truncate the covered
     log) every N flushed records; ``0`` disables snapshots.  An M2Paxos
@@ -163,30 +164,25 @@ class LogStorage(Storage):
             # exact NullStorage event ordering.
             release()
             return
-        if not self.defers:
+        if not self.defers or self._env is None:
+            # (No scheduler wired -- bare storage tests -- degrades to a
+            # synchronous commit.)
             self._flush_pending()
             release()
             self._maybe_snapshot()
             return
         self._releases.append(release)
         if self._timer is None:
-            if self._env is None:
-                # No scheduler wired (bare storage tests): degrade to a
-                # synchronous commit.
-                self._fire()
-            else:
-                self._timer = self._env.set_timer(
-                    self.config.fsync_wait, self._fire
-                )
+            self._timer = self._env.set_timer(self.config.fsync_wait, self._fire)
 
     def _fire(self) -> None:
         """Group-commit window closed: one flush+fsync covers every
-        queued event, then their releases run in commit order."""
+        queued event, then their releases run in commit order and the
+        env sends what they release as one flush."""
         self._timer = None
         releases, self._releases = self._releases, []
         self._flush_pending()
-        for release in releases:
-            release()
+        self._env.run_releases(releases)
         self._maybe_snapshot()
 
     def _flush_pending(self) -> None:

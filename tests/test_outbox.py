@@ -12,11 +12,15 @@ import asyncio
 import random
 from dataclasses import dataclass
 
-from repro.consensus.base import Env, Message, TimerHandle
+import pytest
+
+from repro.consensus.base import Env, EnvObserver, Message, TimerHandle
 from repro.consensus.commands import Command
 from repro.core.protocol import M2Paxos
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.codec import register_message
+from repro.storage.base import StorageConfig
+from repro.storage.mem import MemStorage
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,104 @@ class TestOutbox:
             env.end_event()
         assert env._event_depth == 0
         assert len(env.flushed) == 1
+
+
+class _Armed(TimerHandle):
+    def cancel(self) -> None:
+        pass
+
+
+class WindowEnv(RecordingEnv):
+    """RecordingEnv with a store bound: timers are captured, deliveries
+    and flushes go into one ``trace`` so their order can be asserted."""
+
+    def __init__(self, storage=None):
+        super().__init__()
+        self.timers = []
+        self.trace = []
+        if storage is not None:
+            self.storage = storage
+            storage.attach(self, lambda: None)
+
+    def set_timer(self, delay, callback) -> TimerHandle:
+        self.timers.append(callback)
+        return _Armed()
+
+    def _deliver(self, command):
+        if command.cid[1] < 0:
+            raise RuntimeError("listener blew up")
+        self.trace.append(("deliver", command.cid))
+
+    def _flush(self, queued, batches):
+        self.trace.append(("flush", len(queued)))
+        super()._flush(queued, batches)
+
+    def event(self, seq, sends, record=True):
+        """One protocol event: a log record, a delivery, some sends."""
+        self.begin_event()
+        if record:
+            self.storage.append(2, b"record")
+        self.deliver(Command.make(0, seq, ["x"]))
+        for dst, tag in sends:
+            self.send(dst, Note(tag))
+        self.end_event()
+
+
+class _FlushCounter(EnvObserver):
+    def __init__(self):
+        self.flushes = []
+
+    def on_flush(self, node_id, queued, batches):
+        self.flushes.append((list(queued), {d: list(m) for d, m in batches.items()}))
+
+
+class TestCommitWindow:
+    def test_one_window_is_one_flush(self):
+        env = WindowEnv(MemStorage(StorageConfig(kind="mem", fsync_wait=0.01)))
+        hooked, observer = [], _FlushCounter()
+        env.add_flush_hook(lambda src, queued, batches: hooked.append(list(queued)))
+        env.add_observer(observer)
+        env.event(0, [(1, 10), (2, 11)])
+        env.event(1, [(2, 12)], record=False)  # queues behind the open window
+        env.event(2, [(1, 13), (1, 14)])
+        assert env.trace == [] and len(env.timers) == 1  # all three gated
+        env.timers[0]()
+        queued = [(1, Note(10)), (2, Note(11)), (2, Note(12)), (1, Note(13)), (1, Note(14))]
+        batches = {1: [Note(10), Note(13), Note(14)], 2: [Note(11), Note(12)]}
+        assert hooked == [queued]
+        assert observer.flushes == [(queued, batches)]
+        assert env.flushed == [(queued, batches)]
+        assert env.transmitted == queued
+        # Every delivery of the window ran before anything was sent.
+        assert env.trace == [
+            ("deliver", (0, 0)), ("deliver", (0, 1)), ("deliver", (0, 2)), ("flush", 5)
+        ]
+        assert env.storage.fsyncs == 1
+
+    def test_raising_release_leaves_nothing_held(self):
+        env = WindowEnv(MemStorage(StorageConfig(kind="mem", fsync_wait=0.01)))
+        env.event(0, [(1, 10)])
+        env.event(-1, [(1, 11)])  # its delivery raises, inside the release
+        env.event(2, [(1, 12)])
+        with pytest.raises(RuntimeError, match="listener blew up"):
+            env.timers[0]()
+        # What was released before the failure still went out, once.
+        assert env.transmitted == [(1, Note(10))]
+        # The window is closed and the env is back on the per-event path.
+        env.event(3, [(2, 13)], record=False)
+        assert env.transmitted == [(1, Note(10)), (2, Note(13))]
+        assert len(env.flushed) == 2
+
+    @pytest.mark.parametrize(
+        "config", [None, StorageConfig(kind="mem")], ids=["null", "sync"]
+    )
+    def test_without_a_window_every_event_flushes_itself(self, config):
+        env = WindowEnv(config and MemStorage(config))
+        for seq in range(3):
+            env.event(seq, [(1, seq), (2, seq)])
+            assert len(env.flushed) == seq + 1
+            assert env.trace[-2:] == [("deliver", (0, seq)), ("flush", 2)]
+        assert env.timers == []
 
 
 class TestRuntimeHardening:

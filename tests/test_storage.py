@@ -142,6 +142,10 @@ class _FakeEnv:
     def observe(self, kind, **fields):
         self.notes.append((kind, fields))
 
+    def run_releases(self, releases):
+        for release in releases:
+            release()
+
 
 class TestLogEngines:
     def test_mem_segment_roll_and_recover(self):
