@@ -8,10 +8,13 @@ counting wrappers on ``BaseEventLoop.create_task`` / ``create_future`` /
 ``_run_once`` / ``call_soon`` / ``call_at`` and on ``socket.socket``'s
 ``recv`` / ``send`` / ``sendmsg``, and reports the counts over the
 measured chunks only (``PipelineDriver`` runs at the workload's depth,
-not the depth-8 warm-up) divided by the commands they decided.  Counts,
-not times: they compare two versions of the runtime and say nothing
-about waiting.  A ruler for ``runtime/node.py``, not a claim.  Standard
-library only.
+not the depth-8 warm-up) divided by the commands they decided.  Also
+counted, where the checkout has them: wire frames encoded, durable-log
+records appended and the two encoders that fill them (``tcp-durable``;
+zero on the other workloads).  Counts, not times: they compare two
+versions of the runtime and say nothing about waiting.  A ruler for
+``runtime/node.py`` and the durable path, not a claim.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import importlib
 import io
 import os
 import socket
@@ -35,6 +39,14 @@ COUNTED = (
     (socket.socket, "send", "sock_send"),
     (socket.socket, "sendmsg", "sock_sendmsg"),
 )
+PROGRAM_COUNTED = (
+    ("repro.runtime.node", "encode_message_into", "wire_encodes"),
+    ("repro.storage.base", "LogStorage.append", "log_records"),
+    ("repro.core.m2.durability", "encode_value_binary", "log_value_encodes"),
+    ("repro.core.m2.durability", "message_payload", "log_message_encodes"),
+)
+"""Names the program calls through (module, dotted attribute, key); one
+that ``CHECKOUT`` does not have is skipped and reads zero."""
 WARM_DEPTH = 8
 """``perfbench.workloads._tcp_pass`` warms up at this depth; no TCP
 workload measures at it."""
@@ -75,6 +87,14 @@ def main(argv=None) -> int:
     from perfbench import run as bench_run
     from repro.runtime.driver import PipelineDriver
 
+    for module, dotted, key in PROGRAM_COUNTED:
+        *path, name = dotted.split(".")
+        owner = importlib.import_module(module)
+        for part in path:
+            owner = getattr(owner, part)
+        if hasattr(owner, name):
+            count(owner, name, key)
+
     measured: Counter = Counter()
     commands = 0
     run = PipelineDriver.run
@@ -97,8 +117,8 @@ def main(argv=None) -> int:
         print(f"{args.workload}: perfbench exited {code}, {commands} commands", file=sys.stderr)
         return code or 1
     print(f"{args.workload} seed {args.seed}: {commands} commands in the measured chunks")
-    for _owner, _name, key in COUNTED:
-        print(f"{key:14} {measured[key] / commands:8.3f} per command")
+    for _owner, _name, key in COUNTED + PROGRAM_COUNTED:
+        print(f"{key:19} {measured[key] / commands:8.3f} per command")
     return 0
 
 

@@ -8,19 +8,17 @@ own messages, stored as ``decode_message`` accepts them:
 - ``REC_ACCEPT`` (4): one absorbed (non-refused) ``Accept``; replay
   re-runs :meth:`AcceptorMixin._absorb_accept` on it.
 - ``REC_PROMISE`` (2): the object-level promises and per-instance ``rnd``
-  values one Prepare reply committed to, an ``encode_value_binary``
-  pair; replay max-merges them (idempotent, so duplicated log tails are
-  harmless).
+  values one Prepare reply committed to (an ``encode_value_binary``
+  pair); replay max-merges them, so duplicated log tails are harmless.
 - ``REC_DECIDE`` (5): one ``Decide`` -- as received, or as this node
   would send it for what an ack quorum or a prepare quorum's reports
-  taught it -- logged before it is applied, and only if it decides
-  something new here.  Replay re-runs :meth:`AcceptorMixin._on_decide`;
-  decisions in log order re-run the delivery engine's pump, which
-  rebuilds the delivered sequence byte-identically -- the property the
-  chaos checker's cross-incarnation prefix check asserts.
+  taught it -- logged before it is applied, if it decides anything new
+  here.  Replay re-runs :meth:`AcceptorMixin._on_decide`; decisions in
+  log order re-run the delivery engine's pump, which rebuilds the
+  delivered sequence byte-identically -- the property the chaos
+  checker's cross-incarnation prefix check asserts.
 
-Types 1 and 3 were the per-command tuples of earlier builds: replay
-refuses them by name, it does not skip them.
+(Types 1 and 3, earlier builds' per-command tuples, are refused by name.)
 
 Records are logged *inside* the handler (buffered by the storage) and
 made durable by the env's end-of-event commit before the handler's
@@ -52,7 +50,7 @@ from repro.runtime.codec import (
 REC_PROMISE = 2
 REC_ACCEPT = 4
 REC_DECIDE = 5
-_RETIRED = {1: "(an older build's Accept tuple)", 3: "(an older build's decision)"}
+_RETIRED = {1: "an older build's Accept tuple", 3: "an older build's decision"}
 
 
 class DurabilityMixin:
@@ -91,7 +89,7 @@ class DurabilityMixin:
 
     def apply_log_record(self, rtype: int, payload: bytes) -> None:
         if rtype in _RETIRED:
-            raise ValueError(f"cannot replay log record type {rtype} {_RETIRED[rtype]}")
+            raise ValueError(f"cannot replay record type {rtype}: {_RETIRED[rtype]}")
         self._replaying = True
         try:
             if rtype == REC_ACCEPT:

@@ -33,15 +33,14 @@ class StorageConfig:
     ``fsync_wait``: group-commit window in seconds, mirroring the
     proposer's ``batch_wait``.  ``0`` fsyncs synchronously per event;
     ``> 0`` defers each event's release (sends *and* deliveries) until
-    one batched fsync covers it, and the window's sends then leave as
-    one flush.
+    one batched fsync covers it; a window's sends leave as one flush.
     ``segment_bytes``: roll the active segment after this many bytes.
     ``snapshot_every``: take a state snapshot (and truncate the covered
     log) every N flushed records; ``0`` disables snapshots.  An M2Paxos
     record is one Accept, Decide or promise *message*, not one command:
     with proposer batching the same N snapshots less often per command
-    than when each decision was its own record (a third as often at
-    ``tcp-durable``'s batch: 1.14 records per command, from 3.64).
+    than when each decision was its own record (a quarter as often at
+    ``tcp-durable``'s batch: 0.83 records per command, from 3.43).
     ``capacity_bytes`` / ``capacity_nodes``: modelled log capacity --
     appends beyond it raise :class:`StorageFull` and fail-stop the node.
     ``capacity_nodes`` restricts the cap to those node ids (``None`` =
@@ -165,8 +164,8 @@ class LogStorage(Storage):
             release()
             return
         if not self.defers or self._env is None:
-            # (No scheduler wired -- bare storage tests -- degrades to a
-            # synchronous commit.)
+            # No scheduler wired (bare storage tests) degrades to a
+            # synchronous commit.
             self._flush_pending()
             release()
             self._maybe_snapshot()

@@ -88,7 +88,7 @@ def frame_snapshot(covers_seq: int, payload: bytes) -> bytes:
     _write_uvarint(out, covers_seq)
     _write_uvarint(out, len(payload))
     out += payload
-    out += _CRC.pack(zlib.crc32(bytes(out)))
+    out += _CRC.pack(zlib.crc32(out))
     return bytes(out)
 
 

@@ -182,9 +182,10 @@ class TestCommitWindow:
         env.add_flush_hook(lambda src, queued, batches: hooked.append(list(queued)))
         env.add_observer(observer)
         env.event(0, [(1, 10), (2, 11)])
-        env.event(1, [(2, 12)], record=False)  # queues behind the open window
-        env.event(2, [(1, 13), (1, 14)])
-        assert env.trace == [] and len(env.timers) == 1  # all three gated
+        env.event(1, [])  # sends nothing: its release must not see event 2's
+        env.event(2, [(2, 12)], record=False)  # queues behind the open window
+        env.event(3, [(1, 13), (1, 14)])
+        assert env.trace == [] and len(env.timers) == 1  # all four gated
         env.timers[0]()
         queued = [(1, Note(10)), (2, Note(11)), (2, Note(12)), (1, Note(13)), (1, Note(14))]
         batches = {1: [Note(10), Note(13), Note(14)], 2: [Note(11), Note(12)]}
@@ -193,9 +194,7 @@ class TestCommitWindow:
         assert env.flushed == [(queued, batches)]
         assert env.transmitted == queued
         # Every delivery of the window ran before anything was sent.
-        assert env.trace == [
-            ("deliver", (0, 0)), ("deliver", (0, 1)), ("deliver", (0, 2)), ("flush", 5)
-        ]
+        assert env.trace == [("deliver", (0, seq)) for seq in range(4)] + [("flush", 5)]
         assert env.storage.fsyncs == 1
 
     def test_raising_release_leaves_nothing_held(self):

@@ -274,7 +274,7 @@ class TestLogEngines:
             store = MemStorage(StorageConfig(kind="mem"))
             store.append(rtype, encode_value_binary(value))
             store.commit(lambda: None)
-            with pytest.raises(ValueError, match=f"record type {rtype} "):
+            with pytest.raises(ValueError, match=f"record type {rtype}: "):
                 recover_protocol(M2Paxos(), store)
         # A type this build has never written is a newer build's: skipped.
         M2Paxos().apply_log_record(9, b"anything")
