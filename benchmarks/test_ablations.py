@@ -18,11 +18,12 @@ from repro.bench.harness import PointSpec, run_point, saturated_spec
 from repro.bench.report import print_table
 from repro.core.protocol import M2Paxos, M2PaxosConfig
 from repro.obs.collect import ObsCollector
-from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.cluster import Cluster
 from repro.sim.cpu import CpuConfig
 from repro.sim.latency import GaussianLatency
 from repro.sim.network import NetworkConfig
 from repro.sim.rng import RngRegistry
+from repro.spec import ClusterSpec
 from repro.workloads.client import ClientConfig, OpenLoopClients
 from repro.workloads.synthetic import SyntheticConfig, SyntheticWorkload
 
@@ -30,7 +31,7 @@ from repro.workloads.synthetic import SyntheticConfig, SyntheticWorkload
 def run_m2(n_nodes, m2_config, batching=True, clients=64, think=0.002,
            cap=96, warmup=0.5, duration=0.3, seed=1):
     cluster = Cluster(
-        ClusterConfig(
+        ClusterSpec(
             n_nodes=n_nodes,
             seed=seed,
             network=NetworkConfig(

@@ -10,7 +10,7 @@ change through consensus itself, and every replica switches to
 Multi-Paxos at the same point in the delivery order.
 """
 
-from repro import Cluster, ClusterConfig, Command
+from repro import Cluster, ClusterSpec, Command
 from repro.core.switcher import AdaptiveSwitcher, SwitcherConfig
 
 N_NODES = 3
@@ -19,7 +19,7 @@ N_NODES = 3
 def main() -> None:
     config = SwitcherConfig(window=10, to_fallback=0.3, check_period=0.1)
     cluster = Cluster(
-        ClusterConfig(n_nodes=N_NODES, seed=11),
+        ClusterSpec(n_nodes=N_NODES, seed=11),
         lambda node_id, n: AdaptiveSwitcher(config),
     )
     cluster.start()

@@ -13,7 +13,7 @@ into a balance table and shows that all replicas converge.
 
 import random
 
-from repro import Cluster, ClusterConfig, Command, M2Paxos
+from repro import Cluster, ClusterSpec, Command, M2Paxos
 
 N_NODES = 5
 ACCOUNTS = [f"acct-{i}" for i in range(8)]
@@ -40,7 +40,7 @@ def apply_log(delivered, operations):
 def main() -> None:
     rng = random.Random(7)
     cluster = Cluster(
-        ClusterConfig(n_nodes=N_NODES, seed=7),
+        ClusterSpec(n_nodes=N_NODES, seed=7),
         lambda node_id, n: M2Paxos(),
     )
     cluster.start()

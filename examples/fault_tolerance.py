@@ -10,14 +10,14 @@ before its own command -- the recovery the paper describes as
 "embedded into the process of changing the ownership".
 """
 
-from repro import Cluster, ClusterConfig, Command, M2Paxos
+from repro import Cluster, ClusterSpec, Command, M2Paxos
 
 N_NODES = 5
 
 
 def main() -> None:
     cluster = Cluster(
-        ClusterConfig(n_nodes=N_NODES, seed=3),
+        ClusterSpec(n_nodes=N_NODES, seed=3),
         lambda node_id, n: M2Paxos(),
     )
     cluster.start()

@@ -9,7 +9,7 @@ majority -- the multi-leader advantage the paper's motivation opens
 with (and the setting of the authors' companion system Alvin).
 """
 
-from repro import Cluster, ClusterConfig, Command, M2Paxos
+from repro import Cluster, ClusterSpec, Command, M2Paxos
 from repro.consensus.multipaxos import MultiPaxos
 from repro.metrics.stats import summarize
 from repro.sim.latency import TopologyLatency
@@ -30,7 +30,7 @@ MATRIX = [
 
 def run(protocol_factory, label):
     cluster = Cluster(
-        ClusterConfig(
+        ClusterSpec(
             n_nodes=5,
             seed=21,
             network=NetworkConfig(

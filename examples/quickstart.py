@@ -8,7 +8,7 @@ per object, every command is decided on the fast path -- two
 communication delays with a classic majority quorum.
 """
 
-from repro import Cluster, ClusterConfig, Command, M2Paxos
+from repro import Cluster, ClusterSpec, Command, M2Paxos
 
 N_NODES = 5
 COMMANDS_PER_NODE = 20
@@ -16,7 +16,7 @@ COMMANDS_PER_NODE = 20
 
 def main() -> None:
     cluster = Cluster(
-        ClusterConfig(n_nodes=N_NODES, seed=42),
+        ClusterSpec(n_nodes=N_NODES, seed=42),
         lambda node_id, n: M2Paxos(),
     )
     cluster.start()

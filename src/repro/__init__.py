@@ -2,12 +2,14 @@
 
 The package is organised as follows:
 
+- :mod:`repro.spec` -- :class:`ClusterSpec`, the one configuration
+  object a simulated or TCP cluster is built from.
 - :mod:`repro.sim` -- deterministic discrete-event simulation substrate
   (virtual clock, network with latency/bandwidth models, CPU model, crash
   injection).
 - :mod:`repro.consensus` -- the sans-I/O protocol interface shared by all
   consensus implementations, plus the three baselines evaluated in the
-  paper: Multi-Paxos, Generalized Paxos, and EPaxos.
+  paper, and only those: Multi-Paxos, Generalized Paxos, and EPaxos.
 - :mod:`repro.core` -- M2Paxos itself, the paper's primary contribution.
 - :mod:`repro.workloads` -- synthetic and TPC-C command generators and the
   open-loop client model used by the evaluation.
@@ -20,14 +22,15 @@ The package is organised as follows:
 
 from repro.consensus.commands import Command
 from repro.core.protocol import M2Paxos, M2PaxosConfig
-from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.cluster import Cluster
+from repro.spec import ClusterSpec
 
 __all__ = [
     "Command",
     "M2Paxos",
     "M2PaxosConfig",
     "Cluster",
-    "ClusterConfig",
+    "ClusterSpec",
 ]
 
 __version__ = "1.0.0"

@@ -173,7 +173,7 @@ def run_geo_arm(
         nearest_accept=nearest_accept,
         quorum_rtt=zone_rtt_matrix(zones) if nearest_accept else None,
     )
-    cluster = Cluster(spec.sim_cluster_config(), factory)
+    cluster = Cluster(spec, factory)
     workload = GeoZipfWorkload(
         zones, RngRegistry(config.seed * 104729 + 1).stream("geo")
     )

@@ -208,7 +208,7 @@ def build_run(
         zone_latency=spec.zone_latency,
     )
     cluster = Cluster(
-        cluster_spec.sim_cluster_config(),
+        cluster_spec,
         # The bench-tuned factory, not cluster_spec.protocol_factory():
         # it layers home hints, fast-path batching, and cost overrides
         # on top of the spec's protocol choice.

@@ -268,7 +268,7 @@ def run_scenario(
         zones=scenario.zones,
         zone_latency=scenario.zone_latency,
     )
-    cluster = Cluster.from_spec(spec)
+    cluster = Cluster(spec)
     try:
         return _run_scenario(
             scenario, cluster, telemetry_interval=telemetry_interval

@@ -20,8 +20,6 @@ from repro.consensus.base import (
     epaxos_fast_quorum_size,
 )
 from repro.consensus.commands import Command, conflict
-from repro.consensus.paxos import ClassicPaxos
-from repro.consensus.mencius import Mencius
 
 __all__ = [
     "Env",
@@ -32,6 +30,4 @@ __all__ = [
     "epaxos_fast_quorum_size",
     "Command",
     "conflict",
-    "ClassicPaxos",
-    "Mencius",
 ]

@@ -137,7 +137,6 @@ class EPaxosConfig:
     # saturation queueing): the simplified recovery assumes the instance
     # leader is actually gone, as real EPaxos deployments tune it.
     commit_timeout: float = 3.0
-    enable_recovery: bool = True
 
 
 class EPaxos(Protocol):
@@ -450,8 +449,6 @@ class EPaxos(Protocol):
     def _arm_commit_timeout(self, instance_id: EpInstanceId) -> None:
         """Any replica that knows of an uncommitted instance arms a
         timeout, so a crashed command leader cannot orphan it."""
-        if not self.config.enable_recovery:
-            return
         if instance_id in self._timeout_armed:
             return
         self._timeout_armed.add(instance_id)

@@ -90,13 +90,6 @@ class RunResult:
     reads_served: int = 0
 
     @property
-    def avg_batch_size(self) -> float:
-        """Messages per flush batch (1.0 means no batching win)."""
-        if self.flush_batches == 0:
-            return 0.0
-        return self.wire_messages / self.flush_batches
-
-    @property
     def fast_ratio(self) -> float:
         """Fraction of windowed commands that stayed on the fast path."""
         return fast_ratio(self.paths)

@@ -138,10 +138,6 @@ class LocalCluster:
                 plan, (seed << 8) | node.node_id, offset=offset
             )
 
-    def detach_faults(self) -> None:
-        for node in self.nodes:
-            node.wire_faults = None
-
     # ------------------------------------------------------------------
     # Driving and inspection
     # ------------------------------------------------------------------

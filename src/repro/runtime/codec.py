@@ -40,7 +40,7 @@ import typing
 from dataclasses import fields, is_dataclass
 from typing import Any, Callable, Optional
 
-from repro.consensus import epaxos, genpaxos, mencius, multipaxos, paxos
+from repro.consensus import epaxos, genpaxos, multipaxos
 from repro.consensus.base import Message
 from repro.consensus.commands import Command
 from repro.core import messages as core_messages
@@ -62,7 +62,7 @@ def register_message(cls: type) -> None:
     _MESSAGE_CLASSES[cls.__name__] = cls
 
 
-for module in (core_messages, multipaxos, genpaxos, epaxos, paxos, mencius):
+for module in (core_messages, multipaxos, genpaxos, epaxos):
     for name in dir(module):
         obj = getattr(module, name)
         if isinstance(obj, type) and issubclass(obj, Message) and obj is not Message:

@@ -18,7 +18,7 @@ from repro.sim.latency import (
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.cpu import CpuModel, CpuConfig
 from repro.sim.node import SimEnv, SimNode
-from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.cluster import Cluster
 from repro.sim.trace import Tracer, TraceEvent
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "SimEnv",
     "SimNode",
     "Cluster",
-    "ClusterConfig",
     "Tracer",
     "TraceEvent",
 ]

@@ -1,56 +1,31 @@
 """Cluster builder: N simulated nodes + network + one event loop.
 
 This is the top-level convenience object: tests, examples, and the
-benchmark harness all create a :class:`Cluster`, feed proposals in, run
-virtual time forward, and then inspect delivered sequences and metrics.
+benchmark harness all create a :class:`Cluster` from a
+:class:`repro.spec.ClusterSpec`, feed proposals in, run virtual time
+forward, and then inspect delivered sequences and metrics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import replace
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.consensus.base import Protocol
 from repro.consensus.commands import Command
-from repro.sim.cpu import CpuConfig
 from repro.sim.event_loop import EventLoop
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.latency import TopologyLatency
+from repro.sim.network import Network
 from repro.sim.node import SimNode
 from repro.sim.rng import RngRegistry
-from repro.storage.base import StorageConfig
+
+if TYPE_CHECKING:
+    # Not at run time: ``repro.spec`` imports ``repro.sim.cpu``, which
+    # runs this package's ``__init__`` and so this module.
+    from repro.spec import ClusterSpec
 
 ProtocolFactory = Callable[[int, int], Protocol]
 """Maps ``(node_id, n_nodes)`` to a fresh protocol instance."""
-
-
-@dataclass
-class ClusterConfig:
-    """Deployment shape for a simulated cluster.
-
-    Deprecated as a public entry point: new code should build a
-    :class:`repro.spec.ClusterSpec` and call :meth:`Cluster.from_spec`,
-    which covers protocol choice, codec, and storage in one object.
-    This class remains the internal carrier (and a thin shim for
-    existing callers/tests).
-    """
-
-    n_nodes: int = 3
-    seed: int = 0
-    network: NetworkConfig = field(default_factory=NetworkConfig)
-    cpu: CpuConfig = field(default_factory=CpuConfig)
-    storage: Optional[StorageConfig] = None
-    # Geo runs: zone of each node (telemetry labels + cross-zone wire
-    # accounting).  None means single-zone.
-    zones: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.n_nodes < 1:
-            raise ValueError("n_nodes must be >= 1")
-        if self.zones is not None and len(self.zones) != self.n_nodes:
-            raise ValueError(
-                f"zones must assign all {self.n_nodes} nodes, "
-                f"got {len(self.zones)} entries"
-            )
 
 
 class ConsistencyViolation(AssertionError):
@@ -61,14 +36,31 @@ class ConsistencyViolation(AssertionError):
 class Cluster:
     """N nodes running the same protocol under one virtual clock."""
 
-    def __init__(self, config: ClusterConfig, protocol_factory: ProtocolFactory) -> None:
+    def __init__(
+        self,
+        config: ClusterSpec,
+        protocol_factory: Optional[ProtocolFactory] = None,
+    ) -> None:
+        """Build ``config.n_nodes`` nodes, each running
+        ``protocol_factory(node_id, n_nodes)`` -- by default the spec's
+        own :meth:`~repro.spec.ClusterSpec.protocol_factory`."""
+        if protocol_factory is None:
+            protocol_factory = config.protocol_factory()
+        network = config.network
+        if config.zone_latency is not None:
+            zl = config.zone_latency
+            network = replace(
+                network,
+                latency=TopologyLatency.from_zones(
+                    config.zones, zl.intra, zl.inter, jitter=zl.jitter
+                ),
+            )
         self.config = config
         self.protocol_factory = protocol_factory
         self.loop = EventLoop()
         self.rng = RngRegistry(config.seed)
         self.network = Network(
-            self.loop, config.n_nodes, config.network, self.rng,
-            zones=config.zones,
+            self.loop, config.n_nodes, network, self.rng, zones=config.zones
         )
         self.nodes: list[SimNode] = []
         for node_id in range(config.n_nodes):
@@ -88,12 +80,6 @@ class Cluster:
                 storage=storage,
             )
             self.nodes.append(node)
-
-    @classmethod
-    def from_spec(cls, spec) -> "Cluster":
-        """Build from a :class:`repro.spec.ClusterSpec` -- the preferred
-        constructor (one config object for both substrates)."""
-        return cls(spec.sim_cluster_config(), spec.protocol_factory())
 
     def close_storage(self) -> None:
         """Release every node's storage resources (file handles)."""

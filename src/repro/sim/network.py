@@ -128,9 +128,6 @@ class Network:
     def recover(self, node_id: int) -> None:
         self._crashed.discard(node_id)
 
-    def is_crashed(self, node_id: int) -> bool:
-        return node_id in self._crashed
-
     def partition(self, group_a: set[int], group_b: set[int]) -> None:
         """Block all traffic between the two groups (both directions)."""
         self._partitions.append((frozenset(group_a), frozenset(group_b)))

@@ -10,7 +10,7 @@ aggregate counters alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.consensus.commands import Command
 from repro.sim.cluster import Cluster
@@ -148,11 +148,3 @@ class Tracer:
             except ValueError:
                 pass
             node.env.remove_flush_hook(self._on_flush)
-
-
-def delays_between(events: Iterable[TraceEvent]) -> float:
-    """Wall span (virtual seconds) covered by ``events``."""
-    times = [event.time for event in events]
-    if not times:
-        return 0.0
-    return max(times) - min(times)

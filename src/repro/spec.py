@@ -4,7 +4,7 @@
 cluster size, seed, network/CPU models, protocol tunables,
 and durable storage -- and both substrates consume it:
 
-- ``Cluster.from_spec(spec)`` builds a simulated cluster;
+- ``Cluster(spec)`` builds a simulated cluster;
 - ``LocalCluster.from_spec(spec)`` builds the asyncio/TCP cluster.
 
 The CLI paths (``run``/``compare``/``chaos``/``perf``) all funnel their
@@ -14,14 +14,14 @@ key, wrong type, or bad value raises a single :class:`ConfigError`
 naming the offending key path, instead of a ``TypeError`` from some
 nested dataclass constructor three frames down.
 
-The older per-layer configs (:class:`~repro.sim.cluster.ClusterConfig`,
-:class:`~repro.sim.network.NetworkConfig`, ...) remain as the internal
-carriers the spec compiles down to.
+The per-layer configs it holds (:class:`~repro.sim.network.NetworkConfig`,
+:class:`~repro.sim.cpu.CpuConfig`, ...) are what each layer reads; a
+spec is a frozen value, so a variant is ``dataclasses.replace(spec, ...)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional
 
 from repro.consensus.base import Protocol
@@ -105,35 +105,6 @@ class ClusterSpec:
         if self.zone_latency is not None and self.zones is None:
             raise ConfigError("zone_latency: requires zones to be set")
 
-    # ------------------------------------------------------------------
-    # Compilation to the per-layer configs
-    # ------------------------------------------------------------------
-
-    def sim_cluster_config(self):
-        """The :class:`~repro.sim.cluster.ClusterConfig` this spec
-        compiles to (simulator substrate)."""
-        from repro.sim.cluster import ClusterConfig
-
-        network = self.network
-        if self.zone_latency is not None:
-            from repro.sim.latency import TopologyLatency
-
-            zl = self.zone_latency
-            network = replace(
-                network,
-                latency=TopologyLatency.from_zones(
-                    self.zones, zl.intra, zl.inter, jitter=zl.jitter
-                ),
-            )
-        return ClusterConfig(
-            n_nodes=self.n_nodes,
-            seed=self.seed,
-            network=network,
-            cpu=self.cpu,
-            storage=self.storage,
-            zones=self.zones,
-        )
-
     def protocol_factory(self) -> Callable[[int, int], Protocol]:
         """The ``(node_id, n_nodes) -> Protocol`` factory for this spec.
 
@@ -205,9 +176,6 @@ class ClusterSpec:
                 "zone_latency", data["zone_latency"], ZoneLatency
             )
         return cls(**kwargs)
-
-    def with_storage(self, storage: Optional[StorageConfig]) -> "ClusterSpec":
-        return replace(self, storage=storage)
 
 
 # ----------------------------------------------------------------------

@@ -8,20 +8,17 @@ import pytest
 
 from repro.consensus.commands import Command
 from repro.consensus.epaxos import EPaxos
-from repro.consensus.paxos import ClassicPaxos
-from repro.consensus.mencius import Mencius
 from repro.consensus.genpaxos import GenPaxos
 from repro.consensus.multipaxos import MultiPaxos
 from repro.core.protocol import M2Paxos
-from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.cluster import Cluster
+from repro.spec import ClusterSpec
 
 PROTOCOL_FACTORIES = {
     "m2paxos": lambda node_id, n: M2Paxos(),
     "multipaxos": lambda node_id, n: MultiPaxos(),
     "genpaxos": lambda node_id, n: GenPaxos(),
     "epaxos": lambda node_id, n: EPaxos(),
-    "paxos": lambda node_id, n: ClassicPaxos(),
-    "mencius": lambda node_id, n: Mencius(),
 }
 
 
@@ -32,7 +29,7 @@ def any_protocol_factory(request):
 
 
 def make_cluster(factory, n_nodes=5, seed=0, **kwargs) -> Cluster:
-    cluster = Cluster(ClusterConfig(n_nodes=n_nodes, seed=seed, **kwargs), factory)
+    cluster = Cluster(ClusterSpec(n_nodes=n_nodes, seed=seed, **kwargs), factory)
     cluster.start()
     return cluster
 

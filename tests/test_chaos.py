@@ -464,7 +464,7 @@ class TestDurableScenarios:
             m2=M2PaxosConfig(),
             storage=StorageConfig(kind="mem"),
         )
-        cluster = Cluster.from_spec(spec)
+        cluster = Cluster(spec)
         node = cluster.nodes[1]
         node.env.storage.wipe()
         recovered = node.env.storage.recover()

@@ -1,12 +1,23 @@
 """ClusterSpec: the one config object both substrates consume.
 
 Covers validated construction from dicts (every error names the bad
-key path), compilation down to the per-layer configs, and building a
-running cluster on each substrate from one spec.
+key path), the protocol factory a spec names (and that no other
+protocol exists), and building a running simulated cluster from one
+spec.
 """
+
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 
+import repro
+from repro.bench.harness import protocol_factory
+from repro.consensus.base import Protocol
+from repro.consensus.epaxos import EPaxos
+from repro.consensus.multipaxos import MultiPaxos
+from repro.core.switcher import AdaptiveSwitcher
 from repro.sim.cluster import Cluster
 from repro.sim.cpu import CpuConfig
 from repro.sim.network import NetworkConfig
@@ -28,13 +39,6 @@ class TestConstruction:
     def test_bad_n_nodes(self):
         with pytest.raises(ConfigError, match="n_nodes"):
             ClusterSpec(n_nodes=0)
-
-    def test_with_storage_replaces_only_storage(self):
-        spec = ClusterSpec(n_nodes=5)
-        durable = spec.with_storage(StorageConfig(kind="mem"))
-        assert durable.storage.kind == "mem"
-        assert durable.n_nodes == 5
-        assert spec.storage is None  # original untouched (frozen)
 
 
 class TestFromDict:
@@ -141,27 +145,29 @@ class TestFromDict:
 
 
 class TestCompilation:
-    def test_sim_cluster_config_carries_fields(self):
-        storage = StorageConfig(kind="mem")
-        spec = ClusterSpec(
-            n_nodes=7,
-            seed=9,
-            network=NetworkConfig(bandwidth=1e9),
-            cpu=CpuConfig(cores=2),
-            storage=storage,
-        )
-        config = spec.sim_cluster_config()
-        assert config.n_nodes == 7
-        assert config.seed == 9
-        assert config.network.bandwidth == 1e9
-        assert config.cpu.cores == 2
-        assert config.storage is storage
-
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_protocol_factory_builds_each_protocol(self, protocol):
         spec = ClusterSpec(protocol=protocol)
         proto = spec.protocol_factory()(0, 3)
         assert hasattr(proto, "bind")
+
+    def test_every_protocol_class_is_one_a_figure_runs(self):
+        """No protocol lives in ``repro`` that no figure plots: every
+        concrete Protocol is built by the bench factory for a name in
+        PROTOCOLS, or is the switcher that falls back between two of
+        them."""
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            if not module.name.endswith("__main__"):
+                importlib.import_module(module.name)
+        defined, stack = set(), [Protocol]
+        while stack:
+            for sub in stack.pop().__subclasses__():
+                stack.append(sub)
+                if sub.__module__.startswith("repro.") and not inspect.isabstract(sub):
+                    defined.add(sub)
+        built = {type(protocol_factory(name)(0, 3)) for name in PROTOCOLS}
+        unplotted = defined - built - {AdaptiveSwitcher}
+        assert not unplotted, sorted(cls.__qualname__ for cls in unplotted)
 
     def test_m2_tunables_reach_the_protocol(self):
         from repro.core.protocol import M2PaxosConfig
@@ -172,11 +178,38 @@ class TestCompilation:
 
 
 class TestClusterFromSpec:
-    def test_sim_cluster_runs_from_spec(self):
+    def test_cluster_carries_spec_fields_to_nodes_and_network(self):
+        spec = ClusterSpec(
+            n_nodes=7,
+            seed=9,
+            network=NetworkConfig(bandwidth=1e9),
+            cpu=CpuConfig(cores=2),
+            storage=StorageConfig(kind="mem"),
+        )
+        cluster = Cluster(spec)
+        assert cluster.config is spec
+        assert len(cluster.nodes) == 7
+        assert cluster.rng.master_seed == 9
+        assert cluster.network.config.bandwidth == 1e9
+        assert all(node.cpu.config.cores == 2 for node in cluster.nodes)
+        assert all(node.env.storage.durable for node in cluster.nodes)
+        cluster.close_storage()
+
+    def test_explicit_factory_wins_over_spec_protocol(self):
+        spec = ClusterSpec(protocol="epaxos", n_nodes=3)
+        assert isinstance(Cluster(spec).nodes[0].protocol, EPaxos)
+        cluster = Cluster(spec, lambda node_id, n: MultiPaxos())
+        assert all(isinstance(n.protocol, MultiPaxos) for n in cluster.nodes)
+
+    def test_zero_nodes_is_a_value_error(self):
+        with pytest.raises(ValueError, match="n_nodes"):
+            Cluster(ClusterSpec(n_nodes=0))
+
+    def test_sim_cluster_runs_from_a_spec(self):
         from repro.consensus.commands import Command
 
         spec = ClusterSpec(n_nodes=3, seed=5)
-        cluster = Cluster.from_spec(spec)
+        cluster = Cluster(spec)
         for i in range(6):
             cluster.loop.schedule_at(
                 0.001 * (i + 1),
@@ -190,6 +223,6 @@ class TestClusterFromSpec:
 
     def test_storage_from_spec_is_attached(self):
         spec = ClusterSpec(storage=StorageConfig(kind="mem"))
-        cluster = Cluster.from_spec(spec)
+        cluster = Cluster(spec)
         assert all(n.env.storage.durable for n in cluster.nodes)
         cluster.close_storage()

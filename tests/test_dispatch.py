@@ -13,14 +13,15 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.consensus import epaxos, genpaxos, mencius, multipaxos, paxos
+from repro.consensus import epaxos, genpaxos, multipaxos
 from repro.consensus.base import Dispatcher, Message, handles
 from repro.consensus.commands import Command
 from repro.core import messages as m2_messages
 from repro.core import switcher
 from repro.core.protocol import M2Paxos
 from repro.runtime.cluster import LocalCluster
-from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.cluster import Cluster
+from repro.spec import ClusterSpec
 
 
 def message_types_in(module):
@@ -40,9 +41,7 @@ CASES = [
     (M2Paxos, m2_messages),
     (epaxos.EPaxos, epaxos),
     (genpaxos.GenPaxos, genpaxos),
-    (mencius.Mencius, mencius),
     (multipaxos.MultiPaxos, multipaxos),
-    (paxos.ClassicPaxos, paxos),
     (switcher.AdaptiveSwitcher, switcher),
 ]
 
@@ -103,7 +102,7 @@ class TestSimRuntimeEquivalence:
 
     def sim_orders(self):
         cluster = Cluster(
-            ClusterConfig(n_nodes=self.N_NODES, seed=11),
+            ClusterSpec(n_nodes=self.N_NODES, seed=11),
             lambda i, n: M2Paxos(),
         )
         cluster.start()

@@ -102,15 +102,6 @@ class TestRecovery:
         for cids in survivors:
             assert (0, 1) in cids
 
-    def test_no_recovery_when_disabled(self):
-        config = EPaxosConfig(commit_timeout=0.1, enable_recovery=False)
-        cluster = make_cluster(ep(config), n_nodes=5, seed=8)
-        cluster.propose(0, Command.make(0, 0, ["x"]))
-        cluster.run_for(0.0008)
-        cluster.crash(0)
-        cluster.run_for(2.0)
-        assert all(len(cluster.delivered(i)) == 0 for i in range(1, 5))
-
 
 class TestQuorums:
     def test_fast_quorum_grows_past_five_nodes(self):

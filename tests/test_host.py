@@ -19,7 +19,8 @@ from repro.consensus.commands import Command
 from repro.consensus.host import Host
 from repro.core.protocol import M2Paxos
 from repro.runtime.cluster import LocalCluster
-from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.cluster import Cluster
+from repro.spec import ClusterSpec
 from repro.storage.base import StorageConfig
 
 N = 3
@@ -55,7 +56,7 @@ class SimRig:
     """A simulated cluster behind the awaitable surface of a live one."""
 
     def __init__(self, storage) -> None:
-        self.cluster = Cluster(ClusterConfig(n_nodes=N, seed=3, storage=storage), factory)
+        self.cluster = Cluster(ClusterSpec(n_nodes=N, seed=3, storage=storage), factory)
 
     async def start(self) -> None:
         self.cluster.start()

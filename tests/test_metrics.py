@@ -6,7 +6,8 @@ from repro.consensus.commands import Command
 from repro.core.protocol import M2Paxos
 from repro.obs.collect import ObsCollector
 from repro.metrics.stats import mean, percentile, summarize
-from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.cluster import Cluster
+from repro.spec import ClusterSpec
 
 
 class TestPercentile:
@@ -60,7 +61,7 @@ class TestSummarize:
 
 class TestMetricsCollector:
     def run_cluster(self):
-        cluster = Cluster(ClusterConfig(n_nodes=3, seed=0), lambda i, n: M2Paxos())
+        cluster = Cluster(ClusterSpec(n_nodes=3, seed=0), lambda i, n: M2Paxos())
         collector = ObsCollector.for_cluster(cluster)
         cluster.start()
         return cluster, collector

@@ -1,83 +1,12 @@
-"""Tests for classic Paxos and the adaptive M2Paxos/Multi-Paxos switcher."""
+"""Tests for the adaptive M2Paxos/Multi-Paxos switcher."""
 
-
-from repro.consensus.commands import Command
-from repro.consensus.paxos import ClassicPaxos
 from repro.core.switcher import AdaptiveSwitcher, SwitcherConfig, MODE_M2, MODE_MP
 
 from tests.conftest import assert_all_delivered, make_cluster, run_workload
 
 
-def px(config=None):
-    return lambda node_id, n: ClassicPaxos(config)
-
-
 def switcher(config=None):
     return lambda node_id, n: AdaptiveSwitcher(config)
-
-
-class TestClassicPaxos:
-    def test_single_proposer_decides(self):
-        cluster = make_cluster(px(), n_nodes=3, seed=1)
-        cluster.propose(1, Command.make(1, 0, ["x"]))
-        cluster.run_for(1.0)
-        cluster.check_consistency()
-        assert all(len(cluster.delivered(i)) == 1 for i in range(3))
-
-    def test_total_order_across_nodes(self):
-        cluster = make_cluster(px(), n_nodes=5, seed=2)
-        proposed = run_workload(
-            cluster, 8, lambda rng, node, r: ["hot"], spacing=0.01, settle=10.0
-        )
-        assert_all_delivered(cluster, proposed)
-        orders = {tuple(c.cid for c in cluster.delivered(i)) for i in range(5)}
-        assert len(orders) == 1
-
-    def test_duelling_proposers_converge(self):
-        cluster = make_cluster(px(), n_nodes=3, seed=3)
-        a = Command.make(0, 0, ["x"])
-        b = Command.make(1, 0, ["x"])
-        cluster.propose(0, a)
-        cluster.propose(1, b)  # same instant: ballot duel on slot 1
-        cluster.run_for(10.0)
-        cluster.check_consistency()
-        cids = {c.cid for c in cluster.delivered(2)}
-        assert cids == {a.cid, b.cid}
-
-    def test_four_delay_latency(self):
-        from repro.sim.latency import UniformLatency
-        from repro.sim.network import NetworkConfig
-
-        latency = 0.01
-        cluster = make_cluster(
-            px(),
-            n_nodes=3,
-            seed=4,
-            network=NetworkConfig(latency=UniformLatency(latency, latency)),
-        )
-        times = {}
-        for node in cluster.nodes:
-            node.deliver_listeners.append(
-                lambda nid, c, t: times.setdefault((nid, c.cid), t)
-            )
-        t0 = cluster.loop.now
-        cluster.propose(0, Command.make(0, 0, ["x"]))
-        cluster.run_for(1.0)
-        elapsed = times[(0, (0, 0))] - t0
-        # prepare + promise + accept + accepted = 4 one-way delays.
-        assert 4 * latency <= elapsed < 6 * latency
-
-    def test_minority_crash_liveness(self):
-        cluster = make_cluster(px(), n_nodes=5, seed=5)
-        cluster.crash(3)
-        cluster.crash(4)
-        proposed = run_workload(
-            cluster, 4, lambda rng, node, r: ["x"], spacing=0.02, settle=10.0
-        )
-        cluster.check_consistency()
-        live = [c for c in proposed if c.proposer < 3]
-        delivered = {c.cid for c in cluster.delivered(0)}
-        assert {c.cid for c in live} <= delivered
 
 
 class TestAdaptiveSwitcher:

@@ -17,9 +17,10 @@ from repro.consensus.commands import Command, CStruct
 from repro.core.protocol import M2Paxos, M2PaxosConfig
 from repro.metrics.stats import percentile
 from repro.sim.cpu import CpuConfig, CpuModel
-from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.cluster import Cluster
 from repro.sim.latency import UniformLatency
 from repro.sim.network import NetworkConfig
+from repro.spec import ClusterSpec
 
 from tests.conftest import PROTOCOL_FACTORIES
 
@@ -128,7 +129,7 @@ class TestCpuModelProperties:
 def run_random_schedule(factory, commands, seed, jitter):
     """Drive a 5-node cluster with a random proposal schedule."""
     cluster = Cluster(
-        ClusterConfig(
+        ClusterSpec(
             n_nodes=5,
             seed=seed,
             network=NetworkConfig(
@@ -202,7 +203,7 @@ def test_m2paxos_safety_under_message_loss(seed, commands):
     retries and gap recovery -- still delivers everything."""
     config = M2PaxosConfig(gap_timeout=0.3, gap_check_period=0.15)
     cluster = Cluster(
-        ClusterConfig(
+        ClusterSpec(
             n_nodes=5,
             seed=seed,
             network=NetworkConfig(drop_probability=0.03),

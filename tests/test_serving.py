@@ -19,8 +19,9 @@ import pytest
 from repro.consensus.commands import Command
 from repro.core.protocol import M2Paxos, M2PaxosConfig
 from repro.core.quorum import FlexibleQuorums
-from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.cluster import Cluster
 from repro.sim.trace import Tracer
+from repro.spec import ClusterSpec
 from repro.storage.base import StorageConfig
 from repro.workloads.synthetic import SyntheticConfig, SyntheticWorkload
 from tests.conftest import assert_all_delivered, make_cluster, run_workload
@@ -270,7 +271,7 @@ class TestSessions:
         """Replaying the durable log rebuilds watermarks and cached
         results with no serving-specific storage records."""
         cluster = Cluster(
-            ClusterConfig(n_nodes=3, seed=11, storage=StorageConfig(kind="mem")),
+            ClusterSpec(n_nodes=3, seed=11, storage=StorageConfig(kind="mem")),
             lambda node_id, n: M2Paxos(),
         )
         cluster.start()

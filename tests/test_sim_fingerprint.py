@@ -115,7 +115,7 @@ def _chaos() -> dict:
     )
     storage = StorageConfig(kind="mem", fsync_wait=0.001)
     scenario = Scenario("fingerprint", plan, seed=7, rounds=30, settle=2.0, storage=storage)
-    cluster = Cluster.from_spec(
+    cluster = Cluster(
         ClusterSpec(
             protocol="m2paxos",
             n_nodes=scenario.n_nodes,

@@ -201,7 +201,7 @@ def test_reproposing_a_restored_decided_command_sends_no_accept():
         protocol="m2paxos", n_nodes=3, seed=5, m2=M2PaxosConfig(),
         storage=StorageConfig(kind="mem", snapshot_every=4),
     )
-    cluster = Cluster.from_spec(spec)
+    cluster = Cluster(spec)
     cluster.start()
     commands = [Command.make(0, seq, ["r"]) for seq in range(10)]
     for command in commands:
@@ -248,7 +248,7 @@ def test_chaos_with_restarts_leaves_no_per_instance_state():
         m2=replace(_CHAOS_M2, learn_resend_attempts=12),
         storage=scenario.storage,
     )
-    cluster = Cluster.from_spec(spec)
+    cluster = Cluster(spec)
     try:
         result = _run_scenario(scenario, cluster)
     finally:

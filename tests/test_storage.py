@@ -27,7 +27,8 @@ from repro.consensus.base import NULL_STORAGE, StorageFull
 from repro.consensus.commands import Command
 from repro.core.protocol import M2Paxos, M2PaxosConfig
 from repro.runtime.codec import decode_value_binary, encode_value_binary
-from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.cluster import Cluster
+from repro.spec import ClusterSpec
 from repro.storage.base import StorageConfig
 from repro.storage.disk import DiskStorage
 from repro.storage.mem import MemStorage
@@ -300,7 +301,7 @@ def _drive(
     occasionally-shared one, with an optional durable crash-restart, or
     with node ``cut_off`` partitioned from the rest for a while."""
     cluster = Cluster(
-        ClusterConfig(n_nodes=n_nodes, seed=seed, storage=storage),
+        ClusterSpec(n_nodes=n_nodes, seed=seed, storage=storage),
         lambda i, n: M2Paxos(m2),
     )
     cluster.start()

@@ -19,10 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.consensus.base import Message, Protocol, handles
 from repro.consensus.commands import Command
-from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.cluster import Cluster
 from repro.sim.cpu import CpuConfig, CpuModel
 from repro.sim.latency import FixedLatency
 from repro.sim.network import NetworkConfig
+from repro.spec import ClusterSpec
 from tests.test_codec_fuzz import _message_classes, _sample, random_message
 
 # ----------------------------------------------------------------------
@@ -223,7 +224,7 @@ class _Recorder(Protocol):
 
 
 def _two_nodes() -> Cluster:
-    config = ClusterConfig(n_nodes=2, network=NetworkConfig(latency=FixedLatency(100e-6)))
+    config = ClusterSpec(n_nodes=2, network=NetworkConfig(latency=FixedLatency(100e-6)))
     cluster = Cluster(config, lambda node_id, n: _Recorder())
     cluster.start()
     return cluster

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from repro.core.protocol import M2Paxos
-from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.cluster import Cluster
+from repro.spec import ClusterSpec
 from repro.workloads.client import ClientConfig, OpenLoopClients
 from repro.workloads.synthetic import SyntheticConfig, SyntheticWorkload
 from repro.workloads.tpcc import MIX, TpccConfig, TpccWorkload
@@ -133,7 +134,7 @@ class TestOpenLoopClients:
         # A cluster that never decides (majority crashed) accumulates
         # in-flight commands only up to the cap.
         cluster = Cluster(
-            ClusterConfig(n_nodes=3, seed=0), lambda i, n: M2Paxos()
+            ClusterSpec(n_nodes=3, seed=0), lambda i, n: M2Paxos()
         )
         cluster.crash(1)
         cluster.crash(2)
@@ -150,7 +151,7 @@ class TestOpenLoopClients:
 
     def test_think_time_paces_submission(self):
         cluster = Cluster(
-            ClusterConfig(n_nodes=3, seed=0), lambda i, n: M2Paxos()
+            ClusterSpec(n_nodes=3, seed=0), lambda i, n: M2Paxos()
         )
         wl = SyntheticWorkload(SyntheticConfig(), 3, random.Random(0))
         proposed = []
@@ -178,7 +179,7 @@ class TestOpenLoopClients:
 
     def test_stop_halts_submission(self):
         cluster = Cluster(
-            ClusterConfig(n_nodes=3, seed=0), lambda i, n: M2Paxos()
+            ClusterSpec(n_nodes=3, seed=0), lambda i, n: M2Paxos()
         )
         wl = SyntheticWorkload(SyntheticConfig(), 3, random.Random(0))
         clients = OpenLoopClients(
