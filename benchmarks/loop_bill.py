@@ -11,10 +11,15 @@ measured chunks only (``PipelineDriver`` runs at the workload's depth,
 not the depth-8 warm-up) divided by the commands they decided.  Also
 counted, where the checkout has them: wire frames encoded, durable-log
 records appended and the two encoders that fill them (``tcp-durable``;
-zero on the other workloads).  Counts, not times: they compare two
-versions of the runtime and say nothing about waiting.  A ruler for
-``runtime/node.py`` and the durable path, not a claim.  Standard library
-only.
+zero on the other workloads).  Three rows read the loop and the
+collector instead: the timers still scheduled on the loop when the last
+measured chunk ends (``len(loop._scheduled)``, cancelled ones included
+until asyncio purges them), the cyclic GC's collections per generation
+over the measured chunks, and its pause time per thousand commands (both
+from ``gc.callbacks``).  Counts, not times, except that pause: they
+compare two versions of the runtime and say nothing about waiting.  A
+ruler for ``runtime/node.py``, the durable path and what the protocol
+leaves alive, not a claim.  Standard library only.
 """
 
 from __future__ import annotations
@@ -22,11 +27,13 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import gc
 import importlib
 import io
 import os
 import socket
 import sys
+import time
 from collections import Counter
 
 COUNTED = (
@@ -83,6 +90,16 @@ def main(argv=None) -> int:
 
     for owner, name, key in COUNTED:
         count(owner, name, key)
+    gc_started = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            gc_started.append(time.perf_counter_ns())
+        elif gc_started:
+            counts[f"gc{info['generation']}"] += 1
+            counts["gc_pause_ns"] += time.perf_counter_ns() - gc_started.pop()
+
+    gc.callbacks.append(on_gc)
 
     from perfbench import run as bench_run
     from repro.runtime.driver import PipelineDriver
@@ -96,17 +113,18 @@ def main(argv=None) -> int:
             count(owner, name, key)
 
     measured: Counter = Counter()
-    commands = 0
+    commands = live_timers = 0
     run = PipelineDriver.run
 
     async def windowed_run(self, proposals, timeout=60.0):
-        nonlocal commands
+        nonlocal commands, live_timers
         proposals = list(proposals)
         before = Counter(counts)
         await run(self, proposals, timeout)
         if self.depth != WARM_DEPTH:
             measured.update(counts - before)
             commands += len(proposals)
+            live_timers = len(asyncio.get_running_loop()._scheduled)
 
     PipelineDriver.run = windowed_run
     with contextlib.redirect_stdout(io.StringIO()):
@@ -119,6 +137,11 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}: {commands} commands in the measured chunks")
     for _owner, _name, key in COUNTED + PROGRAM_COUNTED:
         print(f"{key:19} {measured[key] / commands:8.3f} per command")
+    print(f"{'live_loop_timers':19} {live_timers:8d} at the end of the measured chunks")
+    collections = " / ".join(str(measured[f"gc{g}"]) for g in range(3))
+    print(f"{'gc_collections':19} {collections:>8} (gen 0 / 1 / 2) in the measured chunks")
+    pause_ms = measured["gc_pause_ns"] / 1e6 / commands * 1000
+    print(f"{'gc_pause_ms':19} {pause_ms:8.3f} per 1000 commands")
     return 0
 
 

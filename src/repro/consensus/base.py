@@ -170,7 +170,7 @@ class ProtocolCosts:
 
 
 class TimerHandle(ABC):
-    """Cancellable timer returned by :meth:`Env.set_timer`."""
+    """Cancellable timer returned by :meth:`Env.set_timer_at`."""
 
     @abstractmethod
     def cancel(self) -> None: ...
@@ -610,8 +610,15 @@ class Env(ABC):
             self._transmit(dst, message)
 
     @abstractmethod
+    def set_timer_at(self, when: float, callback: Callable[[], None]) -> TimerHandle:
+        """Run ``callback`` at time ``when`` (on :meth:`now`'s clock)
+        unless cancelled: the substrate's one timer primitive."""
+
     def set_timer(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
-        """Run ``callback`` after ``delay`` seconds unless cancelled."""
+        """Run ``callback`` after ``delay`` seconds unless cancelled.
+        Both loops compute ``now + delay`` themselves, so this fires at
+        the same float a native relative timer would."""
+        return self.set_timer_at(self.now() + delay, callback)
 
     @abstractmethod
     def now(self) -> float:

@@ -126,6 +126,10 @@ class M2Paxos(
         # Our own proposals not yet fully decided -- the depth gauge
         # behind ``config.batch_adaptive`` (see _effective_batch_wait).
         self._inflight_cids: set[tuple[int, int]] = set()
+        # Supervision deadlines of our own proposals, ``(when, cid,
+        # command)``, behind one env timer (ProposerMixin._supervise).
+        self._supervised: list = []
+        self._supervise_timer = None
         self._init_serving()
         # Diagnostics consumed by the benchmark harness.
         self.stats = {
@@ -176,6 +180,8 @@ class M2Paxos(
         self._batch_cids.clear()
         self._batch_timer = None  # already cancelled by the substrate
         self._inflight_cids.clear()
+        self._supervised.clear()  # a crash ends all supervision
+        self._supervise_timer = None
         self._serving_on_restart()
 
     def processing_cost(self, message):

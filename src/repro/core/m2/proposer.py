@@ -7,6 +7,7 @@ ack counting, retries, and proposer-side supervision.
 
 from __future__ import annotations
 
+import heapq
 from typing import Optional
 
 from repro.consensus.base import handles
@@ -38,17 +39,36 @@ class ProposerMixin:
 
     def _supervise(self, command: Command) -> None:
         """Watch our own proposal until it is decided (liveness under
-        message loss: a silently lost round never produces a NACK)."""
+        message loss: a silently lost round never produces a NACK).
+
+        Deadlines wait in one heap per node behind one env timer, armed
+        for the earliest: a healthy proposal costs a heap entry, not a
+        timer of its own."""
         if self.config.supervise_timeout <= 0:
             return
         period = self.config.supervise_timeout * (1.0 + 0.5 * self.env.rng.random())
+        entry = (self.env.now() + period, command.cid, command)
+        heapq.heappush(self._supervised, entry)
+        if self._supervised[0] is entry:
+            self._arm_supervision()
 
-        def check() -> None:
-            if not self._fully_decided(command):
-                self._coordinate(command, hops=0)
-                self._supervise(command)
+    def _arm_supervision(self) -> None:
+        if self._supervise_timer is not None:
+            self._supervise_timer.cancel()
+        self._supervise_timer = self.env.set_timer_at(
+            self._supervised[0][0], self._on_supervise_deadline
+        )
 
-        self.env.set_timer(period, check)
+    def _on_supervise_deadline(self) -> None:
+        """One firing per deadline, decided or not: the earliest entry
+        is checked, then the timer is armed for the next one."""
+        self._supervise_timer = None
+        _when, _cid, command = heapq.heappop(self._supervised)
+        if not self._fully_decided(command):
+            self._coordinate(command, hops=0)
+            self._supervise(command)
+        if self._supervised and self._supervise_timer is None:
+            self._arm_supervision()
 
     def _pick_instances(self, command: Command) -> dict[Instance, int]:
         """Choose the next free position per still-undecided object.

@@ -95,8 +95,8 @@ class _SubEnv(Env):
         # switcher's own Env, whose outbox this send lands in.
         self._transmit(dst, message)
 
-    def set_timer(self, delay, callback):
-        return self._switcher.env.set_timer(delay, callback)
+    def set_timer_at(self, when, callback):
+        return self._switcher.env.set_timer_at(when, callback)
 
     def now(self) -> float:
         return self._switcher.env.now()
@@ -157,6 +157,10 @@ class AdaptiveSwitcher(Protocol):
         self._m2.on_start()
         self._mp.on_start()
         self._schedule_check()
+
+    def on_restart(self) -> None:
+        self._m2.on_restart()
+        self._mp.on_restart()
 
     @property
     def coordinator(self) -> int:

@@ -85,7 +85,7 @@ class RuntimeEnv(Env):
         for dst, messages in batches.items():
             self._node.enqueue(dst, messages)
 
-    def set_timer(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
+    def set_timer_at(self, when: float, callback: Callable[[], None]) -> TimerHandle:
         node = self._node
         timer = _AsyncTimer(node._timers)
         if node.crashed:
@@ -94,10 +94,14 @@ class RuntimeEnv(Env):
         loop = asyncio.get_running_loop()
 
         def fire() -> None:
+            # Drop the asyncio handle first: it holds ``fire``, which
+            # holds ``timer``, and that cycle would keep ``callback`` and
+            # everything it closes over alive until the cyclic GC ran.
+            timer._handle = None
             node._timers.discard(timer)
             node.run_event(callback)
 
-        timer._handle = loop.call_later(delay, fire)
+        timer._handle = loop.call_at(when, fire)
         node._timers.add(timer)
         return timer
 

@@ -105,7 +105,7 @@ class SimEnv(Env):
         if cost > 0:
             node.cpu.submit(node.loop.now, cost, 0.0)
 
-    def set_timer(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
+    def set_timer_at(self, when: float, callback: Callable[[], None]) -> TimerHandle:
         node = self._node
         if node.crashed:
             # A crashed machine arms nothing; the handle is inert.
@@ -117,7 +117,7 @@ class SimEnv(Env):
             if node.incarnation == incarnation:
                 node.run_event(callback)
 
-        event = node.loop.schedule(delay, fire)
+        event = node.loop.schedule_at(when, fire)
         node._timers.add(event)
         return _SimTimer(event, node._timers)
 

@@ -2,10 +2,11 @@
 
 Covers validated construction from dicts (every error names the bad
 key path), the protocol factory a spec names (and that no other
-protocol exists), and building a running simulated cluster from one
-spec.
+protocol exists), and building a running cluster from one spec, on
+either substrate.
 """
 
+import asyncio
 import importlib
 import inspect
 import pkgutil
@@ -15,9 +16,12 @@ import pytest
 import repro
 from repro.bench.harness import protocol_factory
 from repro.consensus.base import Protocol
+from repro.consensus.commands import Command
 from repro.consensus.epaxos import EPaxos
 from repro.consensus.multipaxos import MultiPaxos
+from repro.core.protocol import M2PaxosConfig
 from repro.core.switcher import AdaptiveSwitcher
+from repro.runtime.cluster import LocalCluster
 from repro.sim.cluster import Cluster
 from repro.sim.cpu import CpuConfig
 from repro.sim.network import NetworkConfig
@@ -170,8 +174,6 @@ class TestCompilation:
         assert not unplotted, sorted(cls.__qualname__ for cls in unplotted)
 
     def test_m2_tunables_reach_the_protocol(self):
-        from repro.core.protocol import M2PaxosConfig
-
         spec = ClusterSpec(m2=M2PaxosConfig(batch_wait=0.007))
         proto = spec.protocol_factory()(0, 3)
         assert proto.config.batch_wait == 0.007
@@ -206,8 +208,6 @@ class TestClusterFromSpec:
             Cluster(ClusterSpec(n_nodes=0))
 
     def test_sim_cluster_runs_from_a_spec(self):
-        from repro.consensus.commands import Command
-
         spec = ClusterSpec(n_nodes=3, seed=5)
         cluster = Cluster(spec)
         for i in range(6):
@@ -226,3 +226,28 @@ class TestClusterFromSpec:
         cluster = Cluster(spec)
         assert all(n.env.storage.durable for n in cluster.nodes)
         cluster.close_storage()
+
+    def test_local_cluster_from_spec_carries_the_spec_to_tcp_nodes(self):
+        """The TCP half of "one ``ClusterSpec`` for both substrates"."""
+        spec = ClusterSpec(
+            n_nodes=4,
+            m2=M2PaxosConfig(supervise_timeout=0.75),
+            storage=StorageConfig(kind="mem"),
+        )
+        cluster = LocalCluster.from_spec(spec)
+        assert len(cluster.nodes) == 4 and len(cluster.peers) == 4
+        assert all(n.protocol.config.supervise_timeout == 0.75 for n in cluster.nodes)
+        assert all(n.env.storage.durable for n in cluster.nodes)
+
+        async def main():
+            await cluster.start()
+            try:
+                cluster.propose(2, Command.make(2, 0, ["spec"]))
+                await cluster.wait_delivered(1)
+            finally:
+                await cluster.stop()
+
+        asyncio.run(main())
+        assert all(
+            [c.cid for c in cluster.delivered(i)] == [(2, 0)] for i in range(4)
+        )

@@ -11,6 +11,8 @@ on both, because it is the same code on both.
 from __future__ import annotations
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
@@ -159,6 +161,9 @@ def test_a_crashed_host_runs_nothing_and_says_so_once(substrate):
         assert notes.faults(VICTIM) == [{"event": "crash", "incarnation": 0}]
 
         node.env.set_timer(0.01, lambda: fired.append("armed while down"))
+        inert = node.env.set_timer_at(node.env.now(), lambda: fired.append("at, while down"))
+        inert.cancel()  # a no-op, like the handle itself
+        assert not node._timers
         node.run_event(ran.append, "event")
         node.propose(Command.make(VICTIM, 0, ["k"]))
         node.on_deliver(Command.make(0, 99, ["k"]))
@@ -172,6 +177,52 @@ def test_a_crashed_host_runs_nothing_and_says_so_once(substrate):
         assert len(notes.faults(VICTIM)) == 1
 
     run(substrate, scenario)
+
+
+# ----------------------------------------------------------------------
+# Timers: ``set_timer_at`` is each substrate's one primitive
+# ----------------------------------------------------------------------
+
+
+def test_a_sim_timer_fires_at_exactly_its_deadline():
+    cluster = Cluster(ClusterSpec(n_nodes=N, seed=3), factory)
+    env = cluster.nodes[0].env
+    when = 0.1 + 0.7 * 0.123456789
+    fired = []
+    env.set_timer_at(when, lambda: fired.append(env.now()))
+    cluster.run_until(0.5)
+    env.set_timer(0.3, lambda: fired.append(env.now()))
+    cluster.run_until(1.0)
+    assert fired == [when, 0.5 + 0.3]  # ``==``: the float itself
+
+
+def test_a_runtime_timer_is_one_call_at_and_frees_its_callback_when_it_fires():
+    async def main():
+        node = LocalCluster(1, factory).nodes[0]
+        loop = asyncio.get_running_loop()
+        when = loop.time() + 0.01
+        fired = []
+
+        def callback():
+            fired.append(loop.time())
+
+        ref = weakref.ref(callback)
+        timer = node.env.set_timer_at(when, callback)
+        del callback
+        assert isinstance(timer._handle, asyncio.TimerHandle)
+        assert timer._handle.when() == when and node._timers == {timer}
+        while not fired:
+            await asyncio.sleep(0.005)
+        # Nothing but the cyclic GC could free a timer -> handle -> fire
+        # -> timer cycle; with it off, the callback must already be gone.
+        assert fired[0] >= when and not node._timers
+        assert ref() is None
+
+    gc.disable()
+    try:
+        asyncio.run(asyncio.wait_for(main(), timeout=10))
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------

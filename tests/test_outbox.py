@@ -47,7 +47,7 @@ class RecordingEnv(Env):
         self.flushed.append((list(queued), {d: list(m) for d, m in batches.items()}))
         super()._flush(queued, batches)
 
-    def set_timer(self, delay, callback) -> TimerHandle:
+    def set_timer_at(self, when, callback) -> TimerHandle:
         raise NotImplementedError
 
     def now(self):
@@ -143,7 +143,7 @@ class WindowEnv(RecordingEnv):
             self.storage = storage
             storage.attach(self, lambda: None)
 
-    def set_timer(self, delay, callback) -> TimerHandle:
+    def set_timer_at(self, when, callback) -> TimerHandle:
         self.timers.append(callback)
         return _Armed()
 

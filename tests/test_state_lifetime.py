@@ -5,6 +5,7 @@ naming a retired instance is answered from the decided value without
 re-creating anything.  Deterministic counts throughout, no timing.
 """
 
+import asyncio
 import random
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from repro.consensus.commands import Command
 from repro.core.m2.config import _DECIDED_EPOCH
 from repro.core.messages import Accept, AckAccept, AckPrepare, Decide, Prepare
 from repro.core.protocol import M2Paxos, M2PaxosConfig
+from repro.runtime.cluster import LocalCluster
 from repro.sim.cluster import Cluster
 from repro.spec import ClusterSpec
 from repro.storage.base import StorageConfig
@@ -257,3 +259,139 @@ def test_chaos_with_restarts_leaves_no_per_instance_state():
     assert result.duplicated > 0
     for node in cluster.nodes:
         assert per_instance_state(node.protocol) == (0, 0, 0, 0), node.node_id
+
+
+# ----------------------------------------------------------------------
+# (v) supervision: one deadline heap and one env timer per node
+# ----------------------------------------------------------------------
+
+DEEP = M2PaxosConfig(
+    max_batch=32, batch_wait=5e-3, batch_adaptive=True,
+    supervise_timeout=1.0, learn_resend_timeout=0.0,
+)
+"""perfbench's TCP batching.  Learn-resend is off: it arms one timer per
+announced round, which is not the timer counted here."""
+BURST = 1200
+
+
+class SimRig:
+    def __init__(self, config):
+        self.cluster = make_cluster(lambda i, n: M2Paxos(config), n_nodes=3, seed=11)
+
+    async def start(self):
+        pass
+
+    def now(self):
+        return self.cluster.loop.now
+
+    async def wait(self, seconds):
+        self.cluster.run_for(seconds)
+
+    async def stop(self):
+        pass
+
+
+class TcpRig(SimRig):
+    def __init__(self, config):
+        self.cluster = LocalCluster(3, lambda i, n: M2Paxos(config))
+
+    async def start(self):
+        await self.cluster.start()
+
+    def now(self):
+        return asyncio.get_running_loop().time()
+
+    async def wait(self, seconds):
+        await asyncio.sleep(seconds)
+
+    async def stop(self):
+        await self.cluster.stop()
+
+
+@pytest.mark.parametrize("rig_type", [SimRig, TcpRig], ids=["sim", "tcp"])
+def test_a_deep_pipeline_is_supervised_by_one_timer_and_drains(rig_type):
+    async def main():
+        rig = rig_type(DEEP)
+        await rig.start()
+        try:
+            node = rig.cluster.nodes[0]
+            protocol = node.protocol
+            start = rig.now()
+            for seq in range(BURST):
+                node.propose(Command.make(0, seq, [f"d{seq % 2}"]))
+            # Live env timers while all BURST proposals are younger than
+            # the supervise timeout, i.e. inside the supervision window.
+            crowded = []
+            while len(node.delivered) < BURST:
+                await rig.wait(0.005)
+                if rig.now() - start < DEEP.supervise_timeout:
+                    crowded.append(len(node._timers))
+            assert crowded and max(crowded) <= 8, crowded
+            assert len(protocol._supervised) == BURST
+            last = max(when for when, _cid, _command in protocol._supervised)
+            await rig.wait(last - rig.now() + 0.05)
+            assert protocol._supervised == []
+            assert protocol._supervise_timer is None
+        finally:
+            await rig.stop()
+
+    asyncio.run(asyncio.wait_for(main(), timeout=60))
+
+
+def test_a_lost_accept_is_recoordinated_at_its_drawn_deadline():
+    # A long gap timeout: gap recovery would otherwise rescue the
+    # stranded round before supervision does.
+    config = M2PaxosConfig(gap_timeout=10.0)
+    cluster = make_cluster(lambda i, n: M2Paxos(config), n_nodes=3, seed=4)
+    protocol = cluster.nodes[0].protocol
+    cluster.propose(0, Command.make(0, 0, ["s"]))
+    cluster.run_for(0.5)  # node 0 acquires s and decides its first command
+    coordinated = []
+    coordinate = protocol._coordinate
+
+    def recording(command, hops):
+        coordinated.append((cluster.loop.now, command.cid))
+        coordinate(command, hops)
+
+    send = cluster.network.send
+
+    def lossy(src, dst, message, size):
+        # The first round's Accepts never reach the other two nodes.
+        if len(coordinated) < 2 and dst != src and isinstance(message, Accept):
+            return
+        send(src, dst, message, size)
+
+    protocol._coordinate = recording
+    cluster.network.send = lossy
+    lost = Command.make(0, 1, ["s"])
+    cluster.propose(0, lost)
+    cluster.run_for(0.01)
+    [(deadline, _cid, _command)] = [
+        entry for entry in protocol._supervised if entry[1] == lost.cid
+    ]
+    cluster.run_until(deadline - 0.001)
+    assert len(coordinated) == 1 and lost not in cluster.delivered(0)
+    cluster.run_until(deadline)
+    assert coordinated[1] == (deadline, lost.cid)  # exactly, not nearly
+    cluster.run_for(0.5)
+    assert all(lost in cluster.delivered(n) for n in range(3))
+
+
+def test_a_durable_legacy_restart_supervises_nothing_from_the_old_life():
+    cluster = make_cluster(lambda i, n: M2Paxos(), n_nodes=3, seed=6)
+    node = cluster.nodes[1]
+    protocol = node.protocol
+    cluster.propose(1, Command.make(1, 0, ["u"]))
+    cluster.run_for(0.2)
+    assert len(protocol._supervised) == 1 and protocol._supervise_timer is not None
+    cluster.crash(1)
+    cluster.restart(1, mode="durable")  # no store: the protocol object survives
+    assert node.protocol is protocol
+    assert protocol._supervised == [] and protocol._supervise_timer is None
+    # The new life supervises its own proposals from a clean heap.
+    cluster.propose(1, Command.make(1, 1, ["u"]))
+    cluster.run_for(0.2)
+    assert [cid for _when, cid, _c in protocol._supervised] == [(1, 1)]
+    assert protocol._supervise_timer is not None
+    cluster.run_for(2.5)
+    assert protocol._supervised == [] and protocol._supervise_timer is None

@@ -140,6 +140,9 @@ class _FakeEnv:
         self.timers.append((delay, callback, timer))
         return timer
 
+    def set_timer_at(self, when, callback):
+        return self.set_timer(when, callback)  # the fake clock stands at 0
+
     def observe(self, kind, **fields):
         self.notes.append((kind, fields))
 

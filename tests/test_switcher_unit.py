@@ -7,6 +7,7 @@ from repro.core.switcher import (
     SwitchVote,
     MODE_M2,
     MODE_MP,
+    _SubEnv,
 )
 
 from tests.conftest import make_cluster
@@ -99,3 +100,36 @@ class TestCrossModeDelivery:
             assert [c.cid for c in cluster.delivered(node)] == [
                 (0, s) for s in range(6)
             ]
+
+
+class TestSubEnv:
+    def test_m2paxos_supervises_through_the_sub_env(self, monkeypatch):
+        cluster = build()
+        node = cluster.nodes[0]
+        m2 = node.protocol._m2
+        armed = []
+        set_timer_at = _SubEnv.set_timer_at
+
+        def recording(env, when, callback):
+            armed.append(when)
+            return set_timer_at(env, when, callback)
+
+        monkeypatch.setattr(_SubEnv, "set_timer_at", recording)
+        cluster.propose(0, Command.make(0, 0, ["x"]))
+        cluster.run_for(0.1)
+        [(deadline, _cid, _command)] = m2._supervised
+        assert deadline in armed
+        # The one supervision timer lives on the hosting node.
+        assert m2._supervise_timer is not None and node._timers
+        cluster.run_until(deadline)
+        assert m2._supervised == [] and m2._supervise_timer is None
+
+    def test_durable_legacy_restart_clears_the_sub_protocols(self):
+        cluster = build()
+        m2 = cluster.nodes[1].protocol._m2
+        cluster.propose(1, Command.make(1, 0, ["x"]))
+        cluster.run_for(0.1)
+        assert m2._supervised
+        cluster.crash(1)
+        cluster.restart(1, mode="durable")
+        assert m2._supervised == [] and m2._supervise_timer is None
