@@ -11,7 +11,10 @@ prints, for the ``src/`` tree of ``CHECKOUT`` (default: this one):
 - ``substrate_probes``: ``getattr``/``hasattr`` calls on a ``node`` or
   ``cluster`` -- code asking its argument which substrate it came from;
 - ``env_observers``: subclasses of ``EnvObserver`` -- consumers of the
-  one event stream.
+  one event stream;
+- ``m2_state_fields``: dataclass fields declared ``durable(...)``,
+  ``volatile(...)`` or ``derived(...)`` -- the M2Paxos node state of
+  ``repro.core.state`` -- in all and per kind (zero before it existed).
 
 Run it on the parent and on the change; every number should fall or hold.
 """
@@ -23,6 +26,7 @@ import re
 import sys
 from pathlib import Path
 
+KINDS = ("durable", "volatile", "derived")
 PROBE = re.compile(r"\b(?:getattr|hasattr)\(\s*(?:getattr\(\s*)?(?:self\.)?_?(?:node|cluster)\s*,")
 
 
@@ -39,6 +43,7 @@ def measure(src: Path) -> dict:
     fields: dict[str, int] = {}
     probes: list[str] = []
     observers: list[str] = []
+    kinds = dict.fromkeys(KINDS, 0)
     for path in sorted(src.rglob("*.py")):
         text = path.read_text()
         lines += text.count("\n")
@@ -51,6 +56,11 @@ def measure(src: Path) -> dict:
                 continue
             if any(getattr(base, "id", None) == "EnvObserver" for base in node.bases):
                 observers.append(node.name)
+            for statement in node.body:
+                call = getattr(statement, "value", None)
+                kind = getattr(getattr(call, "func", None), "id", None)
+                if isinstance(statement, ast.AnnAssign) and kind in kinds:
+                    kinds[kind] += 1
             if _is_dataclass(node) and (
                 node.name.endswith(("Config", "Spec")) or node.name == "Scenario"
             ):
@@ -65,6 +75,10 @@ def measure(src: Path) -> dict:
         ),
         "substrate_probes": (len(probes), " ".join(probes)),
         "env_observers": (len(observers), " ".join(sorted(observers))),
+        "m2_state_fields": (
+            sum(kinds.values()),
+            " ".join(f"{kind}={count}" for kind, count in kinds.items()),
+        ),
     }
 
 

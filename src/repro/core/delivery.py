@@ -33,13 +33,8 @@ class DeliveryEngine:
         state: M2PaxosState,
         deliver: Callable[[Command], None],
     ) -> None:
-        self._state = state
+        self._state = state  # holds the C-struct and its ids
         self._deliver = deliver
-        self.cstruct: list[Command] = []
-        self._appended_cids: set[tuple[int, int]] = set()
-
-    def __contains__(self, command: Command) -> bool:
-        return command.cid in self._appended_cids
 
     def record_decision(self, l: str, position: int, command: Command, now: float) -> bool:
         """Record ``Decided[l][position] = command``; returns True if new.
@@ -64,6 +59,7 @@ class DeliveryEngine:
         objects are scanned (used by tests and after bulk loads).
         """
         appended: list[Command] = []
+        appended_cids = self._state.appended_cids
         work = deque(dirty if dirty is not None else self._state.objects)
         while work:
             l = work.popleft()
@@ -74,7 +70,7 @@ class DeliveryEngine:
                 command = obj.decided.get(obj.appended + 1)
                 if command is None:
                     break
-                if command.noop or command.cid in self._appended_cids:
+                if command.noop or command.cid in appended_cids:
                     # Fillers and duplicate positions: just advance.
                     self._state.advance(l)
                     continue
@@ -99,20 +95,12 @@ class DeliveryEngine:
         return True
 
     def _append(self, command: Command) -> None:
+        state = self._state
         for l in command.ls:
-            self._state.advance(l)
-        self.cstruct.append(command)
-        self._appended_cids.add(command.cid)
+            state.advance(l)
+        state.cstruct.append(command)
+        state.appended_cids.add(command.cid)
         self._deliver(command)
-
-    def restore_append(self, command: Command) -> None:
-        """Re-seat a command appended before a crash (snapshot replay).
-
-        The restored object states already carry the final ``appended``
-        pointers, so only the C-struct and the duplicate filter are
-        rebuilt; the caller re-delivers to the application itself."""
-        self.cstruct.append(command)
-        self._appended_cids.add(command.cid)
 
     def undelivered_gap(self, l: str) -> Optional[int]:
         """Position blocking delivery for ``l``, if any.

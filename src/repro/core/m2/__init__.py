@@ -23,6 +23,8 @@ The implementation is split along those roles:
 - :mod:`repro.core.m2.recovery` -- gap checking and forced-command
   recovery.
 
+The mixins keep no attributes of their own: every field a node holds is
+declared in :mod:`repro.core.state` as durable, volatile or derived.
 :class:`M2Paxos` composes the mixins over :class:`Protocol`; message
 routing uses the dispatch table built from the mixins' ``@handles``
 registrations.  Deviations and hardenings beyond the pseudocode are
@@ -40,18 +42,13 @@ from repro.core.messages import Accept, Decide
 from repro.core.policy import OnDemandPolicy, OwnershipPolicy
 from repro.core.quorum import MajorityQuorums, QuorumSystem
 from repro.core.m2.acceptor import AcceptorMixin
-from repro.core.m2.config import (
-    M2PaxosConfig,
-    SafetyViolation,
-    _PendingAccept,
-    _PendingPrepare,
-)
+from repro.core.m2.config import M2PaxosConfig, SafetyViolation
 from repro.core.m2.durability import DurabilityMixin
 from repro.core.m2.ownership import OwnershipMixin
 from repro.core.m2.proposer import ProposerMixin
 from repro.core.m2.recovery import RecoveryMixin
 from repro.core.m2.serving import ServingMixin
-from repro.core.state import M2PaxosState
+from repro.core.state import NodeState
 
 __all__ = [
     "M2Paxos",
@@ -92,45 +89,10 @@ class M2Paxos(
             # shared across a cluster supplies `lambda: Policy(...)`.
             policy = policy()
         self.policy = policy or OnDemandPolicy()
+        self.state = NodeState(home_hint=self.config.home_hint)
         # Bound at bind() time (needs the cluster size); None until then.
         self.quorums: Optional[QuorumSystem] = None
-        self.state = M2PaxosState(home_hint=self.config.home_hint)
         self.delivery: Optional[DeliveryEngine] = None
-        self._req_counter = 0
-        self._noop_counter = 0
-        self._pending_accepts: dict[int, _PendingAccept] = {}
-        self._pending_prepares: dict[int, _PendingPrepare] = {}
-        self._attempts: dict[tuple[int, int], int] = {}
-        self._active_recoveries: set[tuple[int, int]] = set()
-        self._acquiring: set[str] = set()
-        self._deferred: list = []
-        # Gap checker's view of each stuck frontier: obj -> (frontier
-        # position, time it was first seen stuck).  Keyed on the
-        # *position* so steady decision traffic at higher slots cannot
-        # mask a frontier that is not moving (see _check_gaps).
-        self._gap_stall: dict[str, tuple[int, float]] = {}
-        # Instance set assigned to each of our in-flight commands.  A
-        # NACKed round may nevertheless have been *chosen* (a quorum of
-        # ACKs can coexist with the NACK we saw), so retries must fight
-        # for the SAME positions; re-proposing elsewhere could decide
-        # the command at two position sets, whose relative orders with
-        # other commands can contradict across objects.  Fresh positions
-        # are taken only once the old round is provably dead (one of its
-        # instances decided with a different command).
-        self._assigned: dict[tuple[int, int], dict[str, tuple[int, int]]] = {}
-        # Fast-path batch queue (see ProposerMixin._enqueue_fast).  With
-        # ``config.max_batch == 1`` none of this is ever touched.
-        self._batch: list = []
-        self._batch_cids: set[tuple[int, int]] = set()
-        self._batch_timer = None
-        # Our own proposals not yet fully decided -- the depth gauge
-        # behind ``config.batch_adaptive`` (see _effective_batch_wait).
-        self._inflight_cids: set[tuple[int, int]] = set()
-        # Supervision deadlines of our own proposals, ``(when, cid,
-        # command)``, behind one env timer (ProposerMixin._supervise).
-        self._supervised: list = []
-        self._supervise_timer = None
-        self._init_serving()
         # Diagnostics consumed by the benchmark harness.
         self.stats = {
             "fast_path": 0,
@@ -157,32 +119,19 @@ class M2Paxos(
         self.delivery = DeliveryEngine(self.state, self._on_append)
 
     def on_start(self) -> None:
+        # Every incarnation checks each known frontier once: which ones
+        # looked stuck is volatile.
+        self.state.gap_candidates.update(self.state.objects)
         self._schedule_gap_check()
         self._serving_on_start()
 
     def on_restart(self) -> None:
-        """Durable-log reboot: ``self.state`` (promises, accepted values,
-        the decided log) and the delivery engine survive as if reloaded
-        from disk; everything tied to in-flight rounds is volatile and
-        must not leak into the new incarnation: stale pending records
-        would count acks for rounds nobody is driving anymore, and the
-        ``_acquiring``/``_active_recoveries`` guards would stay locked
-        forever with no timer left to release them."""
-        self._pending_accepts.clear()
-        self._pending_prepares.clear()
-        self._attempts.clear()
-        self._active_recoveries.clear()
-        self._acquiring.clear()
-        self._deferred.clear()
-        self._gap_stall.clear()
-        self._assigned.clear()
-        self._batch.clear()
-        self._batch_cids.clear()
-        self._batch_timer = None  # already cancelled by the substrate
-        self._inflight_cids.clear()
-        self._supervised.clear()  # a crash ends all supervision
-        self._supervise_timer = None
-        self._serving_on_restart()
+        """Durable-log reboot: the durable and derived fields of
+        ``self.state`` survive as if reloaded from disk; every field
+        declared volatile (in-flight rounds and their guards, the
+        supervision heap, timer handles, lease grants) is reset, so no
+        stale guard stays locked with no timer left to release it."""
+        self.state.restart()
 
     def processing_cost(self, message):
         """Charge multi-command rounds for their extra commands.
@@ -202,5 +151,5 @@ class M2Paxos(
         return cost, serial
 
     def _next_req(self) -> int:
-        self._req_counter += 1
-        return self._req_counter
+        self.state.req += 1
+        return self.state.req

@@ -117,7 +117,7 @@ class AcceptorMixin:
                 obj.owner_epoch = epoch
                 obj.promised = max(obj.promised, epoch)
                 obj.epoch = max(obj.epoch, epoch)
-                if self.config.lease_duration > 0.0 and not self._replaying:
+                if self.config.lease_duration > 0.0 and not self.state.replaying:
                     # Absorbing a leadership-round accept doubles as a
                     # read-lease grant: the sender provably holds the
                     # object's current epoch, and counting the window
@@ -287,15 +287,15 @@ class AcceptorMixin:
         if self._fully_decided(command):
             # A fully decided command needs no further proposer-side
             # bookkeeping.  Pruning here (not only at append, which can
-            # lag behind a stalled frontier) bounds `_attempts` on long
+            # lag behind a stalled frontier) bounds `attempts` on long
             # runs and releases the recovery guard even when a
             # `kind="recover"` round we launched was won by a competing
             # node's decide -- the round's own ack path never announces
-            # then, which used to strand the cid in `_active_recoveries`
+            # then, which used to strand the cid in `active_recoveries`
             # and block every future recovery of it.
-            self._attempts.pop(command.cid, None)
-            self._active_recoveries.discard(command.cid)
-            self._inflight_cids.discard(command.cid)
+            self.state.attempts.pop(command.cid, None)
+            self.state.active_recoveries.discard(command.cid)
+            self.state.inflight_cids.discard(command.cid)
         appended = self.delivery.pump(dirty=command.ls)
         # Every object whose frontier may have moved goes (back) on the
         # gap checker's radar; the checker discards clean ones itself.
@@ -305,17 +305,10 @@ class AcceptorMixin:
 
     def _on_append(self, command: Command) -> None:
         """A command reached the C-struct: deliver it upward."""
-        self._attempts.pop(command.cid, None)
-        self._assigned.pop(command.cid, None)
+        self.state.attempts.pop(command.cid, None)
+        self.state.assigned.pop(command.cid, None)
         if not command.noop:
-            # Serving tier bookkeeping rides the append path so it is a
-            # pure function of the delivered sequence: every node -- and
-            # every replayed incarnation -- converges on the same read
-            # frontier and session table.
-            for l in command.ls:
-                self.state.obj(l).reads_frontier += 1
-            if command.session is not None:
-                self._session_record(command)
+            self._fold_append(command)
             if command.proposer != self.env.node_id:
                 # Exactly-once "decision elsewhere" signal for the
                 # ownership policy (appends happen once per command per

@@ -39,7 +39,7 @@ class OwnershipMixin:
             return
         self.stats["acquisitions"] += 1
         self.note_path(command, "acquisition")
-        self._acquiring.update(inst[0] for inst in missing)
+        self.state.acquiring.update(inst[0] for inst in missing)
         full = self._full_ins(command, eps)
         self._prepare_round(
             command,
@@ -86,7 +86,7 @@ class OwnershipMixin:
                 eps[inst] = obj.epoch
             obj.observe_position(inst[1])
         req = self._next_req()
-        self._pending_prepares[req] = _PendingPrepare(
+        self.state.pending_prepares[req] = _PendingPrepare(
             command=command,
             eps=eps,
             kind=kind,
@@ -109,24 +109,29 @@ class OwnershipMixin:
         k = floor // n + 1
         return k * n + self.env.node_id
 
+    def _next_noop(self, l: str) -> Command:
+        """A hole filler for ``l`` with an id this node never used."""
+        self.state.noop += 1
+        return make_noop(l, self.env.node_id, self.state.noop)
+
     def _arm_round_timeout(self, req: int) -> None:
         def expire() -> None:
-            pending = self._pending_prepares.pop(req, None)
+            pending = self.state.pending_prepares.pop(req, None)
             if pending is None or pending.done:
                 return
             pending.done = True
             if pending.kind == "acquisition":
-                self._acquiring.difference_update(l for l, _p in pending.eps)
+                self.state.acquiring.difference_update(l for l, _p in pending.eps)
                 self._drain_deferred()
             elif pending.kind == "recover" and pending.command is not None:
-                self._active_recoveries.discard(pending.command.cid)
+                self.state.active_recoveries.discard(pending.command.cid)
 
         jitter = 1.0 + 0.5 * self.env.rng.random()
         self.env.set_timer(self.config.round_timeout * jitter, expire)
 
     @handles(AckPrepare)
     def _on_ack_prepare(self, sender: int, msg: AckPrepare) -> None:
-        pending = self._pending_prepares.get(msg.req)
+        pending = self.state.pending_prepares.get(msg.req)
         if pending is None or pending.done:
             return
 
@@ -137,13 +142,13 @@ class OwnershipMixin:
                 obj = self.state.obj(l)
                 obj.epoch = max(obj.epoch, msg.max_rnd)
             if pending.kind == "acquisition":
-                self._acquiring.difference_update(l for l, _p in pending.eps)
+                self.state.acquiring.difference_update(l for l, _p in pending.eps)
                 self._retry(pending.command)
                 self._drain_deferred()
             elif pending.kind == "recover":
                 # A competing round is active; the gap checker re-fires
                 # recovery if the frontier stays stuck.
-                self._active_recoveries.discard(pending.command.cid)
+                self.state.active_recoveries.discard(pending.command.cid)
             return
 
         pending.replies[sender] = msg.decs
@@ -151,7 +156,7 @@ class OwnershipMixin:
             return
         pending.done = True
         if pending.kind == "acquisition":
-            self._acquiring.difference_update(l for l, _p in pending.eps)
+            self.state.acquiring.difference_update(l for l, _p in pending.eps)
         self._resolve_prepared(pending)
 
     def _resolve_prepared(self, pending: _PendingPrepare) -> None:
@@ -195,7 +200,7 @@ class OwnershipMixin:
             # Serving tier: the quorum's reports just taught us the
             # objects' full tails; pin each object's serve floor so
             # leased reads wait for the local log to cover them.
-            self._note_tenure_established(l for (l, _p) in pending.eps)
+            self._raise_serve_floors(l for (l, _p) in pending.eps)
 
         round_insts = set(eps)
         target = pending.command
@@ -224,10 +229,7 @@ class OwnershipMixin:
             # stall on them.
             for inst in eps:
                 if inst not in to_decide and selected.get(inst, (None,))[0] is None:
-                    self._noop_counter += 1
-                    to_decide[inst] = make_noop(
-                        inst[0], self.env.node_id, self._noop_counter
-                    )
+                    to_decide[inst] = self._next_noop(inst[0])
                     accept_eps[inst] = eps[inst]
             cmd_ins = (
                 {target.cid: pending.fins} if pending.fins else None
@@ -251,10 +253,7 @@ class OwnershipMixin:
         recoveries: dict[tuple[int, int], tuple[Command, tuple[Instance, ...]]] = {}
         for inst, (forced, _epoch, fins) in selected.items():
             if forced is None:
-                self._noop_counter += 1
-                to_decide[inst] = make_noop(
-                    inst[0], self.env.node_id, self._noop_counter
-                )
+                to_decide[inst] = self._next_noop(inst[0])
                 continue
             fins_set = set(fins) if fins else {inst}
             if self._round_is_dead(forced, fins_set):
@@ -264,10 +263,7 @@ class OwnershipMixin:
                 # would have covered the sibling too).  The stale
                 # acceptance is safe to overwrite with a no-op --
                 # resurrecting it would split its decision.
-                self._noop_counter += 1
-                to_decide[inst] = make_noop(
-                    inst[0], self.env.node_id, self._noop_counter
-                )
+                to_decide[inst] = self._next_noop(inst[0])
                 continue
             group_ok = fins_set <= round_insts and all(
                 selected[i][0] is not None and selected[i][0].cid == forced.cid
@@ -290,7 +286,7 @@ class OwnershipMixin:
         for forced, fins in recoveries.values():
             self._schedule_recover_command(forced, fins)
         if pending.kind == "recover" and target is not None:
-            self._active_recoveries.discard(target.cid)
+            self.state.active_recoveries.discard(target.cid)
         if pending.kind == "acquisition" and target is not None:
             self._retry(target)
 

@@ -33,7 +33,7 @@ class ProposerMixin:
         self.policy.on_local_request(self.env.node_id, command)
         # In-flight gauge feeding the adaptive batch_wait: our own
         # proposals not yet fully decided (pruned in ``_decide``).
-        self._inflight_cids.add(command.cid)
+        self.state.inflight_cids.add(command.cid)
         self._coordinate(command, hops=0)
         self._supervise(command)
 
@@ -48,26 +48,29 @@ class ProposerMixin:
             return
         period = self.config.supervise_timeout * (1.0 + 0.5 * self.env.rng.random())
         entry = (self.env.now() + period, command.cid, command)
-        heapq.heappush(self._supervised, entry)
-        if self._supervised[0] is entry:
+        supervised = self.state.supervised
+        heapq.heappush(supervised, entry)
+        if supervised[0] is entry:
             self._arm_supervision()
 
     def _arm_supervision(self) -> None:
-        if self._supervise_timer is not None:
-            self._supervise_timer.cancel()
-        self._supervise_timer = self.env.set_timer_at(
-            self._supervised[0][0], self._on_supervise_deadline
+        state = self.state
+        if state.supervise_timer is not None:
+            state.supervise_timer.cancel()
+        state.supervise_timer = self.env.set_timer_at(
+            state.supervised[0][0], self._on_supervise_deadline
         )
 
     def _on_supervise_deadline(self) -> None:
         """One firing per deadline, decided or not: the earliest entry
         is checked, then the timer is armed for the next one."""
-        self._supervise_timer = None
-        _when, _cid, command = heapq.heappop(self._supervised)
+        state = self.state
+        state.supervise_timer = None
+        _when, _cid, command = heapq.heappop(state.supervised)
         if not self._fully_decided(command):
             self._coordinate(command, hops=0)
             self._supervise(command)
-        if self._supervised and self._supervise_timer is None:
+        if state.supervised and state.supervise_timer is None:
             self._arm_supervision()
 
     def _pick_instances(self, command: Command) -> dict[Instance, int]:
@@ -78,7 +81,7 @@ class ProposerMixin:
         are reserved immediately so pipelined proposals on the same
         object never collide.
         """
-        assigned = self._assigned.get(command.cid)
+        assigned = self.state.assigned.get(command.cid)
         if assigned is not None:
             fins = {(l, position) for l, (position, _e) in assigned.items()}
             if self._round_is_dead(command, fins):
@@ -93,7 +96,7 @@ class ProposerMixin:
                 # been touched by an interim owner and must be prepared
                 # (phase 1) before any further accept.
                 assigned[l] = (position, obj.epoch)
-            self._assigned[command.cid] = assigned
+            self.state.assigned[command.cid] = assigned
         eps: dict[Instance, int] = {}
         for l, (position, _alloc_epoch) in assigned.items():
             if self.state.is_decided_for(l, command):
@@ -105,7 +108,7 @@ class ProposerMixin:
 
     def _stale_instances(self, command: Command) -> set[Instance]:
         """Assigned instances whose object epoch moved since allocation."""
-        assigned = self._assigned.get(command.cid) or {}
+        assigned = self.state.assigned.get(command.cid) or {}
         stale = set()
         for l, (position, alloc_epoch) in assigned.items():
             if self.state.obj(l).epoch != alloc_epoch:
@@ -141,13 +144,13 @@ class ProposerMixin:
                 self._acquisition_phase(command)
             return
 
-        if any(l in self._acquiring for l in undecided):
+        if any(l in self.state.acquiring for l in undecided):
             # We are already acquiring (some of) these objects for an
             # earlier command; queue FIFO and re-coordinate once that
             # settles, rather than launching a second epoch war against
             # ourselves.  Preserving order here is what keeps a burst of
             # pipelined proposals delivered in submission order.
-            self._deferred.append(command)
+            self.state.deferred.append(command)
             return
 
         owners = {self.state.obj(l).owner for l in undecided}
@@ -201,7 +204,7 @@ class ProposerMixin:
     ) -> Optional[tuple[Instance, ...]]:
         """The command's authoritative full instance set, when the round
         at hand covers only part of it (siblings already decided)."""
-        assigned = self._assigned.get(command.cid)
+        assigned = self.state.assigned.get(command.cid)
         if assigned is None or len(assigned) == len(eps):
             return None
         return tuple(
@@ -209,9 +212,9 @@ class ProposerMixin:
         )
 
     def _drain_deferred(self) -> None:
-        if not self._deferred:
+        if not self.state.deferred:
             return
-        queued, self._deferred = self._deferred, []
+        queued, self.state.deferred = self.state.deferred, []
         for command in queued:
             self._coordinate(command, hops=0)
 
@@ -267,8 +270,8 @@ class ProposerMixin:
         concession the paper makes in Section IV-C ("an unbounded
         sequence of restarts") -- safety never depends on it.
         """
-        attempt = self._attempts.get(command.cid, 0) + 1
-        self._attempts[command.cid] = attempt
+        attempt = self.state.attempts.get(command.cid, 0) + 1
+        self.state.attempts[command.cid] = attempt
         delay = self.config.retry_backoff * attempt * (0.5 + self.env.rng.random())
 
         def fire() -> None:
@@ -306,20 +309,21 @@ class ProposerMixin:
         cfg = self.config
         if not cfg.batch_adaptive:
             return cfg.batch_wait
-        depth = len(self._inflight_cids)
+        depth = len(self.state.inflight_cids)
         if depth <= 1:
             return 0.0
         return cfg.batch_wait * min(1.0, depth / cfg.max_batch)
 
     def _enqueue_fast(self, command: Command) -> None:
         """Queue a fast-path command for the next batched Accept round."""
-        if command.cid in self._batch_cids:
+        state = self.state
+        if command.cid in state.batch_cids:
             return  # supervision re-coordinated a command already queued
-        self._batch_cids.add(command.cid)
-        self._batch.append(command)
-        if len(self._batch) >= self.config.max_batch:
+        state.batch_cids.add(command.cid)
+        state.batch.append(command)
+        if len(state.batch) >= self.config.max_batch:
             self._flush_batch()
-        elif self._batch_timer is None:
+        elif state.batch_timer is None:
             wait = self._effective_batch_wait()
             if wait <= 0.0 and self.config.batch_adaptive:
                 # Shallow pipeline: waiting cannot attract company.
@@ -327,10 +331,10 @@ class ProposerMixin:
                 return
 
             def fire() -> None:
-                self._batch_timer = None
+                state.batch_timer = None
                 self._flush_batch()
 
-            self._batch_timer = self.env.set_timer(wait, fire)
+            state.batch_timer = self.env.set_timer(wait, fire)
 
     def _flush_batch(self) -> None:
         """Emit one Accept round covering every still-eligible queued
@@ -343,11 +347,12 @@ class ProposerMixin:
         epochs indefinitely that way.  The randomised, attempt-scaled
         retry delay breaks the symmetry, exactly as it does for NACKed
         rounds on the unbatched path."""
-        if self._batch_timer is not None:
-            self._batch_timer.cancel()
-            self._batch_timer = None
-        queued, self._batch = self._batch, []
-        self._batch_cids.clear()
+        state = self.state
+        if state.batch_timer is not None:
+            state.batch_timer.cancel()
+            state.batch_timer = None
+        queued, state.batch = state.batch, []
+        state.batch_cids.clear()
         batch: list[Command] = []
         to_decide: dict[Instance, Command] = {}
         eps: dict[Instance, int] = {}
@@ -418,7 +423,7 @@ class ProposerMixin:
         batch: tuple[Command, ...] = (),
     ) -> None:
         req = self._next_req()
-        self._pending_accepts[req] = _PendingAccept(
+        self.state.pending_accepts[req] = _PendingAccept(
             command=retry_command,
             to_decide=dict(to_decide),
             eps={inst: eps[inst] for inst in to_decide},
@@ -450,7 +455,7 @@ class ProposerMixin:
     @handles(AckAccept)
     def _on_ack_accept(self, sender: int, msg: AckAccept) -> None:
         if not msg.ok:
-            pending = self._pending_accepts.get(msg.req)
+            pending = self.state.pending_accepts.get(msg.req)
             if pending is None or pending.done:
                 return
             pending.done = True
@@ -461,7 +466,7 @@ class ProposerMixin:
             # Failed recoveries must be re-runnable (by us or by the gap
             # checker); a leaked active flag would block them forever.
             for cmd in pending.to_decide.values():
-                self._active_recoveries.discard(cmd.cid)
+                self.state.active_recoveries.discard(cmd.cid)
             if pending.command is not None:
                 self._retry(pending.command)
             for cmd in pending.batch:
@@ -470,7 +475,7 @@ class ProposerMixin:
 
         pending = None
         if msg.coordinator == self.env.node_id:
-            pending = self._pending_accepts.get(msg.req)
+            pending = self.state.pending_accepts.get(msg.req)
             if pending is None:
                 return  # the round is over: nothing left to count
             pending.acked.add(sender)
@@ -481,7 +486,7 @@ class ProposerMixin:
             if pending.announced:
                 # A late ack only feeds learn-resend's stop condition.
                 if len(pending.acked) >= self.env.n_nodes:
-                    del self._pending_accepts[msg.req]
+                    del self.state.pending_accepts[msg.req]
                 return
 
         # Count votes per instance; with ack_to_all every node runs this
@@ -529,7 +534,7 @@ class ProposerMixin:
                 Decide(to_decide=pending.to_decide), include_self=False
             )
             for cmd in pending.to_decide.values():
-                self._active_recoveries.discard(cmd.cid)
+                self.state.active_recoveries.discard(cmd.cid)
             self._arm_learn_resend(msg.req)
 
     def _arm_learn_resend(self, req: int, attempt: int = 1) -> None:
@@ -542,21 +547,21 @@ class ProposerMixin:
         as soon as every node acked, if a decision was superseded
         (laggards then heal via gap recovery on the activity the resent
         Accept recorded), or after the configured attempt cap -- and
-        stopping is what retires the round's ``_pending_accepts`` entry."""
+        stopping is what retires the round's ``pending_accepts`` entry."""
         cfg = self.config
         if cfg.learn_resend_timeout <= 0 or attempt > cfg.learn_resend_attempts:
-            self._pending_accepts.pop(req, None)
+            self.state.pending_accepts.pop(req, None)
             return
 
         def fire() -> None:
-            pending = self._pending_accepts.get(req)
+            pending = self.state.pending_accepts.get(req)
             if pending is None:
                 return  # the last ack already retired it
             if len(pending.acked) >= self.env.n_nodes or any(
                 (decided := self.state.decided_at(inst)) is None or decided.cid != cmd.cid
                 for inst, cmd in pending.to_decide.items()
             ):
-                del self._pending_accepts[req]
+                del self.state.pending_accepts[req]
                 return
             for dst in self.env.nodes:
                 if dst not in pending.acked:

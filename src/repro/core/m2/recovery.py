@@ -43,21 +43,21 @@ class RecoveryMixin:
         per-object delivery orders into a cycle -- so recovery always
         covers the recorded set.
         """
-        if command.cid in self._active_recoveries:
+        if command.cid in self.state.active_recoveries:
             return
-        self._active_recoveries.add(command.cid)
+        self.state.active_recoveries.add(command.cid)
 
         def fire() -> None:
             remaining = [
                 inst for inst in fins if self.state.decided_at(inst) is None
             ]
             if not remaining:
-                self._active_recoveries.discard(command.cid)
+                self.state.active_recoveries.discard(command.cid)
                 return
             if self._round_is_dead(command, set(fins)):
                 # The command lost one of its instances to another
                 # command: fill the leftovers as plain gaps (no-ops).
-                self._active_recoveries.discard(command.cid)
+                self.state.active_recoveries.discard(command.cid)
                 self._prepare_round(None, remaining, kind="gap")
                 return
             self._prepare_round(command, remaining, kind="recover", fins=fins)
@@ -84,19 +84,19 @@ class RecoveryMixin:
         # A round that never announced (NACKed, or beaten by a competing
         # decide) is over once every instance it named is retired; one
         # sweep of grace lets a straggling quorum of acks still announce.
-        for req, pending in list(self._pending_accepts.items()):
+        for req, pending in list(self.state.pending_accepts.items()):
             if pending.announced or not all(map(self.state.retired, pending.to_decide)):
                 continue
             if pending.lapsed:
-                del self._pending_accepts[req]
+                del self.state.pending_accepts[req]
             pending.lapsed = True
         for l in list(self.state.gap_candidates):
             gap = self.delivery.undelivered_gap(l)
             if gap is None:
                 self.state.gap_candidates.discard(l)
-                self._gap_stall.pop(l, None)
+                self.state.gap_stall.pop(l, None)
                 continue
-            stalled = self._gap_stall.get(l)
+            stalled = self.state.gap_stall.get(l)
             if stalled is None or stalled[0] != gap:
                 # A frontier we have not seen stuck before (or it moved
                 # since last time): start its stall clock.  The clock is
@@ -106,8 +106,8 @@ class RecoveryMixin:
                 # is wedged, and counting that as progress would starve
                 # recovery exactly when ownership churn burns positions
                 # under live traffic.
-                self._gap_stall[l] = (gap, now)
+                self.state.gap_stall[l] = (gap, now)
                 continue
             if now - stalled[1] >= self.config.gap_timeout:
-                self._gap_stall[l] = (gap, now)  # rate-limit re-recovery
+                self.state.gap_stall[l] = (gap, now)  # rate-limit re-recovery
                 self._recover_gap(l, gap)

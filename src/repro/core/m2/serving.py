@@ -68,96 +68,47 @@ from repro.core.messages import (
 class ServingMixin:
     """Leases, the session dedup table, and accept-quorum targeting."""
 
+    # Test hook: an offset on this node's lease clock.  The protocol only
+    # compares its own stamps against its own clock, so a *constant*
+    # offset is harmless by construction; a mid-run step (or rate drift
+    # beyond the margin) makes the owner's window lapse early and forces
+    # the slow path -- never a stale read.
+    _lease_clock_skew = 0.0
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def _init_serving(self) -> None:
-        # Owner-side grant ledger: obj -> {granter -> expiry on *our*
-        # lease clock}.  Pruned when ownership moves (renew pass) and on
-        # self-revoke.
-        self._lease_grants: dict[str, dict[int, float]] = {}
-        # Test-injectable offset added to this node's lease clock
-        # (satellite: lease-safety-under-skew).  The protocol only ever
-        # compares its own stamps against its own clock, so a *constant*
-        # offset is harmless by construction; a mid-run step (or rate
-        # drift beyond the margin) makes the owner's window lapse early
-        # and forces the slow path -- never a stale read.
-        self._lease_clock_skew = 0.0
-        # Per-object serve floor: the highest position known used when
-        # this tenure began (see _note_tenure_established).  Local reads
-        # refuse until ``appended`` has caught up to it.
-        self._serve_floor: dict[str, int] = {}
-        self._lease_blackout_until = 0.0
-        # Parked foreign Prepares: park id -> (sender, message, timer).
-        self._parked_prepares: dict[int, tuple] = {}
-        self._park_counter = 0
-        # Renewal heartbeat correlation (only the latest round counts).
-        self._renew_req = 0
-        self._renew_sent_at = 0.0
-        # Exactly-once dedup: client -> (seq watermark, cached result),
-        # in least-recently-active-first insertion order (plain dict
-        # order + pop/reinsert touches = an O(1) LRU).
-        self._sessions: dict[int, tuple[int, object]] = {}
-        # Satellite: preferred min-max-RTT accept quorum, resolved
-        # lazily from config.quorum_rtt (None = broadcast, the default).
-        self._accept_quorum_cache: Optional[tuple[int, ...]] = None
-
     def _serving_on_start(self) -> None:
-        if self.config.lease_duration <= 0.0:
+        """Every incarnation -- first boot, either restart, a store
+        recovery that replayed the log before this -- opens with the
+        lease blackout and serves no object below its known tail."""
+        cfg = self.config
+        if cfg.lease_duration <= 0.0:
             return
-        self._arm_lease_blackout()
+        self.state.lease_blackout_until = self.env.now() + cfg.lease_duration + cfg.lease_margin
         self._schedule_lease_renew()
-        # A storage-backed restart replays the log into a fresh protocol
-        # *before* on_start: any recovered object gets its serve floor
-        # re-derived from the recovered tail (no-op on a true first boot
-        # where the state is empty).
-        self._reset_serve_floors()
+        self._raise_serve_floors(self.state.objects)
 
-    def _serving_on_restart(self) -> None:
-        """Durable-log reboot: grants and parked rounds are volatile."""
-        self._lease_grants.clear()
-        self._parked_prepares.clear()  # timers already cancelled
-        self._renew_req = 0
-        self._renew_sent_at = 0.0
-        # The session table is a function of the (durable) delivered
-        # log, so it legitimately survives alongside it.
-        if self.config.lease_duration > 0.0:
-            self._arm_lease_blackout()
-            self._reset_serve_floors()
+    def _raise_serve_floors(self, objs: Iterable[str]) -> None:
+        """Pin each object's serve floor at the highest position known
+        used, as when an acquisition's prepare quorum resolves.
 
-    def _reset_serve_floors(self) -> None:
-        """Re-derive every serve floor from the surviving state: a new
-        incarnation must not serve below the recovered tail."""
-        for l, obj in self.state.objects.items():
-            floor = obj.next_slot - 1
-            if floor > self._serve_floor.get(l, 0):
-                self._serve_floor[l] = floor
-
-    def _note_tenure_established(self, objs: Iterable[str]) -> None:
-        """An acquisition's prepare quorum just resolved for ``objs``.
-
-        Record each object's serve floor: the highest position the
-        quorum reported in use.  Any write that *completed* under a
-        previous tenure was accepted by a full accept quorum, which
-        intersects our prepare quorum, so some reply reported its
-        position and ``next_slot`` moved past it -- but its *value* may
-        still be in flight towards us (learn resend, gap recovery, or
-        our own forced accept round).  Until ``appended`` reaches the
-        floor, the local state may be missing a completed write and
-        reads must take the full round (see _try_serve_read).
+        Any write that *completed* under a previous tenure was accepted
+        by a full accept quorum, which intersects our prepare quorum, so
+        some reply reported its position and ``next_slot`` moved past it
+        -- but its *value* may still be in flight towards us (learn
+        resend, gap recovery, or our own forced accept round).  Until
+        ``appended`` reaches the floor, the local state may be missing a
+        completed write and reads must take the full round (see
+        _try_serve_read).
         """
         if self.config.lease_duration <= 0.0:
             return
         for l in set(objs):
             floor = self.state.obj(l).next_slot - 1
-            if floor > self._serve_floor.get(l, 0):
-                self._serve_floor[l] = floor
-
-    def _arm_lease_blackout(self) -> None:
-        cfg = self.config
-        until = self.env.now() + cfg.lease_duration + cfg.lease_margin
-        self._lease_blackout_until = max(self._lease_blackout_until, until)
+            if floor > self.state.serve_floor.get(l, 0):
+                self.state.serve_floor[l] = floor
 
     # ------------------------------------------------------------------
     # Clocks and lease validity (owner side)
@@ -168,7 +119,7 @@ class ServingMixin:
         return self.env.now() + self._lease_clock_skew
 
     def _lease_live_granters(self, l: str, at: float) -> set[int]:
-        grants = self._lease_grants.get(l)
+        grants = self.state.lease_grants.get(l)
         if not grants:
             return set()
         return {node for node, expiry in grants.items() if expiry > at}
@@ -202,7 +153,7 @@ class ServingMixin:
             - self.config.lease_margin
         )
         for (l, _position) in pending.eps:
-            grants = self._lease_grants.setdefault(l, {})
+            grants = self.state.lease_grants.setdefault(l, {})
             if expiry > grants.get(sender, 0.0):
                 grants[sender] = expiry
 
@@ -234,7 +185,7 @@ class ServingMixin:
             # an acquisition guard is up) forces the full round: the
             # believed owner is about to change, so local state may
             # already be behind.
-            if l in self._acquiring or not self._is_current_owner(l):
+            if l in self.state.acquiring or not self._is_current_owner(l):
                 return False
             if not self._lease_valid(l, at=now):
                 return False
@@ -246,7 +197,7 @@ class ServingMixin:
             # floor pins the tail the prepare quorum knew about; until
             # the local append frontier covers it, a local read could
             # miss a completed write.
-            if self.state.obj(l).appended < self._serve_floor.get(l, 0):
+            if self.state.obj(l).appended < self.state.serve_floor.get(l, 0):
                 return False
         result = {l: self.state.obj(l).reads_frontier for l in command.ls}
         if command.session is not None:
@@ -274,8 +225,8 @@ class ServingMixin:
         """
         now = self.env.now()
         wake: Optional[float] = None
-        if self._lease_blackout_until > now:
-            wake = self._lease_blackout_until
+        if self.state.lease_blackout_until > now:
+            wake = self.state.lease_blackout_until
         me = self.env.node_id
         for inst in eps:
             obj = self.state.objects.get(inst[0])
@@ -304,24 +255,24 @@ class ServingMixin:
                 known[inst] = decided
         if known:
             self.env.send(sender, Decide(to_decide=known))
-        self._park_counter += 1
-        pid = self._park_counter
+        self.state.park_counter += 1
+        pid = self.state.park_counter
 
         def fire() -> None:
-            entry = self._parked_prepares.pop(pid, None)
+            entry = self.state.parked_prepares.pop(pid, None)
             if entry is not None:
                 # Re-dispatch; a renewed grant simply re-parks it.
                 self._on_prepare(entry[0], entry[1])
 
         delay = max(0.0, wake - self.env.now())
         handle = self.env.set_timer(delay, fire)
-        self._parked_prepares[pid] = (sender, msg, handle)
+        self.state.parked_prepares[pid] = (sender, msg, handle)
         self.note("lease_wait", req=msg.req, sender=sender)
 
     def _wake_parked_prepares(self) -> None:
-        if not self._parked_prepares:
+        if not self.state.parked_prepares:
             return
-        entries, self._parked_prepares = self._parked_prepares, {}
+        entries, self.state.parked_prepares = self.state.parked_prepares, {}
         for sender, msg, handle in entries.values():
             handle.cancel()
             self._on_prepare(sender, msg)
@@ -334,7 +285,7 @@ class ServingMixin:
         me = self.env.node_id
         released: dict[str, int] = {}
         for l in set(objs):
-            dropped = self._lease_grants.pop(l, None) is not None
+            dropped = self.state.lease_grants.pop(l, None) is not None
             obj = self.state.objects.get(l)
             if obj is not None and obj.lease_holder == me:
                 released[l] = obj.lease_epoch
@@ -373,20 +324,20 @@ class ServingMixin:
         now = self._lease_now()
         period = cfg.lease_duration * cfg.lease_renew_fraction
         objs: dict[str, int] = {}
-        for l in list(self._lease_grants):
+        for l in list(self.state.lease_grants):
             if not self._is_current_owner(l):
                 # Ownership moved since the grants were recorded; the
                 # ledger entry can only mislead validity checks.
-                del self._lease_grants[l]
+                del self.state.lease_grants[l]
                 continue
             if self._lease_valid(l, at=now + 2.0 * period):
                 continue  # accept traffic is keeping this one fresh
             objs[l] = self.state.obj(l).owner_epoch
         if not objs:
             return
-        self._renew_req = self._next_req()
-        self._renew_sent_at = now
-        self.env.broadcast(RenewLease(req=self._renew_req, objs=objs))
+        self.state.renew_req = self._next_req()
+        self.state.renew_sent_at = now
+        self.env.broadcast(RenewLease(req=self.state.renew_req, objs=objs))
 
     @handles(RenewLease)
     def _on_renew_lease(self, sender: int, msg: RenewLease) -> None:
@@ -418,15 +369,15 @@ class ServingMixin:
 
     @handles(AckRenew)
     def _on_ack_renew(self, sender: int, msg: AckRenew) -> None:
-        if msg.req != self._renew_req:
+        if msg.req != self.state.renew_req:
             return
         expiry = (
-            self._renew_sent_at
+            self.state.renew_sent_at
             + self.config.lease_duration
             - self.config.lease_margin
         )
         for l in msg.granted:
-            grants = self._lease_grants.get(l)
+            grants = self.state.lease_grants.get(l)
             if grants is None:
                 continue  # released or lost since the heartbeat left
             if expiry > grants.get(sender, 0.0):
@@ -440,7 +391,7 @@ class ServingMixin:
         """Answer a retry at or below the client's watermark from cache
         (called at propose time, before any consensus work)."""
         client, seq = command.session
-        entry = self._sessions.get(client)
+        entry = self.state.sessions.get(client)
         if entry is None or seq > entry[0]:
             return False
         self.stats["session_hit"] += 1
@@ -448,36 +399,34 @@ class ServingMixin:
         self.env.deliver_read(command, entry[1])
         return True
 
-    def _session_record(self, command: Command) -> None:
-        """Append-time table update: runs on every node for every
-        delivered sessioned command, so the table is a deterministic
-        function of the delivered sequence (and replay rebuilds it)."""
-        client, seq = command.session
-        entry = self._sessions.pop(client, None)
-        if entry is not None and seq <= entry[0]:
-            self._sessions[client] = entry  # LRU touch only
-            return
-        result = {l: self.state.obj(l).reads_frontier for l in command.ls}
-        self._sessions[client] = (seq, result)
-        self._evict_sessions_over_cap()
+    def _fold_append(self, command: Command) -> None:
+        """Append-time bookkeeping of one delivered non-noop command, on
+        every node: its objects' read frontiers, then the session table.
+        Both are a pure function of the delivered sequence, so every
+        node -- and every recovered incarnation -- converges on them."""
+        for l in command.ls:
+            self.state.obj(l).reads_frontier += 1
+        if command.session is not None:
+            self._session_store(command, {l: self.state.obj(l).reads_frontier for l in command.ls})
 
     def _session_store(self, command: Command, result: object) -> None:
-        """Cache a locally-served read's result under its session."""
+        """Cache ``result`` under the command's session, unless a later
+        seq is already there (then the entry is only touched, LRU)."""
         client, seq = command.session
-        entry = self._sessions.pop(client, None)
+        entry = self.state.sessions.pop(client, None)
         if entry is not None and seq <= entry[0]:
-            self._sessions[client] = entry
+            self.state.sessions[client] = entry
             return
-        self._sessions[client] = (seq, result)
+        self.state.sessions[client] = (seq, result)
         self._evict_sessions_over_cap()
 
     def _evict_sessions_over_cap(self) -> None:
         cap = self.config.session_cap
-        while len(self._sessions) > cap:
-            evicted = next(iter(self._sessions))
-            del self._sessions[evicted]
+        while len(self.state.sessions) > cap:
+            evicted = next(iter(self.state.sessions))
+            del self.state.sessions[evicted]
             self.stats["session_evict"] += 1
-            if not self._replaying:
+            if not self.state.replaying:
                 self.note("session_evict", client=evicted)
 
     # ------------------------------------------------------------------
@@ -497,13 +446,11 @@ class ServingMixin:
         cfg = self.config
         if not cfg.nearest_accept or cfg.quorum_rtt is None or scoped:
             return None
-        if retry_command is None or self._attempts.get(retry_command.cid, 0):
+        if retry_command is None or self.state.attempts.get(retry_command.cid, 0):
             return None
-        targets = self._accept_quorum_cache
-        if targets is None:
-            targets = self._pick_nearest_accept_quorum()
-            self._accept_quorum_cache = targets
-        return list(targets)
+        if self.state.accept_quorum is None:
+            self.state.accept_quorum = self._pick_nearest_accept_quorum()
+        return list(self.state.accept_quorum)
 
     def _pick_nearest_accept_quorum(self) -> tuple[int, ...]:
         rtt = self.config.quorum_rtt[self.env.node_id]

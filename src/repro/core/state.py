@@ -1,17 +1,55 @@
-"""Per-node M2Paxos bookkeeping (Section V-A of the paper).
+"""Per-node M2Paxos state (Section V-A of the paper), declared once.
 
 The paper's multidimensional arrays become dictionaries keyed by object
 id or by instance ``(l, in)``; defaults mirror the paper's initial
 values (epochs/rounds 0, votes NULL, owners NULL).
+
+Every field a node holds is declared here with its kind, the way a TLA+
+spec lists its ``VARIABLES``: :func:`durable` (a crash keeps it; the
+snapshot and the log carry it), :func:`volatile` (a restart resets it)
+or :func:`derived` (rebuilt from the durable fields).  Restart and
+snapshots read the declarations; ``home_hint`` is configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import functools
+from dataclasses import MISSING, Field, dataclass, field, fields
+from typing import Callable, Iterable, Optional
 
 from repro.consensus.commands import Command
 from repro.core.messages import Instance
+
+KINDS = DURABLE, VOLATILE, DERIVED = ("durable", "volatile", "derived")
+
+
+def _declarer(kind: str) -> Callable[..., Field]:
+    # ``entry``: the record type of a durable dict's values, whose own
+    # durable fields a snapshot stores per key.
+    def declare(default=MISSING, *, factory=MISSING, entry=None) -> Field:
+        metadata = {"kind": kind, "entry": entry}
+        return field(default=default, default_factory=factory, metadata=metadata)
+
+    return declare
+
+
+durable, volatile, derived = map(_declarer, KINDS)
+
+
+@functools.cache
+def declared(cls: type, kind: str) -> tuple[Field, ...]:
+    """The fields of dataclass ``cls`` declared ``kind``, in order."""
+    return tuple(f for f in fields(cls) if f.metadata.get("kind") == kind)
+
+
+def initial(f: Field):
+    """The value a fresh record holds in field ``f``."""
+    return f.default if f.default_factory is MISSING else f.default_factory()
+
+
+def _reset_volatile(record) -> None:
+    for f in declared(type(record), VOLATILE):
+        setattr(record, f.name, initial(f))
 
 
 @dataclass
@@ -41,19 +79,19 @@ class ObjectState:
                        without self-collision.
     """
 
-    epoch: int = 0
-    promised: int = 0
-    owner: Optional[int] = None
-    owner_epoch: int = 0
-    appended: int = 0
-    next_slot: int = 1
+    epoch: int = durable(0)
+    promised: int = durable(0)
+    owner: Optional[int] = durable(None)
+    owner_epoch: int = durable(0)
+    appended: int = durable(0)
+    next_slot: int = durable(1)
     # The decision log, written only through ``record`` so its views
     # stay exact: ``decided_pos`` (cid -> a position it is decided at:
     # Algorithm 1 line 2 as a lookup) and the highest decided position.
-    decided: dict[int, Command] = field(default_factory=dict)
-    decided_pos: dict[tuple[int, int], int] = field(default_factory=dict)
-    max_decided: int = 0
-    last_progress: float = 0.0  # for gap-recovery timeouts
+    decided: dict[int, Command] = durable(factory=dict)
+    decided_pos: dict[tuple[int, int], int] = derived(factory=dict)
+    max_decided: int = derived(0)
+    last_progress: float = volatile(0.0)  # GenPaxos's collision timer
     # Acceptor-side read-lease grant (serving tier; inert unless the
     # config enables leases).  While ``lease_until`` (this node's clock)
     # lies in the future, ownership-moving Prepares from nodes other
@@ -62,15 +100,15 @@ class ObjectState:
     # volatile: a restarted acceptor instead refuses early promises for
     # one full lease window (the lease blackout), so forgetting grants
     # across a crash can never un-protect a live lease.
-    lease_holder: Optional[int] = None
-    lease_epoch: int = 0
-    lease_until: float = 0.0
+    lease_holder: Optional[int] = volatile(None)
+    lease_epoch: int = volatile(0)
+    lease_until: float = volatile(0.0)
     # Serving-tier read frontier: count of non-noop commands delivered
     # on this object, the "result" a leased local read observes (and
     # what the chaos stale-read audit compares against the decided
     # write log).  Maintained unconditionally at append time so session
     # results stay a pure function of the delivered sequence.
-    reads_frontier: int = 0
+    reads_frontier: int = derived(0)
 
     def observe_position(self, position: int) -> None:
         """Keep ``next_slot`` strictly ahead of any used position."""
@@ -100,12 +138,13 @@ class InstanceState:
     orders into a cycle (see DESIGN.md).
     """
 
-    rnd: int = 0
-    rdec: int = 0
-    vdec: Optional[Command] = None
-    vdec_ins: tuple[Instance, ...] = ()
+    rnd: int = durable(0)
+    rdec: int = durable(0)
+    vdec: Optional[Command] = durable(None)
+    vdec_ins: tuple[Instance, ...] = durable(())
 
 
+@dataclass(eq=False)
 class M2PaxosState:
     """Aggregates the dictionaries and provides defaulting accessors.
 
@@ -114,29 +153,66 @@ class M2PaxosState:
     whose decided value answers from then on (DESIGN.md, "State lifetime").
     """
 
-    def __init__(self, home_hint=None) -> None:
-        # ``home_hint(l) -> node id`` statically assigns epoch-0
-        # ownership (all nodes must share the same deterministic map).
-        # Equivalent to Multi-Paxos's pre-agreed initial leader, per
-        # object: safe because the epoch-0 owner is unique by
-        # construction, and any node can still take over by preparing
-        # epoch 1.  Used for workloads like TPC-C where the application
-        # declares which node "homes" each object.
-        self.home_hint = home_hint
-        self.objects: dict[str, ObjectState] = {}
-        self.instances: dict[Instance, InstanceState] = {}
-        # Per-object index of positions with acceptor activity, so a
-        # prepare can report the object's tail without scanning every
-        # instance in the system.
-        self.active_positions: dict[str, set[int]] = {}
-        # Objects whose delivery frontier might be stuck; the gap checker
-        # scans only these (workloads like TPC-C touch 10^4..10^5 objects,
-        # so scanning everything every period would dominate).
-        self.gap_candidates: set[str] = set()
-        # Acks[l][in][e] of the paper, keyed further by command id so a
-        # quorum is only counted for matching votes:
-        # acks[instance][(epoch, cid)] = set of voter node ids.
-        self.acks: dict[Instance, dict[tuple[int, tuple[int, int]], set[int]]] = {}
+    # ``home_hint(l) -> node id`` statically assigns epoch-0 ownership
+    # (all nodes must share the same deterministic map).  Equivalent to
+    # Multi-Paxos's pre-agreed initial leader, per object: safe because
+    # the epoch-0 owner is unique by construction, and any node can
+    # still take over by preparing epoch 1.  Used for workloads like
+    # TPC-C where the application declares which node "homes" each
+    # object.
+    home_hint: Optional[Callable[[str], int]] = None
+    objects: dict[str, ObjectState] = durable(factory=dict, entry=ObjectState)
+    instances: dict[Instance, InstanceState] = durable(factory=dict, entry=InstanceState)
+    # The C-struct: every command appended here, in order, and the ids
+    # among them (a command is appended once).
+    cstruct: list[Command] = durable(factory=list)
+    appended_cids: set[tuple[int, int]] = derived(factory=set)
+    # Per-object index of positions with acceptor activity, so a
+    # prepare can report the object's tail without scanning every
+    # instance in the system.
+    active_positions: dict[str, set[int]] = derived(factory=dict)
+    # Objects whose delivery frontier might be stuck; the gap checker
+    # scans only these (workloads like TPC-C touch 10^4..10^5 objects,
+    # so scanning everything every period would dominate).
+    gap_candidates: set[str] = volatile(factory=set)
+    # Acks[l][in][e] of the paper, keyed further by command id so a
+    # quorum is only counted for matching votes:
+    # acks[instance][(epoch, cid)] = set of voter node ids.
+    acks: dict[Instance, dict[tuple[int, tuple[int, int]], set[int]]] = volatile(factory=dict)
+
+    def restart(self) -> None:
+        """A new incarnation: every volatile field -- of the node, and of
+        each object and instance -- back to its initial value."""
+        _reset_volatile(self)
+        for f in declared(type(self), DURABLE):
+            if f.metadata["entry"] is not None:
+                for record in getattr(self, f.name).values():
+                    _reset_volatile(record)
+
+    def durable_record(self) -> dict:
+        """The durable fields by name, in declaration order: a snapshot's
+        content.  A dict of records maps each key to the tuple of that
+        record's own durable fields (the value codec has no lists)."""
+        out = {}
+        for f in declared(type(self), DURABLE):
+            value, entry = getattr(self, f.name), f.metadata["entry"]
+            if entry is not None:
+                names = [g.name for g in declared(entry, DURABLE)]
+                value = {k: tuple(getattr(r, n) for n in names) for k, r in value.items()}
+            out[f.name] = tuple(value) if type(value) is list else value
+        return out
+
+    def restore(self, record: dict) -> None:
+        """Write a :meth:`durable_record` back; rebuilding the derived
+        fields is the caller's."""
+        for f in declared(type(self), DURABLE):
+            value, entry = record[f.name], f.metadata["entry"]
+            if entry is not None:
+                names = [g.name for g in declared(entry, DURABLE)]
+                value = {k: entry(**dict(zip(names, r))) for k, r in value.items()}
+            elif type(getattr(self, f.name)) is list:
+                value = list(value)
+            setattr(self, f.name, value)
 
     def obj(self, l: str) -> ObjectState:
         state = self.objects.get(l)
@@ -167,7 +243,10 @@ class M2PaxosState:
         obj.appended += 1
         instance = (l, obj.appended)
         if self.instances.pop(instance, None) is not None:
-            self.active_positions[l].discard(obj.appended)
+            positions = self.active_positions[l]
+            positions.discard(obj.appended)
+            if not positions:  # as a rebuild from ``instances`` has it
+                del self.active_positions[l]
         self.acks.pop(instance, None)
 
     def positions_with_activity(self, l: str, at_or_above: int) -> list[int]:
@@ -220,3 +299,86 @@ class M2PaxosState:
         voters = self.acks.setdefault(instance, {}).setdefault((epoch, cid), set())
         voters.add(voter)
         return voters
+
+
+@dataclass(eq=False)
+class NodeState(M2PaxosState):
+    """Everything one M2Paxos node holds: the bookkeeping above plus the
+    proposer, recovery, serving and supervision fields."""
+
+    # The last round id and own no-op sequence number used (a no-op's
+    # cid is ``(node, -seq - 1)``); :meth:`replayed` is their replay rule.
+    req: int = durable(0)
+    noop: int = durable(0)
+    # Exactly-once dedup: client -> (seq watermark, cached result), in
+    # least-recently-active-first order (dict order + pop/reinsert
+    # touches = an O(1) LRU).  A function of the C-struct, but for the
+    # cached result of a locally served read, which a store recovery
+    # drops (the retry re-runs consensus).
+    sessions: dict[int, tuple[int, object]] = derived(factory=dict)
+    # -- Rounds in flight, keyed by ``req``, and their guards.
+    pending_accepts: dict[int, object] = volatile(factory=dict)
+    pending_prepares: dict[int, object] = volatile(factory=dict)
+    attempts: dict[tuple[int, int], int] = volatile(factory=dict)
+    active_recoveries: set[tuple[int, int]] = volatile(factory=set)
+    acquiring: set[str] = volatile(factory=set)
+    deferred: list[Command] = volatile(factory=list)
+    # Gap checker's view of each stuck frontier: obj -> (frontier
+    # position, time it was first seen stuck).  Keyed on the *position*
+    # so steady decision traffic at higher slots cannot mask a frontier
+    # that is not moving (see _check_gaps).
+    gap_stall: dict[str, tuple[int, float]] = volatile(factory=dict)
+    # Instance set assigned to each of our in-flight commands.  A NACKed
+    # round may nevertheless have been *chosen* (a quorum of ACKs can
+    # coexist with the NACK we saw), so retries must fight for the SAME
+    # positions; re-proposing elsewhere could decide the command at two
+    # position sets, whose relative orders with other commands can
+    # contradict across objects.  Fresh positions are taken only once
+    # the old round is provably dead (one of its instances decided with
+    # a different command).
+    assigned: dict[tuple[int, int], dict[str, tuple[int, int]]] = volatile(factory=dict)
+    # Fast-path batch queue (see ProposerMixin._enqueue_fast).  With
+    # ``config.max_batch == 1`` none of this is ever touched.
+    batch: list[Command] = volatile(factory=list)
+    batch_cids: set[tuple[int, int]] = volatile(factory=set)
+    batch_timer: Optional[object] = volatile(None)
+    # Our own proposals not yet fully decided -- the depth gauge behind
+    # ``config.batch_adaptive`` (see _effective_batch_wait).
+    inflight_cids: set[tuple[int, int]] = volatile(factory=set)
+    # Supervision deadlines of our own proposals, ``(when, cid,
+    # command)``, behind one env timer (ProposerMixin._supervise).
+    supervised: list[tuple[float, tuple[int, int], Command]] = volatile(factory=list)
+    supervise_timer: Optional[object] = volatile(None)
+    # -- Serving tier.  Owner-side grant ledger: obj -> {granter ->
+    # expiry on *our* lease clock}.  Pruned when ownership moves (renew
+    # pass) and on self-revoke.
+    lease_grants: dict[str, dict[int, float]] = volatile(factory=dict)
+    # Per-object serve floor: the highest position known used when this
+    # tenure began (see _raise_serve_floors).  Local reads refuse until
+    # ``appended`` has caught up to it.
+    serve_floor: dict[str, int] = volatile(factory=dict)
+    lease_blackout_until: float = volatile(0.0)
+    # Parked foreign Prepares: park id -> (sender, message, timer).
+    parked_prepares: dict[int, tuple] = volatile(factory=dict)
+    park_counter: int = volatile(0)
+    # Renewal heartbeat correlation (only the latest round counts).
+    renew_req: int = volatile(0)
+    renew_sent_at: float = volatile(0.0)
+    # The min-max-RTT accept quorum (config.nearest_accept), picked on
+    # first use.
+    accept_quorum: Optional[tuple[int, ...]] = volatile(None)
+    # True while recovery replays: suppresses re-logging.
+    replaying: bool = volatile(False)
+
+    def replayed(self, commands: Iterable[Command] = (), me: Optional[int] = None) -> None:
+        """The counters' replay rule, per log record.  Node ``me``'s own
+        no-ops ride in Accept and Decide records (``commands``), so
+        ``noop`` resumes above the highest; the switcher's mode markers
+        also have negative sequence numbers, hence the ``noop`` test.  No
+        record carries a round id: ``req`` moves one per record, an
+        estimate of what the dead incarnation used (lease renewals, for
+        one, log nothing)."""
+        self.req += 1
+        for command in commands:
+            if command.noop and command.cid[0] == me:
+                self.noop = max(self.noop, -command.cid[1] - 1)

@@ -11,6 +11,7 @@ from repro.consensus.epaxos import EPaxos
 from repro.consensus.genpaxos import GenPaxos
 from repro.consensus.multipaxos import MultiPaxos
 from repro.core.protocol import M2Paxos
+from repro.core.state import DERIVED, DURABLE, declared
 from repro.sim.cluster import Cluster
 from repro.spec import ClusterSpec
 
@@ -70,3 +71,24 @@ def assert_all_delivered(cluster: Cluster, proposed: list[Command]) -> None:
         assert cids == {c.cid for c in proposed}, (
             f"node {node} delivered {len(cids)} of {len(proposed)}"
         )
+
+
+def kept_state(record) -> dict:
+    """Every field a restart keeps -- declared durable or derived -- of
+    an M2Paxos node's state (pass ``protocol.state``), with each object
+    and instance replaced by its own kept fields."""
+    kept = {}
+    for kind in (DURABLE, DERIVED):
+        for f in declared(type(record), kind):
+            value = getattr(record, f.name)
+            if f.metadata["entry"] is not None:
+                value = {key: kept_state(item) for key, item in value.items()}
+            kept[f.name] = value
+    return kept
+
+
+def assert_same_kept_state(a: dict, b: dict) -> None:
+    """``a`` and ``b`` agree on every durable and derived field but the
+    round-id counter ``req``: no log record carries it, and a store
+    recovery only estimates it (``NodeState.replayed``)."""
+    assert {**a, "req": None} == {**b, "req": None}

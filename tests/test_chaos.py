@@ -272,13 +272,13 @@ class TestSimCrashRestart:
         cluster.run_for(0.5)
         cluster.crash(1)
         protocol = cluster.nodes[1].protocol
-        protocol._attempts[(9, 9)] = 3
-        protocol._active_recoveries.add((9, 9))
-        protocol._acquiring.add("ghost")
+        protocol.state.attempts[(9, 9)] = 3
+        protocol.state.active_recoveries.add((9, 9))
+        protocol.state.acquiring.add("ghost")
         cluster.restart(1, mode="durable")
-        assert protocol._attempts == {}
-        assert protocol._active_recoveries == set()
-        assert protocol._acquiring == set()
+        assert protocol.state.attempts == {}
+        assert protocol.state.active_recoveries == set()
+        assert protocol.state.acquiring == set()
         # Durable state survived: the decided log is still there.
         assert len(cluster.delivered(1)) == 5
 
@@ -328,8 +328,8 @@ class TestBookkeepingPruned:
                 cluster.propose(node, cmd(node, seq, ["shared"]))
         cluster.run_for(5.0)
         for node in cluster.nodes:
-            assert node.protocol._attempts == {}
-            assert node.protocol._active_recoveries == set()
+            assert node.protocol.state.attempts == {}
+            assert node.protocol.state.active_recoveries == set()
 
     def test_competing_decide_releases_recovery_guard(self):
         """Regression: a ``kind="recover"`` round whose command gets
@@ -343,16 +343,16 @@ class TestBookkeepingPruned:
         command = cmd(1, 0, ["x"])
         # Simulate a recovery we launched for a command someone else is
         # also driving...
-        node.protocol._active_recoveries.add(command.cid)
-        node.protocol._attempts[command.cid] = 2
+        node.protocol.state.active_recoveries.add(command.cid)
+        node.protocol.state.attempts[command.cid] = 2
         # ...which that competing node wins and announces.
         node.run_event(
             lambda: node.protocol.on_message(
                 1, Decide(to_decide={("x", 1): command})
             )
         )
-        assert command.cid not in node.protocol._active_recoveries
-        assert command.cid not in node.protocol._attempts
+        assert command.cid not in node.protocol.state.active_recoveries
+        assert command.cid not in node.protocol.state.attempts
 
 
 # ----------------------------------------------------------------------

@@ -91,9 +91,9 @@ class TestPositionPinning:
         command = Command.make(0, 0, ["p", "q"])
         cluster.propose(0, command)
         cluster.run_for(0.001)  # assignment made, round in flight
-        first = dict(protocol._assigned[command.cid])
+        first = dict(protocol.state.assigned[command.cid])
         eps = protocol._pick_instances(command)  # a retry's pick
-        again = dict(protocol._assigned[command.cid])
+        again = dict(protocol.state.assigned[command.cid])
         assert first == again
         assert {(l, p) for l, (p, _e) in again.items()} == set(eps)
 
@@ -103,7 +103,7 @@ class TestPositionPinning:
         command = Command.make(0, 0, ["p"])
         cluster.propose(0, command)
         cluster.run_for(0.001)
-        (position, _epoch) = protocol._assigned[command.cid]["p"]
+        (position, _epoch) = protocol.state.assigned[command.cid]["p"]
         # Burn the assigned position with a different command.
         other = Command.make(1, 0, ["p"])
         protocol.delivery.record_decision("p", position, other, now=0.0)

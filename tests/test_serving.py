@@ -131,7 +131,7 @@ class TestLeasedReads:
         # released explicitly instead of letting the wall clock run out.
         cluster.run_for(0.5)
         assert takeover.cid in {c.cid for c in cluster.delivered(1)}
-        assert cluster.nodes[0].protocol._lease_grants.get("x") is None
+        assert cluster.nodes[0].protocol.state.lease_grants.get("x") is None
         cluster.check_consistency()
 
     def test_serve_floor_blocks_reads_until_log_catches_up(self):
@@ -141,7 +141,7 @@ class TestLeasedReads:
         cluster = leased_cluster(seed=5)
         warm(cluster, writes=3)
         proto = cluster.nodes[0].protocol
-        proto._serve_floor["x"] = proto.state.obj("x").appended + 1
+        proto.state.serve_floor["x"] = proto.state.obj("x").appended + 1
         first = Command.make(0, 100, ["x"], is_read=True)
         cluster.propose(0, first)
         cluster.run_for(1.0)
@@ -239,10 +239,10 @@ class TestSessions:
         cluster.run_for(1.0)
         for node in cluster.nodes:
             proto = node.protocol
-            assert len(proto._sessions) <= 4
+            assert len(proto.state.sessions) <= 4
             assert proto.stats["session_evict"] >= 4
         # The survivors are the most recently active clients.
-        assert set(cluster.nodes[0].protocol._sessions) == {4, 5, 6, 7}
+        assert set(cluster.nodes[0].protocol.state.sessions) == {4, 5, 6, 7}
 
     def test_retry_after_eviction_is_still_applied_exactly_once(self):
         """Losing a cached *response* must not break exactly-once
@@ -258,7 +258,7 @@ class TestSessions:
         for client in range(1, 4):  # push client 0 out of the table
             cluster.propose(0, Command.make(0, client, ["x"], session=(client, 1)))
             cluster.run_for(0.3)
-        assert 0 not in cluster.nodes[0].protocol._sessions
+        assert 0 not in cluster.nodes[0].protocol.state.sessions
         hits_before = cluster.nodes[0].protocol.stats["session_hit"]
         cluster.propose(0, first)  # retry of the evicted session
         cluster.run_for(1.0)
@@ -283,8 +283,8 @@ class TestSessions:
         cluster.restart(1, "durable")
         cluster.run_for(0.5)
         assert (
-            cluster.nodes[1].protocol._sessions
-            == cluster.nodes[0].protocol._sessions
+            cluster.nodes[1].protocol.state.sessions
+            == cluster.nodes[0].protocol.state.sessions
         )
         # A retry at the restarted node replays from the rebuilt cache.
         cluster.propose(1, Command.make(1, 99, ["x"], session=(5, 2)))

@@ -6,8 +6,9 @@ re-creating anything.  Deterministic counts throughout, no timing.
 """
 
 import asyncio
+import copy
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -17,12 +18,21 @@ from repro.consensus.commands import Command
 from repro.core.m2.config import _DECIDED_EPOCH
 from repro.core.messages import Accept, AckAccept, AckPrepare, Decide, Prepare
 from repro.core.protocol import M2Paxos, M2PaxosConfig
+from repro.core.state import (
+    KINDS,
+    VOLATILE,
+    InstanceState,
+    NodeState,
+    ObjectState,
+    declared,
+    initial,
+)
 from repro.runtime.cluster import LocalCluster
 from repro.sim.cluster import Cluster
 from repro.spec import ClusterSpec
 from repro.storage.base import StorageConfig
 
-from tests.conftest import make_cluster
+from tests.conftest import kept_state, make_cluster
 
 
 def per_instance_state(protocol) -> tuple[int, int, int, int]:
@@ -32,7 +42,7 @@ def per_instance_state(protocol) -> tuple[int, int, int, int]:
         len(state.instances),
         sum(len(positions) for positions in state.active_positions.values()),
         len(state.acks),
-        len(protocol._pending_accepts),
+        len(protocol.state.pending_accepts),
     )
 
 
@@ -82,7 +92,7 @@ def test_state_follows_the_window_and_drains_to_nothing(rounds):
         # What laggards and amnesiacs learn from is all still there.
         decided = sum(len(o.decided) for o in node.protocol.state.objects.values())
         assert decided >= rounds * 3
-        assert len(node.protocol.delivery.cstruct) == rounds * 3
+        assert len(node.protocol.state.cstruct) == rounds * 3
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +188,7 @@ def test_late_ack_for_a_finished_round_counts_nothing():
     assert per_instance_state(coordinator) == (0, 0, 0, 0)
     sent = []
     coordinator.env._transmit = lambda dst, msg: sent.append((dst, msg))
-    late = AckAccept(req=coordinator._req_counter, coordinator=0, ok=True,
+    late = AckAccept(req=coordinator.state.req, coordinator=0, ok=True,
                      cids={("x", 2): r.m.cid, ("y", 1): r.m.cid},
                      eps={("x", 2): r.epoch, ("y", 1): r.epoch})
     coordinator.on_message(2, late)
@@ -327,11 +337,11 @@ def test_a_deep_pipeline_is_supervised_by_one_timer_and_drains(rig_type):
                 if rig.now() - start < DEEP.supervise_timeout:
                     crowded.append(len(node._timers))
             assert crowded and max(crowded) <= 8, crowded
-            assert len(protocol._supervised) == BURST
-            last = max(when for when, _cid, _command in protocol._supervised)
+            assert len(protocol.state.supervised) == BURST
+            last = max(when for when, _cid, _command in protocol.state.supervised)
             await rig.wait(last - rig.now() + 0.05)
-            assert protocol._supervised == []
-            assert protocol._supervise_timer is None
+            assert protocol.state.supervised == []
+            assert protocol.state.supervise_timer is None
         finally:
             await rig.stop()
 
@@ -367,7 +377,7 @@ def test_a_lost_accept_is_recoordinated_at_its_drawn_deadline():
     cluster.propose(0, lost)
     cluster.run_for(0.01)
     [(deadline, _cid, _command)] = [
-        entry for entry in protocol._supervised if entry[1] == lost.cid
+        entry for entry in protocol.state.supervised if entry[1] == lost.cid
     ]
     cluster.run_until(deadline - 0.001)
     assert len(coordinated) == 1 and lost not in cluster.delivered(0)
@@ -383,15 +393,106 @@ def test_a_durable_legacy_restart_supervises_nothing_from_the_old_life():
     protocol = node.protocol
     cluster.propose(1, Command.make(1, 0, ["u"]))
     cluster.run_for(0.2)
-    assert len(protocol._supervised) == 1 and protocol._supervise_timer is not None
+    assert len(protocol.state.supervised) == 1 and protocol.state.supervise_timer is not None
     cluster.crash(1)
     cluster.restart(1, mode="durable")  # no store: the protocol object survives
     assert node.protocol is protocol
-    assert protocol._supervised == [] and protocol._supervise_timer is None
+    assert protocol.state.supervised == [] and protocol.state.supervise_timer is None
     # The new life supervises its own proposals from a clean heap.
     cluster.propose(1, Command.make(1, 1, ["u"]))
     cluster.run_for(0.2)
-    assert [cid for _when, cid, _c in protocol._supervised] == [(1, 1)]
-    assert protocol._supervise_timer is not None
+    assert [cid for _when, cid, _c in protocol.state.supervised] == [(1, 1)]
+    assert protocol.state.supervise_timer is not None
     cluster.run_for(2.5)
-    assert protocol._supervised == [] and protocol._supervise_timer is None
+    assert protocol.state.supervised == [] and protocol.state.supervise_timer is None
+
+
+# ----------------------------------------------------------------------
+# (vi) every field a node holds is declared durable, volatile or derived
+# ----------------------------------------------------------------------
+
+WIRING = {"env", "config", "policy", "quorums", "state", "delivery", "stats"}
+"""What an M2Paxos object holds besides its state: what it was built
+and bound with, and the diagnostic counters."""
+BUSY = replace(_CHAOS_M2, lease_duration=0.05, max_batch=4, batch_wait=0.002)
+"""Leases, batching and chaos-style timeouts."""
+
+
+def field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def test_every_state_field_declares_its_kind():
+    for cls in (NodeState, ObjectState, InstanceState):
+        undeclared = {f.name for f in fields(cls) if f.metadata.get("kind") not in KINDS}
+        # Configuration the node was built with, like ``config``.
+        assert undeclared <= {"home_hint"}, (cls.__name__, undeclared)
+
+
+def test_every_node_attribute_is_declared_state_or_wiring():
+    """A busy run -- a durable store with snapshots and a crash, leases
+    with served reads, sessions, batching, contended objects -- leaves
+    no attribute on a node outside the declarations."""
+    storage = StorageConfig(kind="mem", snapshot_every=30)
+    cluster = make_cluster(lambda node_id, n: M2Paxos(BUSY), n_nodes=3, seed=9, storage=storage)
+    for seq in range(40):
+        for node in range(3):
+            objs = ["shared"] if seq % 3 == 0 else [f"own{node}", "shared"][: 1 + seq % 2]
+            cluster.propose(
+                node,
+                Command.make(node, seq, objs, is_read=seq % 6 == 4, session=(node, seq + 1)),
+            )
+        cluster.run_for(0.01)
+    cluster.crash(2)
+    assert cluster.nodes[2].env.storage.recover().snapshot is not None
+    cluster.run_for(0.1)
+    cluster.restart(2, "durable")
+    cluster.run_for(2.0)
+    cluster.check_consistency()
+    assert cluster.nodes[2].incarnation == 1
+    assert sum(node.protocol.stats["read_local"] for node in cluster.nodes) > 0
+    for node in cluster.nodes:
+        protocol = node.protocol
+        assert set(vars(protocol)) == WIRING
+        assert set(vars(protocol.state)) == field_names(NodeState)
+        assert protocol.state.sessions and protocol.state.objects
+        for records, cls in (
+            (protocol.state.objects, ObjectState),
+            (protocol.state.instances, InstanceState),
+        ):
+            for record in records.values():
+                assert set(vars(record)) == field_names(cls)
+
+
+def test_a_legacy_restart_resets_every_volatile_field():
+    """What a restart without a store runs, ``on_restart``, puts every
+    field declared volatile -- of the node, of each object and of each
+    instance -- back to its initial value, and touches no other."""
+    cluster = make_cluster(lambda node_id, n: M2Paxos(BUSY), n_nodes=3, seed=9)
+    cluster.run_for(0.1)  # past the startup lease blackout
+    for seq in range(20):
+        for node in range(3):
+            objs = ["shared", f"own{node}"][: 1 + seq % 2]
+            cluster.propose(node, Command.make(node, seq, objs, session=(node, seq + 1)))
+        cluster.run_for(0.002)
+    cluster.crash(1)
+    protocol = cluster.nodes[1].protocol
+    state = protocol.state
+    records = [state, *state.objects.values(), *state.instances.values()]
+    assert state.instances, "the crash should land mid-round"
+    marker = object()
+    for record in records:
+        for f in declared(type(record), VOLATILE):
+            setattr(record, f.name, marker)
+    kept = copy.deepcopy(kept_state(state))
+    protocol.on_restart()
+    for record in records:
+        for f in declared(type(record), VOLATILE):
+            assert getattr(record, f.name) == initial(f), (type(record).__name__, f.name)
+    assert kept_state(state) == kept
+    cluster.restart(1, "durable")  # no store: the protocol object survives
+    cluster.run_for(3.0)
+    cluster.check_consistency()
+    # The crash may lose node 1's own unaccepted proposals, nothing else.
+    others = {(node, seq) for node in (0, 2) for seq in range(20)}
+    assert others <= {c.cid for c in cluster.delivered(1)}

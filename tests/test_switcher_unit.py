@@ -117,19 +117,19 @@ class TestSubEnv:
         monkeypatch.setattr(_SubEnv, "set_timer_at", recording)
         cluster.propose(0, Command.make(0, 0, ["x"]))
         cluster.run_for(0.1)
-        [(deadline, _cid, _command)] = m2._supervised
+        [(deadline, _cid, _command)] = m2.state.supervised
         assert deadline in armed
         # The one supervision timer lives on the hosting node.
-        assert m2._supervise_timer is not None and node._timers
+        assert m2.state.supervise_timer is not None and node._timers
         cluster.run_until(deadline)
-        assert m2._supervised == [] and m2._supervise_timer is None
+        assert m2.state.supervised == [] and m2.state.supervise_timer is None
 
     def test_durable_legacy_restart_clears_the_sub_protocols(self):
         cluster = build()
         m2 = cluster.nodes[1].protocol._m2
         cluster.propose(1, Command.make(1, 0, ["x"]))
         cluster.run_for(0.1)
-        assert m2._supervised
+        assert m2.state.supervised
         cluster.crash(1)
         cluster.restart(1, mode="durable")
-        assert m2._supervised == [] and m2._supervise_timer is None
+        assert m2.state.supervised == [] and m2.state.supervise_timer is None
