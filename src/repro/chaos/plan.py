@@ -28,8 +28,9 @@ class Crash:
 
     ``mode`` selects what a restart recovers:
 
-    - ``"durable"``: acceptor state (promises, accepted values, decided
-      log) survives, as if re-read from a durable log; only volatile
+    - ``"durable"``: the node is recovered from its store -- a fresh
+      protocol rebuilt from the snapshot and log it had flushed, so its
+      promises, accepted values and decided log survive; only volatile
       round state is lost.
     - ``"amnesia"``: the node comes back blank -- the failure mode a
       correct protocol must treat as a *new* participant, since its

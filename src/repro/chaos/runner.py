@@ -18,8 +18,10 @@ A :class:`Scenario` bundles a cluster shape, a seeded workload, and a
      delivery log of every incarnation;
 
 4. returns a :class:`ChaosResult` whose ``fingerprint`` hashes the full
-   delivery history -- two runs of the same scenario must produce the
-   same hex digest, which is how the CLI proves determinism.
+   delivery history.  The CLI runs each scenario twice in one process
+   and requires the same hex digest.  That checks determinism for the
+   process's ``PYTHONHASHSEED`` only: some runs walk unsorted sets, so a
+   fingerprint holds across processes only for a fixed hash seed.
 """
 
 from __future__ import annotations
@@ -56,10 +58,11 @@ class Scenario:
     locality: float = 0.7     # P(own home object) vs a random one
     multi: float = 0.1        # P(two-object command)
     settle: float = 4.0       # extra run time past the last fault
-    # Durable storage for every node; None keeps the legacy in-object
-    # "durable log" shortcut on restart.  ``kind="disk"`` with no dir
-    # gets a per-run tmpdir from the runner.
-    storage: Optional[StorageConfig] = None
+    # Every node's store: a durable restart replays it, an amnesia
+    # restart wipes it.  The in-memory default (``fsync_wait=0``) keeps
+    # decision logs byte-identical to a run with no store.  ``kind="disk"``
+    # with no dir gets a per-run tmpdir from the runner.
+    storage: StorageConfig = StorageConfig(kind="mem")
     # Geo shape: node->zone map plus the intra/inter-zone latency
     # shorthand (see ClusterSpec); ``zone_affinity`` additionally runs
     # the zone-aware migration policy, so partitions along a zone
@@ -251,7 +254,7 @@ def run_scenario(
         )
     storage_config = storage if storage is not None else scenario.storage
     tmpdir: Optional[str] = None
-    if storage_config is not None and storage_config.kind == "disk":
+    if storage_config.kind == "disk":
         # Always a fresh per-run directory (under ``dir`` when given,
         # else the system tmpdir): reusing one directory across runs
         # would make recovery replay a *previous* run's log.
@@ -323,16 +326,15 @@ def _run_scenario(
     cluster.start()
 
     def _restart(node: int, mode: str) -> None:
-        # Durable-prefix audit: a storage-backed durable restart replays
-        # the store synchronously, so right after `restart` the new
-        # incarnation's delivery log is exactly what recovery rebuilt.
-        # It must be byte-identical to a prefix of the pre-crash log
-        # (the whole log under synchronous fsync; possibly shorter when
-        # a group-commit window was open at the crash).
-        durable_store = mode == "durable" and cluster.nodes[node].env.storage.durable
-        pre = list(cluster.nodes[node].delivered) if durable_store else None
+        # Durable-prefix audit: a durable restart replays the store
+        # synchronously, so right after `restart` the new incarnation's
+        # delivery log is exactly what recovery rebuilt.  It must be
+        # byte-identical to a prefix of the pre-crash log (the whole log
+        # under synchronous fsync; possibly shorter when a group-commit
+        # window was open at the crash).
+        pre = list(cluster.nodes[node].delivered)
         cluster.restart(node, mode)
-        if durable_store:
+        if mode == "durable":
             recovered = list(cluster.nodes[node].delivered)
             if recovered != pre[: len(recovered)]:
                 extra_violations.append(

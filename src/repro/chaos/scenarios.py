@@ -211,11 +211,13 @@ SCENARIOS: list[Scenario] = [
         "decided write order -- no stale read across any handoff",
     ),
     # ------------------------------------------------------------------
-    # Durable-storage scenarios: each node runs a real segmented log
-    # (in-memory by default so the suite stays deterministic; the CLI
-    # reruns them with --storage disk on real files + fsync).  Restarts
-    # go through the recovery scan -- snapshot + log tail replayed into
-    # a factory-fresh protocol -- and the runner asserts the recovered
+    # Durable-storage scenarios: every scenario's nodes run a segmented
+    # log (in-memory by default so the suite stays deterministic; the
+    # CLI reruns them with --storage disk on real files + fsync), and
+    # these three stress it: snapshot truncation, an open group-commit
+    # window at the crash, a full disk.  Every durable restart goes
+    # through the recovery scan -- snapshot + log tail replayed into a
+    # factory-fresh protocol -- and the runner asserts the recovered
     # delivery log is a byte-identical prefix of the pre-crash one.
     # ------------------------------------------------------------------
     Scenario(

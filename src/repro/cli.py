@@ -446,13 +446,14 @@ def cmd_figures(args) -> int:
 def cmd_chaos(args) -> int:
     """Run seeded fault-injection scenarios through the safety checker.
 
-    Every scenario runs twice; the delivery-history fingerprints must
-    match (determinism) and both runs must pass the checker.
+    Every scenario runs twice in this process; the delivery-history
+    fingerprints must match and both runs must pass the checker.  Equal
+    fingerprints show determinism under this process's
+    ``PYTHONHASHSEED``, not across hash seeds.
     """
     from dataclasses import replace
 
     from repro.chaos import DURABLE_SMOKE, SCENARIOS, SMOKE, by_name, run_scenario
-    from repro.storage.base import StorageConfig
 
     if args.list:
         for scenario in SCENARIOS:
@@ -473,8 +474,7 @@ def cmd_chaos(args) -> int:
         per-run tmpdirs unless --storage-dir names one)."""
         if args.storage is None:
             return None
-        base = scenario.storage or StorageConfig(kind="mem")
-        return replace(base, kind=args.storage, dir=args.storage_dir)
+        return replace(scenario.storage, kind=args.storage, dir=args.storage_dir)
 
     rows = []
     failed = 0
@@ -734,9 +734,9 @@ def main(argv=None) -> int:
         "--list", action="store_true", help="list scenarios and exit"
     )
     chaos_parser.add_argument(
-        "--storage", choices=("none", "mem", "disk"), default=None,
+        "--storage", choices=("mem", "disk"), default=None,
         help="override each scenario's storage substrate "
-             "(default: the scenario's own)",
+             "(default: the scenario's own; a durable restart needs one)",
     )
     chaos_parser.add_argument(
         "--storage-dir", default=None,

@@ -811,17 +811,6 @@ class Protocol(Dispatcher, ABC):
         Default: none."""
         return 0.0, 0.0
 
-    def on_restart(self) -> None:
-        """Called on a *durable-log* restart, before :meth:`on_start`.
-
-        The node rebooted with whatever state the protocol considers
-        durable (acceptor promises, accepted values, the decided log)
-        intact, but every volatile record -- in-flight rounds, retry
-        counters, timers (already cancelled by the substrate) -- is
-        gone.  Protocols clear their volatile coordination state here;
-        an amnesia restart instead replaces the protocol object
-        entirely, so this hook is never called for it."""
-
     # ------------------------------------------------------------------
     # Durable-state hooks (storage-backed recovery)
     # ------------------------------------------------------------------

@@ -125,14 +125,6 @@ class M2Paxos(
         self._schedule_gap_check()
         self._serving_on_start()
 
-    def on_restart(self) -> None:
-        """Durable-log reboot: the durable and derived fields of
-        ``self.state`` survive as if reloaded from disk; every field
-        declared volatile (in-flight rounds and their guards, the
-        supervision heap, timer handles, lease grants) is reset, so no
-        stale guard stays locked with no timer left to release it."""
-        self.state.restart()
-
     def processing_cost(self, message):
         """Charge multi-command rounds for their extra commands.
 

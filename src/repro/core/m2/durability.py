@@ -30,8 +30,8 @@ protocol behaves exactly as before this layer existed.
 A snapshot is the durable declaration: the durable fields in order,
 through the binary value codec (only *live* instances exist: retired
 ones are dropped as the frontier passes).  Recovery writes them back,
-rebuilds the derived fields, replays the log tail, then continues as a
-normal durable restart.
+rebuilds the derived fields and replays the log tail; the node then
+starts like every other incarnation.
 """
 
 from __future__ import annotations

@@ -80,8 +80,8 @@ class ServingMixin:
     # ------------------------------------------------------------------
 
     def _serving_on_start(self) -> None:
-        """Every incarnation -- first boot, either restart, a store
-        recovery that replayed the log before this -- opens with the
+        """Every incarnation -- first boot or either restart, a durable
+        one having replayed the store before this -- opens with the
         lease blackout and serves no object below its known tail."""
         cfg = self.config
         if cfg.lease_duration <= 0.0:

@@ -6,9 +6,10 @@ values (epochs/rounds 0, votes NULL, owners NULL).
 
 Every field a node holds is declared here with its kind, the way a TLA+
 spec lists its ``VARIABLES``: :func:`durable` (a crash keeps it; the
-snapshot and the log carry it), :func:`volatile` (a restart resets it)
-or :func:`derived` (rebuilt from the durable fields).  Restart and
-snapshots read the declarations; ``home_hint`` is configuration.
+snapshot and the log carry it), :func:`volatile` (each incarnation
+starts it afresh) or :func:`derived` (rebuilt from the durable fields).
+Snapshots and their restore read the declarations; ``home_hint`` is
+configuration.
 """
 
 from __future__ import annotations
@@ -40,16 +41,6 @@ durable, volatile, derived = map(_declarer, KINDS)
 def declared(cls: type, kind: str) -> tuple[Field, ...]:
     """The fields of dataclass ``cls`` declared ``kind``, in order."""
     return tuple(f for f in fields(cls) if f.metadata.get("kind") == kind)
-
-
-def initial(f: Field):
-    """The value a fresh record holds in field ``f``."""
-    return f.default if f.default_factory is MISSING else f.default_factory()
-
-
-def _reset_volatile(record) -> None:
-    for f in declared(type(record), VOLATILE):
-        setattr(record, f.name, initial(f))
 
 
 @dataclass
@@ -179,15 +170,6 @@ class M2PaxosState:
     # quorum is only counted for matching votes:
     # acks[instance][(epoch, cid)] = set of voter node ids.
     acks: dict[Instance, dict[tuple[int, tuple[int, int]], set[int]]] = volatile(factory=dict)
-
-    def restart(self) -> None:
-        """A new incarnation: every volatile field -- of the node, and of
-        each object and instance -- back to its initial value."""
-        _reset_volatile(self)
-        for f in declared(type(self), DURABLE):
-            if f.metadata["entry"] is not None:
-                for record in getattr(self, f.name).values():
-                    _reset_volatile(record)
 
     def durable_record(self) -> dict:
         """The durable fields by name, in declaration order: a snapshot's

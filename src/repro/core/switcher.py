@@ -158,10 +158,6 @@ class AdaptiveSwitcher(Protocol):
         self._mp.on_start()
         self._schedule_check()
 
-    def on_restart(self) -> None:
-        self._m2.on_restart()
-        self._mp.on_restart()
-
     @property
     def coordinator(self) -> int:
         return 0

@@ -113,14 +113,11 @@ class LocalCluster:
         await self.nodes[node_id].stop()
 
     async def restart(self, node_id: int, mode: str = "durable") -> None:
-        """Boot a new incarnation of a crashed node: ``mode="durable"``
-        (recovery scan when a durable store is bound, else the protocol
-        object survives) or ``"amnesia"`` -- see :meth:`Host.restart_args`."""
-        node = self.nodes[node_id]
-        protocol, recover = node.restart_args(
-            mode, lambda: self.protocol_factory(node_id, self.n_nodes)
-        )
-        await node.restart(protocol, recover=recover)
+        """Boot a new incarnation of a crashed node on a fresh protocol:
+        ``mode="durable"`` replays its durable store, ``"amnesia"`` wipes
+        it first -- see :meth:`Host._reboot`."""
+        protocol = self.protocol_factory(node_id, self.n_nodes)
+        await self.nodes[node_id].restart(protocol, mode)
 
     def attach_faults(self, plan, seed: int = 0) -> None:
         """Install ``plan``'s wire faults on every node's send path.

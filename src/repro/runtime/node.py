@@ -311,14 +311,11 @@ class RuntimeNode(Host):
         # escaped.
         self._stopping = asyncio.ensure_future(self.stop())
 
-    async def restart(
-        self, protocol: Optional[Protocol] = None, *, recover: bool = False
-    ) -> None:
-        """Boot a new incarnation of this node: durable-legacy
-        (``protocol=None``), amnesia (a fresh ``protocol``) or, with
-        ``recover=True``, a fresh ``protocol`` rebuilt from the durable
-        store (see :meth:`Host._reboot`)."""
-        self._reboot(protocol, recover)
+    async def restart(self, protocol: Protocol, mode: str) -> None:
+        """Boot a new incarnation of this node on the fresh
+        ``protocol``: ``mode`` is ``"durable"`` or ``"amnesia"`` (see
+        :meth:`Host._reboot`)."""
+        self._reboot(protocol, mode)
         await self.start()
 
     # ------------------------------------------------------------------

@@ -117,14 +117,11 @@ class Cluster:
         self.nodes[node_id].crash()
 
     def restart(self, node_id: int, mode: str = "durable") -> None:
-        """Boot a new incarnation of a crashed node: ``mode="durable"``
-        (recovery scan when a durable store is bound, else the protocol
-        object survives) or ``"amnesia"`` -- see :meth:`Host.restart_args`."""
-        node = self.nodes[node_id]
-        protocol, recover = node.restart_args(
-            mode, lambda: self.protocol_factory(node_id, self.config.n_nodes)
-        )
-        node.restart(protocol, recover=recover)
+        """Boot a new incarnation of a crashed node on a fresh protocol:
+        ``mode="durable"`` replays its durable store, ``"amnesia"`` wipes
+        it first -- see :meth:`Host._reboot`."""
+        protocol = self.protocol_factory(node_id, self.config.n_nodes)
+        self.nodes[node_id].restart(protocol, mode)
 
     def partition(self, group_a: set[int], group_b: set[int]) -> None:
         self.network.partition(group_a, group_b)

@@ -225,14 +225,11 @@ class SimNode(Host):
     def _fail_stop(self) -> None:
         self.crash()
 
-    def restart(
-        self, protocol: Optional[Protocol] = None, *, recover: bool = False
-    ) -> None:
-        """Boot a new incarnation of this machine: durable-legacy
-        (``protocol=None``), amnesia (a fresh ``protocol``) or, with
-        ``recover=True``, a fresh ``protocol`` rebuilt from the durable
-        store (see :meth:`Host._reboot`)."""
-        self._reboot(protocol, recover)
+    def restart(self, protocol: Protocol, mode: str) -> None:
+        """Boot a new incarnation of this machine on the fresh
+        ``protocol``: ``mode`` is ``"durable"`` or ``"amnesia"`` (see
+        :meth:`Host._reboot`)."""
+        self._reboot(protocol, mode)
         self.run_event(self.protocol.on_start)
 
     def _rejoin(self) -> None:

@@ -1,6 +1,6 @@
 """Recovery driver: rebuild a protocol from snapshot + log tail.
 
-``Host._reboot(protocol, recover=True)`` -- the one restart path behind
+Every durable restart -- ``Host._reboot(protocol, "durable")``, behind
 ``SimNode.restart`` and ``RuntimeNode.restart`` -- replays through here,
 so crash-recovery is one code path under the deterministic simulator and
 the asyncio runtime -- the property the chaos harness's byte-identical

@@ -18,6 +18,7 @@ from repro.runtime.codec import (
     encode_message,
 )
 from repro.runtime.cluster import LocalCluster
+from repro.storage.base import StorageConfig
 
 
 def _framed(payload: bytes) -> bytes:
@@ -271,7 +272,9 @@ class TestRuntimeChaos:
 
     def test_durable_restart_over_tcp_catches_up(self):
         async def scenario():
-            cluster = LocalCluster(3, lambda i, n: M2Paxos())
+            cluster = LocalCluster(
+                3, lambda i, n: M2Paxos(), storage=StorageConfig(kind="mem")
+            )
             await cluster.start()
             try:
                 for seq in range(3):

@@ -6,9 +6,8 @@ re-creating anything.  Deterministic counts throughout, no timing.
 """
 
 import asyncio
-import copy
 import random
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 
 import pytest
 
@@ -25,14 +24,13 @@ from repro.core.state import (
     NodeState,
     ObjectState,
     declared,
-    initial,
 )
 from repro.runtime.cluster import LocalCluster
 from repro.sim.cluster import Cluster
 from repro.spec import ClusterSpec
 from repro.storage.base import StorageConfig
 
-from tests.conftest import kept_state, make_cluster
+from tests.conftest import make_cluster
 
 
 def per_instance_state(protocol) -> tuple[int, int, int, int]:
@@ -387,16 +385,19 @@ def test_a_lost_accept_is_recoordinated_at_its_drawn_deadline():
     assert all(lost in cluster.delivered(n) for n in range(3))
 
 
-def test_a_durable_legacy_restart_supervises_nothing_from_the_old_life():
-    cluster = make_cluster(lambda i, n: M2Paxos(), n_nodes=3, seed=6)
+def test_a_store_recovered_node_supervises_nothing_from_the_old_life():
+    cluster = make_cluster(
+        lambda i, n: M2Paxos(), n_nodes=3, seed=6, storage=StorageConfig(kind="mem")
+    )
     node = cluster.nodes[1]
-    protocol = node.protocol
+    old = node.protocol
     cluster.propose(1, Command.make(1, 0, ["u"]))
     cluster.run_for(0.2)
-    assert len(protocol.state.supervised) == 1 and protocol.state.supervise_timer is not None
+    assert len(old.state.supervised) == 1 and old.state.supervise_timer is not None
     cluster.crash(1)
-    cluster.restart(1, mode="durable")  # no store: the protocol object survives
-    assert node.protocol is protocol
+    cluster.restart(1, mode="durable")
+    protocol = node.protocol
+    assert protocol is not old and [c.cid for c in node.delivered] == [(1, 0)]
     assert protocol.state.supervised == [] and protocol.state.supervise_timer is None
     # The new life supervises its own proposals from a clean heap.
     cluster.propose(1, Command.make(1, 1, ["u"]))
@@ -464,11 +465,29 @@ def test_every_node_attribute_is_declared_state_or_wiring():
                 assert set(vars(record)) == field_names(cls)
 
 
-def test_a_legacy_restart_resets_every_volatile_field():
-    """What a restart without a store runs, ``on_restart``, puts every
-    field declared volatile -- of the node, of each object and of each
-    instance -- back to its initial value, and touches no other."""
-    cluster = make_cluster(lambda node_id, n: M2Paxos(BUSY), n_nodes=3, seed=9)
+def initial(f):
+    """The value a fresh record holds in field ``f``."""
+    return f.default if f.default_factory is MISSING else f.default_factory()
+
+
+ON_START = {"gap_candidates", "serve_floor", "lease_blackout_until"}
+"""Volatile node fields every incarnation's ``on_start`` sets: the
+frontiers to re-check and, with leases on, the serve floors and the
+lease blackout."""
+REPLAYED = {"last_progress"}
+"""Volatile object fields the store replay sets: each replayed decision
+stamps its object's progress clock with the restart time."""
+
+
+def test_a_store_recovered_node_holds_no_volatile_value_from_its_old_life():
+    """A durable restart boots a fresh protocol and replays the store
+    into it.  Every field declared volatile in the old life -- of the
+    node, of each object and of each instance -- is marked at the
+    crash; the new life holds none of the marks, and each of its
+    volatile fields is at its initial value but those named above."""
+    cluster = make_cluster(
+        lambda node_id, n: M2Paxos(BUSY), n_nodes=3, seed=9, storage=StorageConfig(kind="mem")
+    )
     cluster.run_for(0.1)  # past the startup lease blackout
     for seq in range(20):
         for node in range(3):
@@ -476,21 +495,25 @@ def test_a_legacy_restart_resets_every_volatile_field():
             cluster.propose(node, Command.make(node, seq, objs, session=(node, seq + 1)))
         cluster.run_for(0.002)
     cluster.crash(1)
-    protocol = cluster.nodes[1].protocol
-    state = protocol.state
-    records = [state, *state.objects.values(), *state.instances.values()]
-    assert state.instances, "the crash should land mid-round"
+    old = cluster.nodes[1].protocol.state
+    assert old.instances, "the crash should land mid-round"
     marker = object()
-    for record in records:
+    for record in [old, *old.objects.values(), *old.instances.values()]:
         for f in declared(type(record), VOLATILE):
             setattr(record, f.name, marker)
-    kept = copy.deepcopy(kept_state(state))
-    protocol.on_restart()
-    for record in records:
+    cluster.restart(1, "durable")
+    state = cluster.nodes[1].protocol.state
+    assert state is not old and state.objects and state.instances
+    for record in [state, *state.objects.values(), *state.instances.values()]:
         for f in declared(type(record), VOLATILE):
-            assert getattr(record, f.name) == initial(f), (type(record).__name__, f.name)
-    assert kept_state(state) == kept
-    cluster.restart(1, "durable")  # no store: the protocol object survives
+            value, where = getattr(record, f.name), (type(record).__name__, f.name)
+            assert value is not marker, where
+            if f.name in REPLAYED:
+                assert value == cluster.loop.now, where
+            elif f.name not in ON_START:
+                assert value == initial(f), where
+    assert state.gap_candidates == set(state.objects)
+    assert state.lease_blackout_until > cluster.loop.now
     cluster.run_for(3.0)
     cluster.check_consistency()
     # The crash may lose node 1's own unaccepted proposals, nothing else.

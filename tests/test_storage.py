@@ -460,32 +460,6 @@ class TestClusterIntegration:
         assert sum(bool(r.records) for r in recovered) >= 2
         _recover_each_node_keeping_its_state(cluster)
 
-    def test_legacy_restart_and_store_recovery_agree(self):
-        """Keeping the protocol object through ``on_restart`` and
-        rebuilding a fresh one from the store leave a node with the same
-        durable and derived state.  Leases are on: their grants are
-        volatile, so neither path keeps them."""
-        m2 = dataclasses.replace(_M2, lease_duration=0.05)
-        runs = []
-        for _ in range(2):
-            cluster = _drive(StorageConfig(kind="mem"), seed=17, rounds=24, m2=m2, cut_off=1)
-            for node in range(3):
-                cluster.propose(node, Command.make(node, 99, [f"obj{node}"], session=(node, 1)))
-            cluster.run_for(0.5)
-            runs.append(cluster)
-        for node_id in range(3):
-            for cluster in runs:
-                cluster.crash(node_id)
-            runs[0].restart(node_id, "durable")  # the recovery scan
-            runs[1].nodes[node_id].restart()  # the protocol object survives
-            recovered, legacy = (run.nodes[node_id] for run in runs)
-            assert legacy.protocol is not recovered.protocol
-            assert legacy.delivered == recovered.delivered
-            assert len(legacy.protocol.state.sessions) == 3
-            assert_same_kept_state(
-                kept_state(legacy.protocol.state), kept_state(recovered.protocol.state)
-            )
-
     def test_snapshot_format_is_pinned(self):
         """A snapshot is the durable fields in declaration order, and a
         snapshot written by an older build must still restore, so its

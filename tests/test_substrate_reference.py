@@ -256,13 +256,14 @@ def test_crash_between_arrival_and_cpu_completion_never_runs_the_handler(restart
     # The ping arrived and was charged; both completions are queued.
     assert cluster.network.messages_delivered == 1
     assert cluster.loop.pending() == 2 and node.protocol.handled == []
+    old = node.protocol
     node.crash()
     if restart:
         cluster.run_until(arrival + 20e-6)
-        node.restart()  # same protocol object, next incarnation
+        node.restart(_Recorder(), "amnesia")  # next incarnation
         assert not node.crashed and node.incarnation == 1
     cluster.run()
-    assert cluster.loop.pending() == 0 and node.protocol.handled == []
+    assert cluster.loop.pending() == 0 and old.handled == node.protocol.handled == []
     if restart:  # the new incarnation is live: new work does run
         cluster.nodes[0].env.send(1, _Ping(2))
         cluster.run()

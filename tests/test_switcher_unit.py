@@ -123,13 +123,3 @@ class TestSubEnv:
         assert m2.state.supervise_timer is not None and node._timers
         cluster.run_until(deadline)
         assert m2.state.supervised == [] and m2.state.supervise_timer is None
-
-    def test_durable_legacy_restart_clears_the_sub_protocols(self):
-        cluster = build()
-        m2 = cluster.nodes[1].protocol._m2
-        cluster.propose(1, Command.make(1, 0, ["x"]))
-        cluster.run_for(0.1)
-        assert m2.state.supervised
-        cluster.crash(1)
-        cluster.restart(1, mode="durable")
-        assert m2.state.supervised == [] and m2.state.supervise_timer is None

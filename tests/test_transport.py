@@ -25,6 +25,7 @@ from repro.runtime.codec import (
 from repro.runtime.driver import PipelineDriver
 from repro.runtime import node as runtime_node
 from repro.runtime.node import RuntimeNode
+from repro.storage.base import StorageConfig
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ def test_frames_held_while_paused_arrive_in_order_and_the_depth_returns_to_zero(
 
 def test_frames_after_a_peer_restart_are_in_send_order_with_nothing_replayed():
     async def scenario():
-        cluster = LocalCluster(2, lambda i, n: M2Paxos())
+        cluster = LocalCluster(2, lambda i, n: M2Paxos(), storage=StorageConfig(kind="mem"))
         await cluster.start()
         received = record_blobs(cluster.nodes[1])
         src = cluster.nodes[0]
