@@ -13,6 +13,14 @@ memoised on both sides, as in a warm run).  It is a ruler for the codec
 alone: what a change is worth end to end is ``benchmarks/ab_pairs.py``'s
 to say.
 
+The cold-decode rows decode 2,000 different ``Accept`` and ``Decide``
+payloads, every command new and its object drawn from a universe of 100
+(``tcp-sat``'s per node), with the codec's decode memos emptied before
+each repeat: every body is decoded for the first time, which is what a
+node pays once per command when each node runs in its own process.  The
+warm column decodes the same payloads again with the memos full; it
+shares the cold column's run, so compare cold/warm ratios across runs.
+
 The last two rows are the durable log's bill for one 7-command round
 (``tcp-durable``'s batch): the records ``core/m2/durability.py`` wrote up
 to PR 21 -- the Accept's 5-tuple, and one ``(instance, command)`` pair
@@ -37,11 +45,12 @@ REPEATS = 7
 CALLS = 2_000
 
 
-def fast_path_frames(batch: int) -> list:
-    """One accept round's three messages for ``batch`` commands."""
-    instances = [(f"o1.{17 + 3 * i}", 3 + i % 5) for i in range(batch)]
+def fast_path_frames(batch: int, first: int = 0) -> list:
+    """One accept round's three messages for ``batch`` commands, the
+    first one numbered ``first``."""
+    instances = [(f"o1.{(17 + 3 * (first + i)) % 100}", 3 + i % 5) for i in range(batch)]
     to_decide = {
-        ins: Command.make(1, 193 + i, [ins[0]]) for i, ins in enumerate(instances)
+        ins: Command.make(1, 193 + first + i, [ins[0]]) for i, ins in enumerate(instances)
     }
     eps = {ins: 4 for ins in instances}
     cids = {ins: command.cid for ins, command in to_decide.items()}
@@ -62,6 +71,26 @@ def best_pair(walk, live, *args) -> tuple[float, float]:
             for _ in range(CALLS):
                 fn(*args)
             best[side] = min(best[side], (perf_counter() - start) / CALLS * 1e6)
+    return best[0], best[1]
+
+
+def clear_decode_memos() -> None:
+    for name, memo in vars(codec).items():
+        if name.endswith("_DECODE_CACHE"):
+            memo.clear()
+
+
+def cold_and_warm(payloads: list) -> tuple[float, float]:
+    """Best microseconds per decode of ``payloads`` with the decode
+    memos emptied first, and of the same payloads decoded again."""
+    best = [float("inf"), float("inf")]
+    for _ in range(REPEATS):
+        clear_decode_memos()
+        for side in (0, 1):
+            start = perf_counter()
+            for payload in payloads:
+                codec.decode_message(payload)
+            best[side] = min(best[side], (perf_counter() - start) / len(payloads) * 1e6)
     return best[0], best[1]
 
 
@@ -103,6 +132,18 @@ def main() -> int:
             print(f"{type(message).__name__:10} {batch:5d} {len(frame):6d} "
                   f"{enc[0]:9.2f} {enc[1]:9.2f} {enc[1] / enc[0]:6.2f} "
                   f"{dec[0]:9.2f} {dec[1]:9.2f} {dec[1] / dec[0]:6.2f}")
+    print(f"\n{'cold dec':10} {'batch':>5} {'bytes':>6} {'dec cold':>9} {'dec warm':>9} "
+          f"{'ratio':>6}   (us per call, {CALLS} new payloads)")
+    for batch in (1, 8):
+        rounds = [fast_path_frames(batch, first=call * batch) for call in range(CALLS)]
+        for kind in (0, 2):  # Accept, Decide: the frames that carry commands
+            messages = [frames[kind] for frames in rounds]
+            payloads = [codec.encode_message(1, m)[codec.FRAME_HEADER.size:] for m in messages]
+            clear_decode_memos()
+            assert [codec.decode_message(p)[1] for p in payloads] == messages
+            dec = cold_and_warm(payloads)
+            print(f"{type(messages[0]).__name__:10} {batch:5d} {len(payloads[0]):6d} "
+                  f"{dec[0]:9.2f} {dec[1]:9.2f} {dec[0] / dec[1]:6.2f}")
     print(f"\n{'log record':10} {'batch':>5} {'old B':>6} {'new B':>6} "
           f"{'enc old':>9} {'enc new':>9} {'ratio':>6}   (us per round)")
     for name, old, new, old_bytes in log_records(7):

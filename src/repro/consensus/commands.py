@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Command:
     """An opaque state-machine command.
 
@@ -32,6 +32,11 @@ class Command:
     Client seqs are issued in order per client; the serving tier's dedup
     table uses them to answer retries from cache instead of re-running
     the command.
+
+    ``_bin_body``: the codec's wire encoding, filled on first encode and
+    reused by every frame that carries the command.  A cache, not part
+    of the value, so ``__init__``, ``==``, ``hash`` and ``repr`` ignore
+    it, and ``dataclasses.replace`` makes a command that encodes its own.
     """
 
     cid: tuple[int, int]
@@ -41,6 +46,7 @@ class Command:
     noop: bool = False
     is_read: bool = False
     session: Optional[tuple[int, int]] = None
+    _bin_body: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.ls:

@@ -19,10 +19,12 @@ annotation promised goes to the walk from that node down.  *Generic:*
 the walk itself -- bare containers, ``Any``, sets, floats, a registered
 class nested in another, a class whose hints do not resolve -- and all
 of the value API the storage layer uses.  *Interned:* a
-:class:`Command` body is encoded once and the bytes reused across every
-Accept/Decide/resend that carries it, and decoded bodies are memoised
-the same way; like :func:`wire_size`'s memo, that relies on a message
-and everything it holds being immutable once sent.
+:class:`Command` body is encoded once, kept in its ``_bin_body`` slot
+and reused across every Accept/Decide/resend that carries it; decoded
+bodies are memoised the same way, and so are decoded access sets
+(``_LS_DECODE_CACHE``), so commands over the same objects share one
+``frozenset`` and its strings.  Like :func:`wire_size`'s memo, that
+relies on a message and everything it holds being immutable once sent.
 
 Every message class that crosses the wire must be a dataclass made
 known through :func:`register_message`; encoding anything else is a
@@ -122,7 +124,7 @@ def _unzigzag(u: int) -> int:
 
 
 def _encode_command_body(command: Command) -> bytes:
-    body = command.__dict__.get("_bin_body")
+    body = command._bin_body
     if body is None:
         out = bytearray()
         _write_svarint(out, command.cid[0])
@@ -205,8 +207,11 @@ def _bin_encode(value: Any, out: bytearray) -> None:
 
 # Decoded Command bodies, memoised by their exact byte encoding: the
 # same command crosses the wire many times (Accept broadcast, Decide,
-# resends), and equal bytes decode to equal frozen values.
+# resends), and equal bytes decode to equal frozen values.  Access sets
+# too, keyed by their region of the body: every command is new, but its
+# objects are few and long-lived.  Both memos are cleared when full.
 _CMD_DECODE_CACHE: dict[bytes, Command] = {}
+_LS_DECODE_CACHE: dict[bytes, frozenset] = {}
 _CMD_DECODE_CACHE_CAP = 1 << 15
 
 
@@ -218,12 +223,15 @@ def _decode_command_body(body: bytes) -> Command:
     cid_a = _unzigzag(u)
     u, pos = _read_uvarint(body, pos)
     cid_b = _unzigzag(u)
+    ls_start = pos
     n, pos = _read_uvarint(body, pos)
-    ls = []
+    names = []
     for _ in range(n):
         size, pos = _read_uvarint(body, pos)
-        ls.append(body[pos : pos + size].decode())
+        names.append(body[pos : pos + size].decode())
         pos += size
+    ls_key = body[ls_start:pos]
+    ls = _LS_DECODE_CACHE.get(ls_key) or frozenset(names)
     payload, pos = _read_uvarint(body, pos)
     u, pos = _read_uvarint(body, pos)
     proposer = _unzigzag(u)
@@ -243,7 +251,7 @@ def _decode_command_body(body: bytes) -> Command:
             session = (sess_client, sess_seq)
     command = Command(
         cid=(cid_a, cid_b),
-        ls=frozenset(ls),
+        ls=ls,
         payload_bytes=payload,
         proposer=proposer,
         noop=noop,
@@ -253,6 +261,10 @@ def _decode_command_body(body: bytes) -> Command:
     if len(_CMD_DECODE_CACHE) >= _CMD_DECODE_CACHE_CAP:
         _CMD_DECODE_CACHE.clear()
     _CMD_DECODE_CACHE[body] = command
+    if ls_key not in _LS_DECODE_CACHE:
+        if len(_LS_DECODE_CACHE) >= _CMD_DECODE_CACHE_CAP:
+            _LS_DECODE_CACHE.clear()
+        _LS_DECODE_CACHE[ls_key] = ls
     return command
 
 
@@ -386,7 +398,7 @@ def _emit(enc: list[str], dec: list[str], hint: Any, v: str, d: int) -> None:
             _put(enc, d + 1, f"raw = {v}.encode()", *_head(tag, "len(raw)"), "out += raw")
             _put(dec, d + 1, f"{v} = buf[pos:pos + n].decode(); pos += n")
         elif kind is Command:
-            _put(enc, d + 1, f"raw = {v}.__dict__.get('_bin_body') or _encode_command_body({v})",
+            _put(enc, d + 1, f"raw = {v}._bin_body or _encode_command_body({v})",
                  *_head(tag, "len(raw)"), "out += raw")
             _put(dec, d + 1, "raw = buf[pos:pos + n]; pos += n",
                  f"{v} = _CMD_DECODE_CACHE.get(raw) or _decode_command_body(raw)")

@@ -1,10 +1,15 @@
-"""Property-based round-trip tests for the runtime codec."""
+"""Property-based round-trip tests for the runtime codec, and what its
+command memos may and may not change."""
 
+import dataclasses
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.consensus.commands import Command
-from repro.core.messages import Accept, AckAccept, AckPrepare, Prepare
-from repro.runtime.codec import decode_message, encode_message, FRAME_HEADER
+from repro.core.messages import Accept, AckAccept, AckPrepare, Decide, Prepare
+from repro.runtime import codec
+from repro.runtime.codec import FrameError, decode_message, encode_message, FRAME_HEADER
 
 
 def roundtrip(message, sender=0):
@@ -89,3 +94,94 @@ def test_ack_accept_roundtrip(cids, max_rnd):
         req=2, coordinator=1, ok=bool(max_rnd % 2), cids=cids, eps=eps, max_rnd=max_rnd
     )
     assert roundtrip(msg) == msg
+
+
+# ----------------------------------------------------------------------
+# Command memos: one decoded copy of each access set, invisible to values
+# ----------------------------------------------------------------------
+
+
+def test_decoded_commands_share_one_access_set_per_object(monkeypatch):
+    """3,000 commands over 100 objects decode to 100 ``ls`` objects, not
+    one each, and every decoded value equals its source."""
+    # An empty memo, so one filled by earlier tests cannot reach its cap here.
+    monkeypatch.setattr(codec, "_LS_DECODE_CACHE", {}, raising=False)
+    sources = [
+        Decide(to_decide={(f"shared.{i % 100}", i): Command.make(2, 50_000 + i, [f"shared.{i % 100}"])})
+        for i in range(3_000)
+    ]
+    decoded = [roundtrip(message, sender=2) for message in sources]
+    assert decoded == sources
+    commands = [command for message in decoded for command in message.to_decide.values()]
+    assert len({id(command.ls) for command in commands}) == 100
+    assert not hasattr(commands[0], "__dict__")
+
+
+def test_encoded_command_is_equal_hashed_and_shown_like_a_fresh_one():
+    encoded = Command.make(1, 7, ["x", "y"], session=(3, 4))
+    encode_message(1, Decide(to_decide={("x", 1): encoded}))
+    assert encoded._bin_body is not None
+    fresh = Command.make(1, 7, ["x", "y"], session=(3, 4))
+    assert fresh._bin_body is None
+    assert encoded == fresh and hash(encoded) == hash(fresh)
+    assert repr(encoded) == repr(fresh)
+    assert encoded in {fresh} and fresh in {encoded}
+
+
+def test_replace_of_an_encoded_command_encodes_its_own_body():
+    original = Command.make(1, 7, ["x"])
+    encode_message(1, Decide(to_decide={("x", 1): original}))
+    moved = dataclasses.replace(original, cid=(1, 8), ls=frozenset({"z"}))
+    assert moved._bin_body is None
+    message = Decide(to_decide={("z", 1): moved})
+    assert roundtrip(message) == message
+    assert moved._bin_body != original._bin_body
+
+
+def _patched_decide(name: str, old: bytes, new: bytes) -> bytes:
+    """The payload of a one-command Decide over ``name`` with the first
+    ``old`` in it replaced by ``new`` (same length, so every frame and
+    body size still holds)."""
+    command = Command.make(4, 900_001, [name])
+    payload = encode_message(4, Decide(to_decide={(name, 1): command}))[FRAME_HEADER.size:]
+    body = codec._encode_command_body(command)
+    start = payload.index(body)
+    patched = body.replace(old, new, 1)
+    assert len(patched) == len(body) and patched != body
+    return payload[:start] + patched + payload[start + len(body):]
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        ("\u00e9t\u00e9", "\u00e9".encode(), b"\xff\xfe"),  # not UTF-8
+        ("abc", b"\x03abc", b"\x7fabc"),  # name size runs past the body
+    ],
+    ids=["invalid-utf8", "name-past-body"],
+)
+def test_malformed_access_set_is_a_frame_error_and_memoises_nothing(name, old, new):
+    payload = _patched_decide(name, old, new)
+    sets_before = dict(codec._LS_DECODE_CACHE)
+    commands_before = dict(codec._CMD_DECODE_CACHE)
+    with pytest.raises(FrameError):
+        decode_message(payload)
+    assert codec._LS_DECODE_CACHE == sets_before
+    assert codec._CMD_DECODE_CACHE == commands_before
+
+
+def test_access_set_memo_is_cleared_when_full(monkeypatch):
+    monkeypatch.setattr(codec, "_CMD_DECODE_CACHE_CAP", 4)
+    monkeypatch.setattr(codec, "_LS_DECODE_CACHE", {})
+    monkeypatch.setattr(codec, "_CMD_DECODE_CACHE", {})
+
+    def decode_over(obj: str, seq: int):
+        message = Decide(to_decide={(obj, 1): Command.make(5, seq, [obj])})
+        assert roundtrip(message) == message
+
+    for seq in range(4):
+        decode_over(f"cap.{seq}", seq)
+    assert len(codec._LS_DECODE_CACHE) == 4
+    decode_over("cap.0", 10)  # a known set adds nothing
+    assert len(codec._LS_DECODE_CACHE) == 4
+    decode_over("cap.4", 11)
+    assert len(codec._LS_DECODE_CACHE) == 1
