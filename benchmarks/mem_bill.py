@@ -1,24 +1,28 @@
-"""What one command leaves alive on a TCP workload, by allocation site.
+"""What one command leaves alive on a perfbench workload, by allocation site.
 
     python3 benchmarks/mem_bill.py [CHECKOUT] [--workload tcp-sat] [--seed 1] [--quick]
 
-Runs ``CHECKOUT``'s own ``perfbench`` TCP pass twice in this process
-(``--quick``: the test-sized pass), each on a fresh plan and with the
-codec's decode memos emptied, and looks at it at two marks: when the
-first measured chunk starts (``PipelineDriver`` at the workload's depth,
-after the depth-8 ownership warm-up) and when the pass stops its
-cluster, by which time every command has been delivered everywhere and
-nothing has been torn down.  The first pass runs as perfbench runs it
-and gives the change in resident set size between the marks.  The
-second runs under ``tracemalloc`` and gives, per allocation site, the
-bytes gained between the marks; the sites that gained most are printed,
-then their sum and the net gain over every site, all divided by the
-commands of the measured chunks.  An allocation is charged to the line
-that made it; one made inside generated code (a dataclass ``__init__``,
-the codec's per-class functions) is charged to that line and its
-caller's.  A ruler for where per-command memory goes, not a claim:
-``peak_rss_mb`` is ``benchmarks/ab_pairs.py``'s to say.  Standard
-library only.
+Runs ``CHECKOUT``'s own ``perfbench`` pass of the workload twice in
+this process (``--quick``: the test-sized pass), each on a fresh plan
+and with the codec's decode memos emptied, and looks at it at two
+marks.  On a TCP workload they are when the first measured chunk starts
+(``PipelineDriver`` at the workload's depth, after the depth-8
+ownership warm-up) and when the pass stops its cluster, by which time
+every command has been delivered everywhere and nothing has been torn
+down.  On ``sim-contended`` they are the start of the measured window
+and the end of its last chunk, before the drain.  The first pass runs
+as perfbench runs it and gives the change in resident set size between
+the marks.  The second runs under ``tracemalloc`` and gives, per
+allocation site, the bytes gained between the marks; the sites that
+gained most are printed, then their sum, the net gain over every site
+and the traced heap at each mark and where perfbench reads the pass's
+final RSS (``peak_rss_mb``).  Bytes are divided by the commands of
+the measured chunks (TCP) or the commands proposed between the marks
+(sim).  An allocation is charged to the line that made it; one made
+inside generated code (a dataclass ``__init__``, the codec's per-class
+functions) is charged to that line and its caller's.  A ruler for where
+per-command memory goes, not a claim: ``peak_rss_mb`` is
+``benchmarks/ab_pairs.py``'s to say.  Standard library only.
 """
 
 from __future__ import annotations
@@ -89,21 +93,66 @@ def main(argv=None) -> int:
     sys.path[:0] = [os.path.join(checkout, "src"), checkout]
     os.chdir(checkout)
 
+    from perfbench import workloads as pb
     from perfbench.workloads import WORKLOADS, run_pass, tcp_plan
+    from repro.consensus.base import EnvObserver
     from repro.runtime import codec
     from repro.runtime.cluster import LocalCluster
     from repro.runtime.driver import PipelineDriver
 
     workload = WORKLOADS[args.workload].sized(args.quick)
-    if workload.substrate != "tcp":
-        parser.error(f"{args.workload} is not a TCP workload")
-    marks = []  # (rss_kb, heap snapshot or None) at the two marks of a pass
+    sim = workload.substrate == "sim"
+    marks = []  # (rss_kb, heap snapshot or None, traced bytes, proposed) per mark
+
+    class Proposals(EnvObserver):
+        """Counts the commands proposed on the nodes it observes."""
+
+        note_kinds = frozenset()
+        wants_handler_timing = False
+        deliver_scope = "proposer"
+        count = 0
+
+        def on_propose(self, node_id, command) -> None:
+            self.count += 1
+
+    counter = Proposals()
 
     def mark() -> None:
         gc.collect()
         traced = tracemalloc.is_tracing()
-        marks.append((rss_kb(), tracemalloc.take_snapshot() if traced else None))
+        marks.append((
+            rss_kb(),
+            tracemalloc.take_snapshot() if traced else None,
+            tracemalloc.get_traced_memory()[0] if traced else 0,
+            counter.count,
+        ))
 
+    class SimMarks:
+        """The sim pass's tracer hook: it calls ``mark`` before each
+        chunk and after the last; the first and the last are marked."""
+
+        def __init__(self) -> None:
+            self.calls = 0
+
+        def observe(self, nodes) -> None:
+            for node in nodes:
+                node.env.add_observer(counter)
+
+        def mark(self) -> None:
+            if self.calls in (0, workload.chunks):
+                mark()
+            self.calls += 1
+
+    pass_heap = []  # traced heap where perfbench reads a pass's RSS: start, end
+    read_rss = pb.rss_kb
+
+    def heap_and_rss() -> int:
+        if tracemalloc.is_tracing():
+            gc.collect()
+            pass_heap.append(tracemalloc.get_traced_memory()[0])
+        return read_rss()
+
+    pb.rss_kb = heap_and_rss
     run, stop = PipelineDriver.run, LocalCluster.stop
 
     async def marked_run(self, proposals, timeout=60.0):
@@ -116,38 +165,50 @@ def main(argv=None) -> int:
             mark()
         return await stop(self)
 
-    PipelineDriver.run, LocalCluster.stop = marked_run, marked_stop
+    if not sim:
+        PipelineDriver.run, LocalCluster.stop = marked_run, marked_stop
     passes = []
     for traced in (False, True):
         for name, memo in vars(codec).items():
             if name.endswith("_DECODE_CACHE"):
                 memo.clear()
-        plan = tcp_plan(workload, args.seed)
+        plan = None if sim else tcp_plan(workload, args.seed)
         marks.clear()
         if traced:
             tracemalloc.start(4)
         with tempfile.TemporaryDirectory() as storage_dir:
-            result = run_pass(workload, args.seed, plan, storage_dir)
+            result = run_pass(
+                workload, args.seed, plan, storage_dir, tracer=SimMarks() if sim else None
+            )
         tracemalloc.stop()
         for problem in result.problems:
             print(f"{args.workload}: FAILED: {problem}", file=sys.stderr)
         if result.problems or len(marks) != 2:
             return 1
         passes.append(list(marks))
-    commands = sum(len(chunk) for chunk in plan.chunks)
+    if sim:
+        (_, _, _, first), (_, _, _, last) = passes[1]
+        commands, what = last - first, "commands proposed between the marks"
+    else:
+        commands = sum(len(chunk) for chunk in plan.chunks)
+        what = "commands in the measured chunks"
 
-    (rss0, _), (rss1, _) = passes[0]
-    (_, before), (_, after) = passes[1]
+    (rss0, *_), (rss1, *_) = passes[0]
+    (_, before, heap0, _), (_, after, heap1, _) = passes[1]
     gained = by_site(after)
     gained.subtract(by_site(before))
     top = gained.most_common(TOP)
-    print(f"{args.workload} seed {args.seed}: {commands} commands in the measured chunks")
+    print(f"{args.workload} seed {args.seed}: {commands} {what}")
     print(f"{'B/cmd':>8}  site")
     for key, size in top:
         print(f"{size / commands:8.1f}  {key}  {source_of(key)[:60]}")
     print(f"{sum(size for _key, size in top) / commands:8.1f}  top {TOP} sites")
     print(f"{sum(gained.values()) / commands:8.1f}  all sites (net)")
     print(f"{(rss1 - rss0) * 1024 / commands:8.1f}  RSS delta (the untraced pass)")
+    print(
+        f"traced heap: {heap0 / 2**20:.1f} MB at the first mark, {heap1 / 2**20:.1f} MB"
+        f" at the second, {pass_heap[-1] / 2**20:.1f} MB at the end of the pass"
+    )
     return 0
 
 

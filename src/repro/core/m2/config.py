@@ -17,6 +17,11 @@ _DECIDED_EPOCH = 1 << 30
 replies, so SELECT always re-forces the decided command."""
 
 
+_SUPERVISE, _ROUND = 0, 1
+"""Entry kinds on a node's deadline heap (``NodeState.deadlines``); the
+kind sorts before the key, so two kinds never compare their keys."""
+
+
 class SafetyViolation(AssertionError):
     """Two different commands decided for the same instance."""
 
@@ -36,7 +41,8 @@ class M2PaxosConfig:
     # saturation benchmarks).
     supervise_timeout: float = 1.5
     # Abandon a prepare round whose quorum of replies never arrives
-    # (message loss), releasing the per-object acquisition guard.
+    # (message loss), releasing the per-object acquisition guard; a
+    # round that ended earlier is already retired.  0 disables it.
     round_timeout: float = 0.6
     # After announcing a decided round, re-send it to nodes whose ack
     # never arrived.  A node that misses both the Accept and the Decide
@@ -162,6 +168,8 @@ class _PendingPrepare:
       (``command`` is None; unforced instances become no-ops);
     - ``"recover"``: atomic re-proposal of a forced multi-object
       ``command`` over its recorded instance set.
+
+    Retired from ``pending_prepares`` at its quorum, NACK or deadline.
     """
 
     command: Optional[Command]
@@ -170,7 +178,6 @@ class _PendingPrepare:
     replies: dict[
         int, dict[Instance, tuple[Optional[Command], int, tuple[Instance, ...]]]
     ] = field(default_factory=dict)
-    done: bool = False
     # Instances of objects we already owned when the round started (at
     # their current epochs): not prepared -- re-electing ourselves would
     # dethrone our own pipeline -- but included in the clean accept.

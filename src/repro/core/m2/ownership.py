@@ -12,7 +12,7 @@ from typing import Optional
 from repro.consensus.base import handles
 from repro.consensus.commands import Command, make_noop
 from repro.core.messages import AckPrepare, Instance, Prepare
-from repro.core.m2.config import _DECIDED_EPOCH, _PendingPrepare
+from repro.core.m2.config import _DECIDED_EPOCH, _ROUND, _PendingPrepare
 
 
 class OwnershipMixin:
@@ -94,8 +94,7 @@ class OwnershipMixin:
             fins=fins,
         )
         self.env.broadcast(Prepare(req=req, eps=eps, scoped=scoped))
-        if self.config.round_timeout > 0:
-            self._arm_round_timeout(req)
+        self._push_deadline(self.config.round_timeout, _ROUND, req)
 
     def _next_epoch(self, floor: int) -> int:
         """The smallest epoch above ``floor`` that belongs to this node.
@@ -114,47 +113,35 @@ class OwnershipMixin:
         self.state.noop += 1
         return make_noop(l, self.env.node_id, self.state.noop)
 
-    def _arm_round_timeout(self, req: int) -> None:
-        def expire() -> None:
-            pending = self.state.pending_prepares.pop(req, None)
-            if pending is None or pending.done:
-                return
-            pending.done = True
-            if pending.kind == "acquisition":
-                self.state.acquiring.difference_update(l for l, _p in pending.eps)
-                self._drain_deferred()
-            elif pending.kind == "recover" and pending.command is not None:
-                self.state.active_recoveries.discard(pending.command.cid)
-
-        jitter = 1.0 + 0.5 * self.env.rng.random()
-        self.env.set_timer(self.config.round_timeout * jitter, expire)
+    def _abandon_round(self, pending: _PendingPrepare, retry: bool = False) -> None:
+        """Release what a round that failed (NACK) or expired guarded."""
+        if pending.kind == "acquisition":
+            self.state.acquiring.difference_update(l for l, _p in pending.eps)
+            if retry:
+                self._retry(pending.command)
+            self._drain_deferred()
+        elif pending.kind == "recover" and pending.command is not None:
+            # The gap checker re-fires recovery if the frontier stays stuck.
+            self.state.active_recoveries.discard(pending.command.cid)
 
     @handles(AckPrepare)
     def _on_ack_prepare(self, sender: int, msg: AckPrepare) -> None:
         pending = self.state.pending_prepares.get(msg.req)
-        if pending is None or pending.done:
-            return
-
+        if pending is None:
+            return  # the round is over
+        if msg.ok:
+            pending.replies[sender] = msg.decs
+            if not self.quorums.is_prepare_quorum(pending.replies):
+                return
+        # A quorum or a NACK ends the round: it is retired here.
+        del self.state.pending_prepares[msg.req]
         if not msg.ok:
-            pending.done = True
             self.stats["prepare_nacks"] += 1
             for (l, _position) in pending.eps:
                 obj = self.state.obj(l)
                 obj.epoch = max(obj.epoch, msg.max_rnd)
-            if pending.kind == "acquisition":
-                self.state.acquiring.difference_update(l for l, _p in pending.eps)
-                self._retry(pending.command)
-                self._drain_deferred()
-            elif pending.kind == "recover":
-                # A competing round is active; the gap checker re-fires
-                # recovery if the frontier stays stuck.
-                self.state.active_recoveries.discard(pending.command.cid)
+            self._abandon_round(pending, retry=True)
             return
-
-        pending.replies[sender] = msg.decs
-        if not self.quorums.is_prepare_quorum(pending.replies):
-            return
-        pending.done = True
         if pending.kind == "acquisition":
             self.state.acquiring.difference_update(l for l, _p in pending.eps)
         self._resolve_prepared(pending)

@@ -2,7 +2,8 @@
 
 The mixin owns everything a node does for commands it coordinates:
 picking instances, the fast/forward decision, the accept round and its
-ack counting, retries, and proposer-side supervision.
+ack counting, retries, and the node's deadline heap (proposer-side
+supervision and prepare-round deadlines).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Optional
 from repro.consensus.base import handles
 from repro.consensus.commands import Command
 from repro.core.messages import Accept, AckAccept, Decide, Forward, Instance
-from repro.core.m2.config import _PendingAccept
+from repro.core.m2.config import _ROUND, _SUPERVISE, _PendingAccept
 from repro.core.policy import FORWARD
 
 
@@ -39,39 +40,43 @@ class ProposerMixin:
 
     def _supervise(self, command: Command) -> None:
         """Watch our own proposal until it is decided (liveness under
-        message loss: a silently lost round never produces a NACK).
+        message loss: a silently lost round never produces a NACK).  A
+        healthy proposal costs a deadline heap entry, not a timer."""
+        self._push_deadline(self.config.supervise_timeout, _SUPERVISE, command.cid, command)
 
-        Deadlines wait in one heap per node behind one env timer, armed
-        for the earliest: a healthy proposal costs a heap entry, not a
-        timer of its own."""
-        if self.config.supervise_timeout <= 0:
+    def _push_deadline(self, timeout: float, kind: int, key, command=None) -> None:
+        """Put a deadline ``timeout x U[1, 1.5)`` from now on the heap
+        (``NodeState.deadlines``); a timeout of 0 disables the kind."""
+        if timeout <= 0:
             return
-        period = self.config.supervise_timeout * (1.0 + 0.5 * self.env.rng.random())
-        entry = (self.env.now() + period, command.cid, command)
-        supervised = self.state.supervised
-        heapq.heappush(supervised, entry)
-        if supervised[0] is entry:
-            self._arm_supervision()
+        entry = (self.env.now() + timeout * (1.0 + 0.5 * self.env.rng.random()), kind, key, command)
+        deadlines = self.state.deadlines
+        heapq.heappush(deadlines, entry)
+        if deadlines[0] is entry:
+            self._arm_deadline()
 
-    def _arm_supervision(self) -> None:
+    def _arm_deadline(self) -> None:
         state = self.state
-        if state.supervise_timer is not None:
-            state.supervise_timer.cancel()
-        state.supervise_timer = self.env.set_timer_at(
-            state.supervised[0][0], self._on_supervise_deadline
-        )
+        if state.deadline_timer is not None:
+            state.deadline_timer.cancel()
+        state.deadline_timer = self.env.set_timer_at(state.deadlines[0][0], self._on_deadline)
 
-    def _on_supervise_deadline(self) -> None:
-        """One firing per deadline, decided or not: the earliest entry
-        is checked, then the timer is armed for the next one."""
+    def _on_deadline(self) -> None:
+        """One firing per deadline: the earliest entry expires its round
+        or re-coordinates its undecided proposal, then the timer is
+        armed for the next."""
         state = self.state
-        state.supervise_timer = None
-        _when, _cid, command = heapq.heappop(state.supervised)
-        if not self._fully_decided(command):
+        state.deadline_timer = None
+        _when, kind, key, command = heapq.heappop(state.deadlines)
+        if kind == _ROUND:
+            pending = state.pending_prepares.pop(key, None)
+            if pending is not None:
+                self._abandon_round(pending)
+        elif not self._fully_decided(command):
             self._coordinate(command, hops=0)
             self._supervise(command)
-        if state.supervised and state.supervise_timer is None:
-            self._arm_supervision()
+        if state.deadlines and state.deadline_timer is None:
+            self._arm_deadline()
 
     def _pick_instances(self, command: Command) -> dict[Instance, int]:
         """Choose the next free position per still-undecided object.

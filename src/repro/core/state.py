@@ -327,10 +327,11 @@ class NodeState(M2PaxosState):
     # Our own proposals not yet fully decided -- the depth gauge behind
     # ``config.batch_adaptive`` (see _effective_batch_wait).
     inflight_cids: set[tuple[int, int]] = volatile(factory=set)
-    # Supervision deadlines of our own proposals, ``(when, cid,
-    # command)``, behind one env timer (ProposerMixin._supervise).
-    supervised: list[tuple[float, tuple[int, int], Command]] = volatile(factory=list)
-    supervise_timer: Optional[object] = volatile(None)
+    # Deadlines behind one env timer (ProposerMixin._push_deadline): our
+    # proposals' supervision, ``(when, _SUPERVISE, cid, command)``, and
+    # our prepare rounds', ``(when, _ROUND, req, None)``.
+    deadlines: list[tuple[float, int, object, Optional[Command]]] = volatile(factory=list)
+    deadline_timer: Optional[object] = volatile(None)
     # -- Serving tier.  Owner-side grant ledger: obj -> {granter ->
     # expiry on *our* lease clock}.  Pruned when ownership moves (renew
     # pass) and on self-revoke.

@@ -14,7 +14,7 @@ import pytest
 from repro.chaos.plan import Crash, DelayWindow, DuplicateWindow, FaultPlan
 from repro.chaos.runner import _CHAOS_M2, Scenario, _run_scenario
 from repro.consensus.commands import Command
-from repro.core.m2.config import _DECIDED_EPOCH
+from repro.core.m2.config import _DECIDED_EPOCH, _ROUND, _SUPERVISE
 from repro.core.messages import Accept, AckAccept, AckPrepare, Decide, Prepare
 from repro.core.protocol import M2Paxos, M2PaxosConfig
 from repro.core.state import (
@@ -33,15 +33,26 @@ from repro.storage.base import StorageConfig
 from tests.conftest import make_cluster
 
 
-def per_instance_state(protocol) -> tuple[int, int, int, int]:
-    """Sizes of the four structures the lifetime rule bounds."""
+def per_instance_state(protocol) -> tuple[int, int, int, int, int]:
+    """Sizes of the five structures the lifetime rule bounds."""
     state = protocol.state
     return (
         len(state.instances),
         sum(len(positions) for positions in state.active_positions.values()),
         len(state.acks),
-        len(protocol.state.pending_accepts),
+        len(state.pending_accepts),
+        len(state.pending_prepares),
     )
+
+
+def supervised(protocol) -> list:
+    """The supervision entries on the node's deadline heap, as
+    ``(when, cid, command)``."""
+    return [
+        (when, cid, command)
+        for when, kind, cid, command in protocol.state.deadlines
+        if kind == _SUPERVISE
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -57,11 +68,11 @@ PER_COMMAND = 2
 objects each (retries and no-op fills reuse or replace positions)."""
 
 
-def drive(rounds: int) -> tuple[Cluster, int]:
+def drive(rounds: int, config: M2PaxosConfig = LEARN) -> tuple[Cluster, int]:
     """``rounds`` x 3 commands over five objects every node fights for,
     closed loop at WINDOW in flight; returns the drained cluster and
     the largest any structure grew on any node."""
-    cluster = make_cluster(lambda node_id, n: M2Paxos(LEARN), n_nodes=3, seed=7)
+    cluster = make_cluster(lambda node_id, n: M2Paxos(config), n_nodes=3, seed=7)
     rng = random.Random(7)
     proposed = peak = 0
     for seq in range(rounds):
@@ -86,11 +97,24 @@ def test_state_follows_the_window_and_drains_to_nothing(rounds):
     assert WINDOW // 2 < peak <= PER_COMMAND * (WINDOW + 3)
     assert sum(n.protocol.stats["accept_nacks"] for n in cluster.nodes) > 0
     for node in cluster.nodes:
-        assert per_instance_state(node.protocol) == (0, 0, 0, 0)
+        assert per_instance_state(node.protocol) == (0, 0, 0, 0, 0)
         # What laggards and amnesiacs learn from is all still there.
         decided = sum(len(o.decided) for o in node.protocol.state.objects.values())
         assert decided >= rounds * 3
         assert len(node.protocol.state.cstruct) == rounds * 3
+
+
+@pytest.mark.parametrize(
+    "round_timeout", [60.0, 0.0], ids=["deadline-after-the-drain", "no-deadline"]
+)
+def test_a_finished_prepare_round_is_retired_without_its_deadline(round_timeout):
+    """A round leaves ``pending_prepares`` at its quorum or NACK, not at
+    its deadline: here the deadline falls after the drain, or never."""
+    cluster, peak = drive(60, replace(LEARN, round_timeout=round_timeout))
+    assert peak <= PER_COMMAND * (WINDOW + 3)
+    assert sum(n.protocol.stats["acquisitions"] for n in cluster.nodes) > WINDOW
+    for node in cluster.nodes:
+        assert node.protocol.state.pending_prepares == {}
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +139,7 @@ class Retired:
         assert self.acceptor.state.decided_at(("x", 1)) == self.a
         assert self.acceptor.state.decided_at(("x", 2)) == self.m
         assert self.acceptor.state.decided_at(("y", 1)) == self.m
-        assert per_instance_state(self.acceptor) == (0, 0, 0, 0)
+        assert per_instance_state(self.acceptor) == (0, 0, 0, 0, 0)
         self.sent = []
         self.acceptor.env._transmit = lambda dst, msg: self.sent.append((dst, msg))
         self.epoch = self.acceptor.state.obj("x").promised
@@ -183,7 +207,7 @@ def test_duplicate_decide_is_silent():
 def test_late_ack_for_a_finished_round_counts_nothing():
     r = Retired()
     coordinator = r.cluster.nodes[0].protocol
-    assert per_instance_state(coordinator) == (0, 0, 0, 0)
+    assert per_instance_state(coordinator) == (0, 0, 0, 0, 0)
     sent = []
     coordinator.env._transmit = lambda dst, msg: sent.append((dst, msg))
     late = AckAccept(req=coordinator.state.req, coordinator=0, ok=True,
@@ -191,7 +215,7 @@ def test_late_ack_for_a_finished_round_counts_nothing():
                      eps={("x", 2): r.epoch, ("y", 1): r.epoch})
     coordinator.on_message(2, late)
     assert sent == []
-    assert per_instance_state(coordinator) == (0, 0, 0, 0)
+    assert per_instance_state(coordinator) == (0, 0, 0, 0, 0)
 
 
 def test_vote_on_a_retired_instance_is_not_recorded():
@@ -266,11 +290,11 @@ def test_chaos_with_restarts_leaves_no_per_instance_state():
     assert result.ok, result.report.violations
     assert result.duplicated > 0
     for node in cluster.nodes:
-        assert per_instance_state(node.protocol) == (0, 0, 0, 0), node.node_id
+        assert per_instance_state(node.protocol) == (0, 0, 0, 0, 0), node.node_id
 
 
 # ----------------------------------------------------------------------
-# (v) supervision: one deadline heap and one env timer per node
+# (v) one deadline heap and one env timer per node
 # ----------------------------------------------------------------------
 
 DEEP = M2PaxosConfig(
@@ -335,11 +359,11 @@ def test_a_deep_pipeline_is_supervised_by_one_timer_and_drains(rig_type):
                 if rig.now() - start < DEEP.supervise_timeout:
                     crowded.append(len(node._timers))
             assert crowded and max(crowded) <= 8, crowded
-            assert len(protocol.state.supervised) == BURST
-            last = max(when for when, _cid, _command in protocol.state.supervised)
+            assert len(supervised(protocol)) == BURST
+            last = max(entry[0] for entry in protocol.state.deadlines)
             await rig.wait(last - rig.now() + 0.05)
-            assert protocol.state.supervised == []
-            assert protocol.state.supervise_timer is None
+            assert protocol.state.deadlines == []
+            assert protocol.state.deadline_timer is None
         finally:
             await rig.stop()
 
@@ -375,7 +399,7 @@ def test_a_lost_accept_is_recoordinated_at_its_drawn_deadline():
     cluster.propose(0, lost)
     cluster.run_for(0.01)
     [(deadline, _cid, _command)] = [
-        entry for entry in protocol.state.supervised if entry[1] == lost.cid
+        entry for entry in supervised(protocol) if entry[1] == lost.cid
     ]
     cluster.run_until(deadline - 0.001)
     assert len(coordinated) == 1 and lost not in cluster.delivered(0)
@@ -383,6 +407,52 @@ def test_a_lost_accept_is_recoordinated_at_its_drawn_deadline():
     assert coordinated[1] == (deadline, lost.cid)  # exactly, not nearly
     cluster.run_for(0.5)
     assert all(lost in cluster.delivered(n) for n in range(3))
+
+
+def test_an_unanswered_prepare_round_expires_at_its_drawn_deadline():
+    # A long gap timeout: gap recovery would start rounds of its own.
+    config = M2PaxosConfig(gap_timeout=10.0)
+    cluster = make_cluster(lambda i, n: M2Paxos(config), n_nodes=3, seed=4)
+    protocol = cluster.nodes[0].protocol
+    coordinated = []
+    coordinate = protocol._coordinate
+
+    def recording(command, hops):
+        coordinated.append((cluster.loop.now, command.cid))
+        coordinate(command, hops)
+
+    send = cluster.network.send
+    lossy = True
+
+    def drop_acks(src, dst, message, size):
+        # Node 0 hears no reply to its Prepares while ``lossy``.
+        if lossy and dst == 0 and isinstance(message, AckPrepare):
+            return
+        send(src, dst, message, size)
+
+    protocol._coordinate = recording
+    cluster.network.send = drop_acks
+    first, queued = Command.make(0, 0, ["s"]), Command.make(0, 1, ["s"])
+    cluster.propose(0, first)
+    cluster.propose(0, queued)  # waits behind the acquisition of s
+    cluster.run_for(0.01)
+    [(deadline, _kind, req, _none)] = [
+        entry for entry in protocol.state.deadlines if entry[1] == _ROUND
+    ]
+    assert list(protocol.state.pending_prepares) == [req]
+    cluster.run_until(deadline - 0.001)
+    assert req in protocol.state.pending_prepares
+    assert protocol.state.acquiring == {"s"} and protocol.state.deferred == [queued]
+    cluster.run_until(deadline)
+    assert req not in protocol.state.pending_prepares
+    # ``acquiring`` was released at the deadline, exactly: the queued
+    # command was coordinated then and not deferred again.
+    assert coordinated[-1] == (deadline, queued.cid)
+    assert protocol.state.deferred == []
+    lossy = False
+    cluster.run_for(3.0)
+    assert all({first, queued} <= set(cluster.delivered(n)) for n in range(3))
+    assert protocol.state.pending_prepares == {}
 
 
 def test_a_store_recovered_node_supervises_nothing_from_the_old_life():
@@ -393,19 +463,19 @@ def test_a_store_recovered_node_supervises_nothing_from_the_old_life():
     old = node.protocol
     cluster.propose(1, Command.make(1, 0, ["u"]))
     cluster.run_for(0.2)
-    assert len(old.state.supervised) == 1 and old.state.supervise_timer is not None
+    assert len(supervised(old)) == 1 and old.state.deadline_timer is not None
     cluster.crash(1)
     cluster.restart(1, mode="durable")
     protocol = node.protocol
     assert protocol is not old and [c.cid for c in node.delivered] == [(1, 0)]
-    assert protocol.state.supervised == [] and protocol.state.supervise_timer is None
+    assert protocol.state.deadlines == [] and protocol.state.deadline_timer is None
     # The new life supervises its own proposals from a clean heap.
     cluster.propose(1, Command.make(1, 1, ["u"]))
     cluster.run_for(0.2)
-    assert [cid for _when, cid, _c in protocol.state.supervised] == [(1, 1)]
-    assert protocol.state.supervise_timer is not None
+    assert [cid for _when, cid, _c in supervised(protocol)] == [(1, 1)]
+    assert protocol.state.deadline_timer is not None
     cluster.run_for(2.5)
-    assert protocol.state.supervised == [] and protocol.state.supervise_timer is None
+    assert protocol.state.deadlines == [] and protocol.state.deadline_timer is None
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for the adaptive switcher's decision machinery."""
 
 from repro.consensus.commands import Command
+from repro.core.m2.config import _SUPERVISE
 from repro.core.switcher import (
     AdaptiveSwitcher,
     SwitcherConfig,
@@ -117,9 +118,11 @@ class TestSubEnv:
         monkeypatch.setattr(_SubEnv, "set_timer_at", recording)
         cluster.propose(0, Command.make(0, 0, ["x"]))
         cluster.run_for(0.1)
-        [(deadline, _cid, _command)] = m2.state.supervised
-        assert deadline in armed
-        # The one supervision timer lives on the hosting node.
-        assert m2.state.supervise_timer is not None and node._timers
+        # The timer is armed for the heap's earliest entry, here the
+        # acquisition round's deadline; the supervision deadline waits.
+        assert m2.state.deadlines[0][0] in armed
+        [deadline] = [when for when, kind, _cid, _c in m2.state.deadlines if kind == _SUPERVISE]
+        # The one deadline timer lives on the hosting node.
+        assert m2.state.deadline_timer is not None and node._timers
         cluster.run_until(deadline)
-        assert m2.state.supervised == [] and m2.state.supervise_timer is None
+        assert m2.state.deadlines == [] and m2.state.deadline_timer is None
