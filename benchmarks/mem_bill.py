@@ -16,9 +16,10 @@ the marks.  The second runs under ``tracemalloc`` and gives, per
 allocation site, the bytes gained between the marks; the sites that
 gained most are printed, then their sum, the net gain over every site
 and the traced heap at each mark and where perfbench reads the pass's
-final RSS (``peak_rss_mb``).  Bytes are divided by the commands of
-the measured chunks (TCP) or the commands proposed between the marks
-(sim).  An allocation is charged to the line that made it; one made
+final RSS (``peak_rss_mb``), and, per node at each mark, the env
+timers still armed and the deadline heap's entries by kind.  Bytes are
+divided by the commands of the measured chunks (TCP) or the commands
+proposed between the marks (sim).  An allocation is charged to the line that made it; one made
 inside generated code (a dataclass ``__init__``, the codec's per-class
 functions) is charged to that line and its caller's.  A ruler for where
 per-command memory goes, not a claim: ``peak_rss_mb`` is
@@ -69,6 +70,16 @@ def by_site(snapshot) -> Counter:
     return sizes
 
 
+def timers(nodes, kinds: dict) -> list[tuple[int, int, Counter]]:
+    """Per node: its id, its live env timers and its deadline heap's
+    entries counted by kind name."""
+    rows = []
+    for node in nodes:
+        heap = getattr(node.protocol.state, "deadlines", ())  # none before the heap
+        rows.append((node.node_id, len(node._timers), Counter(kinds[entry[1]] for entry in heap)))
+    return rows
+
+
 def source_of(key: str) -> str:
     path, _, line = key.split(" <- ")[0].rpartition(":")
     return linecache.getline(path, int(line)).strip()
@@ -96,13 +107,20 @@ def main(argv=None) -> int:
     from perfbench import workloads as pb
     from perfbench.workloads import WORKLOADS, run_pass, tcp_plan
     from repro.consensus.base import EnvObserver
+    from repro.core.m2 import config as m2config
     from repro.runtime import codec
     from repro.runtime.cluster import LocalCluster
     from repro.runtime.driver import PipelineDriver
 
     workload = WORKLOADS[args.workload].sized(args.quick)
     sim = workload.substrate == "sim"
-    marks = []  # (rss_kb, heap snapshot or None, traced bytes, proposed) per mark
+    marks = []  # (rss_kb, heap snapshot or None, traced bytes, proposed, timers) per mark
+    # The deadline heap's kinds by name, as far as the checkout has them.
+    kinds = {
+        getattr(m2config, name): name[1:].lower()
+        for name in ("_SUPERVISE", "_ROUND", "_LEARN")
+        if hasattr(m2config, name)
+    }
 
     class Proposals(EnvObserver):
         """Counts the commands proposed on the nodes it observes."""
@@ -117,7 +135,7 @@ def main(argv=None) -> int:
 
     counter = Proposals()
 
-    def mark() -> None:
+    def mark(nodes) -> None:
         gc.collect()
         traced = tracemalloc.is_tracing()
         marks.append((
@@ -125,6 +143,7 @@ def main(argv=None) -> int:
             tracemalloc.take_snapshot() if traced else None,
             tracemalloc.get_traced_memory()[0] if traced else 0,
             counter.count,
+            timers(nodes, kinds),
         ))
 
     class SimMarks:
@@ -133,14 +152,16 @@ def main(argv=None) -> int:
 
         def __init__(self) -> None:
             self.calls = 0
+            self.nodes = []
 
         def observe(self, nodes) -> None:
+            self.nodes = nodes
             for node in nodes:
                 node.env.add_observer(counter)
 
         def mark(self) -> None:
             if self.calls in (0, workload.chunks):
-                mark()
+                mark(self.nodes)
             self.calls += 1
 
     pass_heap = []  # traced heap where perfbench reads a pass's RSS: start, end
@@ -157,12 +178,12 @@ def main(argv=None) -> int:
 
     async def marked_run(self, proposals, timeout=60.0):
         if self.depth != WARM_DEPTH and not marks:
-            mark()
+            mark(self.cluster.nodes)
         return await run(self, proposals, timeout)
 
     async def marked_stop(self):
         if len(marks) == 1:
-            mark()
+            mark(self.nodes)
         return await stop(self)
 
     if not sim:
@@ -187,14 +208,14 @@ def main(argv=None) -> int:
             return 1
         passes.append(list(marks))
     if sim:
-        (_, _, _, first), (_, _, _, last) = passes[1]
+        (*_, first, _), (*_, last, _) = passes[1]
         commands, what = last - first, "commands proposed between the marks"
     else:
         commands = sum(len(chunk) for chunk in plan.chunks)
         what = "commands in the measured chunks"
 
     (rss0, *_), (rss1, *_) = passes[0]
-    (_, before, heap0, _), (_, after, heap1, _) = passes[1]
+    (_, before, heap0, _, timers0), (_, after, heap1, _, timers1) = passes[1]
     gained = by_site(after)
     gained.subtract(by_site(before))
     top = gained.most_common(TOP)
@@ -209,6 +230,11 @@ def main(argv=None) -> int:
         f"traced heap: {heap0 / 2**20:.1f} MB at the first mark, {heap1 / 2**20:.1f} MB"
         f" at the second, {pass_heap[-1] / 2**20:.1f} MB at the end of the pass"
     )
+    for which, rows in (("first", timers0), ("second", timers1)):
+        print(f"timers at the {which} mark (live env timers; deadline heap entries by kind):")
+        for node_id, env_timers, heap in rows:
+            entries = ", ".join(f"{heap[name]} {name}" for name in kinds.values())
+            print(f"  node {node_id}: {env_timers:5d} env; {entries}")
     return 0
 
 

@@ -185,7 +185,7 @@ class AcceptorMixin:
                     inst_state.rnd = rnds[inst] = epoch
                 self.state.gap_candidates.add(inst[0])
                 decs[inst] = self._report(inst, inst_state)
-            self._log_promise({}, rnds)
+            self._log_promise((), rnds)
             self.env.send(sender, AckPrepare(req=msg.req, ok=True, decs=decs))
             return
 
@@ -218,16 +218,7 @@ class AcceptorMixin:
                 if inst_state is not None:
                     inst_state.rnd = rnds[report_inst] = max(inst_state.rnd, epoch)
                 decs[report_inst] = self._report(report_inst, inst_state)
-        self._log_promise(
-            {
-                inst[0]: (
-                    self.state.obj(inst[0]).promised,
-                    self.state.obj(inst[0]).epoch,
-                )
-                for inst in msg.eps
-            },
-            rnds,
-        )
+        self._log_promise((l for l, _position in msg.eps), rnds)
         self.env.send(sender, AckPrepare(req=msg.req, ok=True, decs=decs))
 
     def _report(

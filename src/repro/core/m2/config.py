@@ -17,7 +17,7 @@ _DECIDED_EPOCH = 1 << 30
 replies, so SELECT always re-forces the decided command."""
 
 
-_SUPERVISE, _ROUND = 0, 1
+_SUPERVISE, _ROUND, _LEARN = 0, 1, 2
 """Entry kinds on a node's deadline heap (``NodeState.deadlines``); the
 kind sorts before the key, so two kinds never compare their keys."""
 
@@ -49,7 +49,9 @@ class M2PaxosConfig:
     # has *no local record* of the instance, so its gap checker can
     # never notice the hole; only the coordinator knows who went
     # unheard.  Quiet clusters send nothing extra (everyone acks long
-    # before the first timeout).
+    # before the first timeout).  Attempt k waits on the deadline heap
+    # for k x timeout x U[1, 1.5); the round retires at the last ack, a
+    # superseded decision or the attempt cap.  0 disables it.
     learn_resend_timeout: float = 0.25
     learn_resend_attempts: int = 12
     # Accept-round batching (CAESAR-style leader batching): while this

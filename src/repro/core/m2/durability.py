@@ -37,7 +37,7 @@ starts like every other incarnation.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.core.messages import Accept, Decide
 from repro.runtime.codec import (
@@ -68,8 +68,12 @@ class DurabilityMixin:
     def _log_accept(self, sender: int, msg: Accept) -> None:
         self._log(REC_ACCEPT, message_payload, sender, msg)
 
-    def _log_promise(self, objs: dict, insts: dict) -> None:
-        self._log(REC_PROMISE, encode_value_binary, (objs, insts))
+    def _log_promise(self, ls: Iterable[str], insts: dict) -> None:
+        """One Prepare reply's promises: on objects ``ls`` and instances ``insts``."""
+        if self.env.storage.durable:
+            objects = self.state.objects
+            objs = {l: (objects[l].promised, objects[l].epoch) for l in ls}
+            self._log(REC_PROMISE, encode_value_binary, (objs, insts))
 
     def _log_decide(self, to_decide: dict) -> None:
         """Called with the decisions a handler is about to apply."""

@@ -3,7 +3,7 @@
 The mixin owns everything a node does for commands it coordinates:
 picking instances, the fast/forward decision, the accept round and its
 ack counting, retries, and the node's deadline heap (proposer-side
-supervision and prepare-round deadlines).
+supervision, prepare-round deadlines and learn-resend).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional
 from repro.consensus.base import handles
 from repro.consensus.commands import Command
 from repro.core.messages import Accept, AckAccept, Decide, Forward, Instance
-from repro.core.m2.config import _ROUND, _SUPERVISE, _PendingAccept
+from repro.core.m2.config import _LEARN, _ROUND, _SUPERVISE, _PendingAccept
 from repro.core.policy import FORWARD
 
 
@@ -44,12 +44,12 @@ class ProposerMixin:
         healthy proposal costs a deadline heap entry, not a timer."""
         self._push_deadline(self.config.supervise_timeout, _SUPERVISE, command.cid, command)
 
-    def _push_deadline(self, timeout: float, kind: int, key, command=None) -> None:
+    def _push_deadline(self, timeout: float, kind: int, key, value=None) -> None:
         """Put a deadline ``timeout x U[1, 1.5)`` from now on the heap
         (``NodeState.deadlines``); a timeout of 0 disables the kind."""
         if timeout <= 0:
             return
-        entry = (self.env.now() + timeout * (1.0 + 0.5 * self.env.rng.random()), kind, key, command)
+        entry = (self.env.now() + timeout * (1.0 + 0.5 * self.env.rng.random()), kind, key, value)
         deadlines = self.state.deadlines
         heapq.heappush(deadlines, entry)
         if deadlines[0] is entry:
@@ -62,19 +62,21 @@ class ProposerMixin:
         state.deadline_timer = self.env.set_timer_at(state.deadlines[0][0], self._on_deadline)
 
     def _on_deadline(self) -> None:
-        """One firing per deadline: the earliest entry expires its round
-        or re-coordinates its undecided proposal, then the timer is
-        armed for the next."""
+        """One firing per deadline: the earliest entry expires its round,
+        chases its announced round's unheard nodes or re-coordinates its
+        undecided proposal, then the timer is armed for the next."""
         state = self.state
         state.deadline_timer = None
-        _when, kind, key, command = heapq.heappop(state.deadlines)
+        _when, kind, key, value = heapq.heappop(state.deadlines)
         if kind == _ROUND:
             pending = state.pending_prepares.pop(key, None)
             if pending is not None:
                 self._abandon_round(pending)
-        elif not self._fully_decided(command):
-            self._coordinate(command, hops=0)
-            self._supervise(command)
+        elif kind == _LEARN:
+            self._resend_learn(key, value)
+        elif not self._fully_decided(value):
+            self._coordinate(value, hops=0)
+            self._supervise(value)
         if state.deadlines and state.deadline_timer is None:
             self._arm_deadline()
 
@@ -552,36 +554,36 @@ class ProposerMixin:
         as soon as every node acked, if a decision was superseded
         (laggards then heal via gap recovery on the activity the resent
         Accept recorded), or after the configured attempt cap -- and
-        stopping is what retires the round's ``pending_accepts`` entry."""
+        stopping is what retires the round's ``pending_accepts`` entry.
+        Each attempt waits on the deadline heap, not on a timer."""
         cfg = self.config
         if cfg.learn_resend_timeout <= 0 or attempt > cfg.learn_resend_attempts:
             self.state.pending_accepts.pop(req, None)
             return
+        self._push_deadline(cfg.learn_resend_timeout * attempt, _LEARN, req, attempt)
 
-        def fire() -> None:
-            pending = self.state.pending_accepts.get(req)
-            if pending is None:
-                return  # the last ack already retired it
-            if len(pending.acked) >= self.env.n_nodes or any(
-                (decided := self.state.decided_at(inst)) is None or decided.cid != cmd.cid
-                for inst, cmd in pending.to_decide.items()
-            ):
-                del self.state.pending_accepts[req]
-                return
-            for dst in self.env.nodes:
-                if dst not in pending.acked:
-                    self.env.send(
-                        dst,
-                        Accept(
-                            req=req,
-                            to_decide=pending.to_decide,
-                            eps=pending.eps,
-                            cmd_ins={},
-                            scoped=pending.scoped,
-                        ),
-                    )
-                    self.env.send(dst, Decide(to_decide=pending.to_decide))
-            self._arm_learn_resend(req, attempt + 1)
-
-        jitter = 1.0 + 0.5 * self.env.rng.random()
-        self.env.set_timer(cfg.learn_resend_timeout * attempt * jitter, fire)
+    def _resend_learn(self, req: int, attempt: int) -> None:
+        """A learn-resend deadline: chase the unheard nodes, or retire the round."""
+        pending = self.state.pending_accepts.get(req)
+        if pending is None:
+            return  # the last ack already retired it
+        if len(pending.acked) >= self.env.n_nodes or any(
+            (decided := self.state.decided_at(inst)) is None or decided.cid != cmd.cid
+            for inst, cmd in pending.to_decide.items()
+        ):
+            del self.state.pending_accepts[req]
+            return
+        for dst in self.env.nodes:
+            if dst not in pending.acked:
+                self.env.send(
+                    dst,
+                    Accept(
+                        req=req,
+                        to_decide=pending.to_decide,
+                        eps=pending.eps,
+                        cmd_ins={},
+                        scoped=pending.scoped,
+                    ),
+                )
+                self.env.send(dst, Decide(to_decide=pending.to_decide))
+        self._arm_learn_resend(req, attempt + 1)

@@ -9,7 +9,7 @@ spec lists its ``VARIABLES``: :func:`durable` (a crash keeps it; the
 snapshot and the log carry it), :func:`volatile` (each incarnation
 starts it afresh) or :func:`derived` (rebuilt from the durable fields).
 Snapshots and their restore read the declarations; ``home_hint`` is
-configuration.
+configuration.  The per-object and per-instance records are slotted.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def declared(cls: type, kind: str) -> tuple[Field, ...]:
     return tuple(f for f in fields(cls) if f.metadata.get("kind") == kind)
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectState:
     """Everything node-local about one object ``l``.
 
@@ -114,7 +114,7 @@ class ObjectState:
         self.observe_position(position)
 
 
-@dataclass
+@dataclass(slots=True)
 class InstanceState:
     """Acceptor-side state for one instance ``(l, in)``.
 
@@ -328,9 +328,10 @@ class NodeState(M2PaxosState):
     # ``config.batch_adaptive`` (see _effective_batch_wait).
     inflight_cids: set[tuple[int, int]] = volatile(factory=set)
     # Deadlines behind one env timer (ProposerMixin._push_deadline): our
-    # proposals' supervision, ``(when, _SUPERVISE, cid, command)``, and
-    # our prepare rounds', ``(when, _ROUND, req, None)``.
-    deadlines: list[tuple[float, int, object, Optional[Command]]] = volatile(factory=list)
+    # proposals' supervision, ``(when, _SUPERVISE, cid, command)``, our
+    # prepare rounds', ``(when, _ROUND, req, None)``, and our announced
+    # rounds' learn-resend attempts, ``(when, _LEARN, req, attempt)``.
+    deadlines: list[tuple[float, int, object, object]] = volatile(factory=list)
     deadline_timer: Optional[object] = volatile(None)
     # -- Serving tier.  Owner-side grant ledger: obj -> {granter ->
     # expiry on *our* lease clock}.  Pruned when ownership moves (renew

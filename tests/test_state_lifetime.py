@@ -14,7 +14,7 @@ import pytest
 from repro.chaos.plan import Crash, DelayWindow, DuplicateWindow, FaultPlan
 from repro.chaos.runner import _CHAOS_M2, Scenario, _run_scenario
 from repro.consensus.commands import Command
-from repro.core.m2.config import _DECIDED_EPOCH, _ROUND, _SUPERVISE
+from repro.core.m2.config import _DECIDED_EPOCH, _LEARN, _ROUND, _SUPERVISE
 from repro.core.messages import Accept, AckAccept, AckPrepare, Decide, Prepare
 from repro.core.protocol import M2Paxos, M2PaxosConfig
 from repro.core.state import (
@@ -455,6 +455,73 @@ def test_an_unanswered_prepare_round_expires_at_its_drawn_deadline():
     assert protocol.state.pending_prepares == {}
 
 
+@pytest.mark.parametrize("rounds", [20, 80])
+def test_announced_rounds_wait_on_the_heap_not_on_env_timers(rounds):
+    """Each node coordinates ``rounds`` fast-path commands on an object
+    it homes.  Every announced round's learn-resend deadline lies past
+    the drain, yet a node ends holding the same two env timers (its
+    deadline timer and its gap checker) whatever ``rounds`` is."""
+    config = M2PaxosConfig(learn_resend_timeout=60.0, home_hint=lambda l: int(l[-1]))
+    cluster = make_cluster(lambda i, n: M2Paxos(config), n_nodes=3, seed=7)
+    for seq in range(rounds):
+        for node in range(3):
+            cluster.propose(node, Command.make(node, seq, [f"own{node}"]))
+        cluster.run_for(0.001)
+    cluster.run_for(5.0)  # the drain; past every supervision deadline
+    for node in cluster.nodes:
+        state = node.protocol.state
+        assert len(node.delivered) == 3 * rounds
+        assert node.protocol.stats["fast_path"] == rounds
+        assert len(node._timers) == 2
+        assert [kind for _when, kind, _req, _attempt in state.deadlines] == [_LEARN] * rounds
+        assert state.pending_accepts == {}  # the last acks retired them
+
+
+def test_an_unheard_node_is_chased_at_the_drawn_deadline():
+    # A long gap timeout: gap recovery must not be what heals node 2.
+    config = M2PaxosConfig(gap_timeout=10.0, home_hint=lambda l: 0)
+    cluster = make_cluster(lambda i, n: M2Paxos(config), n_nodes=3, seed=4)
+    protocol = cluster.nodes[0].protocol
+    sent = []
+    send = cluster.network.send
+    lossy = True
+
+    def drop_acks(src, dst, message, size):
+        # Node 0 hears no AckAccept from node 2 while ``lossy``.
+        if lossy and src == 2 and isinstance(message, AckAccept):
+            return
+        if src == 0 and dst != 0:
+            sent.append((cluster.loop.now, dst, type(message)))
+        send(src, dst, message, size)
+
+    cluster.network.send = drop_acks
+    command = Command.make(0, 0, ["s"])
+    cluster.propose(0, command)
+    cluster.run_for(0.01)
+    assert all(command in cluster.delivered(n) for n in range(3))
+    [(deadline, _kind, req, attempt)] = [
+        entry for entry in protocol.state.deadlines if entry[1] == _LEARN
+    ]
+    assert attempt == 1 and protocol.state.pending_accepts[req].acked == {0, 1}
+    sent.clear()
+    cluster.run_until(deadline - 0.001)
+    assert sent == [] and req in protocol.state.pending_accepts
+    cluster.run_until(deadline)
+    # Exactly at the deadline, to the unheard node only, and re-armed.
+    assert sent == [(deadline, 2, Accept), (deadline, 2, Decide)]
+    [(later, _kind, again, attempt)] = [
+        entry for entry in protocol.state.deadlines if entry[1] == _LEARN
+    ]
+    assert (again, attempt) == (req, 2) and later > deadline
+    lossy = False
+    sent.clear()
+    cluster.run_until((deadline + later) / 2)
+    assert req not in protocol.state.pending_accepts  # node 2's ack landed
+    cluster.run_until(later + 0.001)
+    assert sent == []  # the attempt-2 deadline found the round retired
+    assert [entry for entry in protocol.state.deadlines if entry[1] == _LEARN] == []
+
+
 def test_a_store_recovered_node_supervises_nothing_from_the_old_life():
     cluster = make_cluster(
         lambda i, n: M2Paxos(), n_nodes=3, seed=6, storage=StorageConfig(kind="mem")
@@ -503,7 +570,8 @@ def test_every_state_field_declares_its_kind():
 def test_every_node_attribute_is_declared_state_or_wiring():
     """A busy run -- a durable store with snapshots and a crash, leases
     with served reads, sessions, batching, contended objects -- leaves
-    no attribute on a node outside the declarations."""
+    no attribute on a node outside the declarations.  The per-object
+    and per-instance records are slotted, so they cannot hold one."""
     storage = StorageConfig(kind="mem", snapshot_every=30)
     cluster = make_cluster(lambda node_id, n: M2Paxos(BUSY), n_nodes=3, seed=9, storage=storage)
     for seq in range(40):
@@ -532,7 +600,11 @@ def test_every_node_attribute_is_declared_state_or_wiring():
             (protocol.state.instances, InstanceState),
         ):
             for record in records.values():
-                assert set(vars(record)) == field_names(cls)
+                assert type(record) is cls and not hasattr(record, "__dict__")
+    for cls in (ObjectState, InstanceState):
+        assert set(cls.__slots__) == field_names(cls)
+        with pytest.raises(AttributeError):
+            cls().undeclared = 0
 
 
 def initial(f):
