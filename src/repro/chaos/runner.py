@@ -298,7 +298,6 @@ def _run_scenario(
         from repro.obs.telemetry import Telemetry
 
         telemetry = Telemetry(cluster, interval=telemetry_interval)
-        telemetry.subscribe_protocols()
         telemetry.start()
     extra_violations: list[str] = []
     # Lease runs: capture every served read (owner-local, zero

@@ -332,7 +332,6 @@ def cmd_top(args) -> int:
     interval = args.interval
     handle = build_run(spec)
     telemetry = Telemetry(handle.cluster, interval=interval)
-    telemetry.subscribe_protocols()
     telemetry.start()
     handle.start()
     total = spec.warmup + spec.duration

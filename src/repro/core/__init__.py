@@ -18,13 +18,10 @@ from repro.core.messages import (
 )
 from repro.core.protocol import M2Paxos, M2PaxosConfig
 from repro.core.policy import OnDemandPolicy, OwnershipPolicy, StickyPolicy
-from repro.core.switcher import AdaptiveSwitcher, SwitcherConfig
 
 __all__ = [
     "M2Paxos",
     "M2PaxosConfig",
-    "AdaptiveSwitcher",
-    "SwitcherConfig",
     "OwnershipPolicy",
     "OnDemandPolicy",
     "StickyPolicy",

@@ -357,11 +357,9 @@ class NodeState(M2PaxosState):
     def replayed(self, commands: Iterable[Command] = (), me: Optional[int] = None) -> None:
         """The counters' replay rule, per log record.  Node ``me``'s own
         no-ops ride in Accept and Decide records (``commands``), so
-        ``noop`` resumes above the highest; the switcher's mode markers
-        also have negative sequence numbers, hence the ``noop`` test.  No
-        record carries a round id: ``req`` moves one per record, an
-        estimate of what the dead incarnation used (lease renewals, for
-        one, log nothing)."""
+        ``noop`` resumes above the highest.  No record carries a round
+        id: ``req`` moves one per record, an estimate of what the dead
+        incarnation used (lease renewals, for one, log nothing)."""
         self.req += 1
         for command in commands:
             if command.noop and command.cid[0] == me:

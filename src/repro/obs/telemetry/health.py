@@ -5,8 +5,7 @@ interval against three rules and emits structured events on the
 False→True transition (one event per episode, not per frame):
 
 - ``contention``: the acquisition-path share of decides crosses
-  ``contention_ratio`` — the M²Paxos degenerate regime CAESAR targets;
-  the :class:`~repro.core.switcher.AdaptiveSwitcher` subscribes to this.
+  ``contention_ratio`` — the M²Paxos degenerate regime CAESAR targets.
 - ``overload``: inflight depth crosses ``overload_inflight``, or overall
   p50 latency rises monotonically across ``overload_slope_frames``
   consecutive frames by at least ``overload_slope_factor`` total.

@@ -10,7 +10,6 @@ labels, so any endpoint exposes the full cluster view).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import List, Optional, Tuple
 
 from repro.obs.clock import SimClock, clock_for
@@ -109,21 +108,6 @@ class Telemetry:
 
     def detach(self) -> None:
         self.collector.detach()
-
-    def subscribe_protocols(self) -> int:
-        """Wire every protocol exposing ``on_health_event`` (e.g. the
-        :class:`~repro.core.switcher.AdaptiveSwitcher`) to the detector.
-        Handlers run inside the node's event scope, so any sends they
-        issue flush as normal batches (and a crashed host runs nothing).
-        Returns the number of nodes subscribed."""
-        wired = 0
-        for node in self.cluster.nodes:
-            handler = getattr(node.protocol, "on_health_event", None)
-            if handler is None:
-                continue
-            self.detector.subscribe(partial(node.run_event, handler))
-            wired += 1
-        return wired
 
     # ------------------------------------------------------------------
     # Views

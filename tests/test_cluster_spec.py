@@ -15,12 +15,11 @@ import pytest
 
 import repro
 from repro.bench.harness import protocol_factory
-from repro.consensus.base import Protocol
+from repro.consensus.base import Env, Protocol
 from repro.consensus.commands import Command
 from repro.consensus.epaxos import EPaxos
 from repro.consensus.multipaxos import MultiPaxos
 from repro.core.protocol import M2PaxosConfig
-from repro.core.switcher import AdaptiveSwitcher
 from repro.runtime.cluster import LocalCluster
 from repro.sim.cluster import Cluster
 from repro.sim.cpu import CpuConfig
@@ -155,23 +154,35 @@ class TestCompilation:
         proto = spec.protocol_factory()(0, 3)
         assert hasattr(proto, "bind")
 
-    def test_every_protocol_class_is_one_a_figure_runs(self):
-        """No protocol lives in ``repro`` that no figure plots: every
-        concrete Protocol is built by the bench factory for a name in
-        PROTOCOLS, or is the switcher that falls back between two of
-        them."""
+    @staticmethod
+    def _concrete_subclasses(base):
+        """Every non-abstract subclass of ``base`` defined under ``repro.``,
+        after importing every module of the package."""
         for module in pkgutil.walk_packages(repro.__path__, "repro."):
             if not module.name.endswith("__main__"):
                 importlib.import_module(module.name)
-        defined, stack = set(), [Protocol]
+        found, stack = set(), [base]
         while stack:
             for sub in stack.pop().__subclasses__():
                 stack.append(sub)
                 if sub.__module__.startswith("repro.") and not inspect.isabstract(sub):
-                    defined.add(sub)
+                    found.add(sub)
+        return found
+
+    def test_every_protocol_class_is_one_a_figure_runs(self):
+        """No protocol lives in ``repro`` that no figure plots: every
+        concrete Protocol is built by the bench factory for a name in
+        PROTOCOLS."""
+        defined = self._concrete_subclasses(Protocol)
         built = {type(protocol_factory(name)(0, 3)) for name in PROTOCOLS}
-        unplotted = defined - built - {AdaptiveSwitcher}
-        assert not unplotted, sorted(cls.__qualname__ for cls in unplotted)
+        assert defined == built, sorted(cls.__qualname__ for cls in defined ^ built)
+
+    def test_the_only_envs_are_the_two_substrates(self):
+        """A protocol runs on the simulator or the TCP runtime and
+        nothing else: no wrapper Env sits between a protocol and its
+        substrate."""
+        names = {cls.__qualname__ for cls in self._concrete_subclasses(Env)}
+        assert names == {"SimEnv", "RuntimeEnv"}
 
     def test_m2_tunables_reach_the_protocol(self):
         spec = ClusterSpec(m2=M2PaxosConfig(batch_wait=0.007))

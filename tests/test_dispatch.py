@@ -17,7 +17,6 @@ from repro.consensus import epaxos, genpaxos, multipaxos
 from repro.consensus.base import Dispatcher, Message, handles
 from repro.consensus.commands import Command
 from repro.core import messages as m2_messages
-from repro.core import switcher
 from repro.core.protocol import M2Paxos
 from repro.runtime.cluster import LocalCluster
 from repro.sim.cluster import Cluster
@@ -42,7 +41,6 @@ CASES = [
     (epaxos.EPaxos, epaxos),
     (genpaxos.GenPaxos, genpaxos),
     (multipaxos.MultiPaxos, multipaxos),
-    (switcher.AdaptiveSwitcher, switcher),
 ]
 
 

@@ -20,7 +20,6 @@ FAST_EXAMPLES = [
     "examples/quickstart.py",
     "examples/bank_ledger.py",
     "examples/fault_tolerance.py",
-    "examples/adaptive_switching.py",
     "examples/geo_replication.py",
 ]
 

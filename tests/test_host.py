@@ -21,7 +21,6 @@ from repro.consensus.commands import Command
 from repro.consensus.host import Host
 from repro.consensus.multipaxos import MultiPaxos
 from repro.core.protocol import M2Paxos
-from repro.core.switcher import AdaptiveSwitcher
 from repro.runtime.cluster import LocalCluster
 from repro.sim.cluster import Cluster
 from repro.spec import ClusterSpec
@@ -305,8 +304,8 @@ def test_restart_refuses_a_live_node_and_recovery_without_a_store(substrate):
 
 @pytest.mark.parametrize(
     "protocol_factory",
-    [lambda i, n: MultiPaxos(), lambda i, n: AdaptiveSwitcher()],
-    ids=["multipaxos", "switcher"],
+    [lambda i, n: MultiPaxos()],
+    ids=["multipaxos"],
 )
 def test_a_durable_restart_of_a_protocol_that_cannot_recover_is_refused(protocol_factory):
     """Only M2Paxos replays a store.  For any other protocol an empty

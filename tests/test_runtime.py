@@ -171,24 +171,6 @@ class TestLiveCluster:
 
         self.run(scenario())
 
-    def test_adaptive_switcher_over_tcp(self):
-        """The switcher wraps every inner message in an envelope class of
-        its own; those must cross real sockets like any other message."""
-        from repro.core.switcher import AdaptiveSwitcher
-
-        async def scenario():
-            cluster = LocalCluster(3, lambda i, n: AdaptiveSwitcher())
-            await cluster.start()
-            try:
-                for seq in range(6):
-                    node = seq % 3
-                    cluster.propose(node, Command.make(node, seq, ["shared"]))
-                await cluster.wait_delivered(6)
-            finally:
-                await cluster.stop()
-
-        self.run(scenario())
-
     def test_malformed_frames_cost_one_connection_not_the_node(self):
         """Whatever arrives on the listening socket is outside input: a
         bad frame ends the connection it came in on, nothing else."""

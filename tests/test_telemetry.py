@@ -2,9 +2,8 @@
 
 Covers the whole ``repro.obs.telemetry`` stack on both substrates: unit
 tests for the quantile sketch and the registry, a sim end-to-end run
-(frames, JSONL export, determinism with the sampler attached), the
-Prometheus text endpoint served mid-run by a real runtime cluster, and
-the HealthDetector -> AdaptiveSwitcher contention wiring.
+(frames, JSONL export, determinism with the sampler attached), and the
+Prometheus text endpoint served mid-run by a real runtime cluster.
 """
 
 from __future__ import annotations
@@ -205,11 +204,10 @@ class TestPrometheusRender:
 # ----------------------------------------------------------------------
 
 
-def _drive_sim(cluster, rounds=20, n_nodes=3, spacing=0.05, objects=None):
+def _drive_sim(cluster, rounds=20, n_nodes=3, spacing=0.05):
     for round_nr in range(rounds):
         for node in range(n_nodes):
-            objs = objects(node, round_nr) if objects else [f"o{node}"]
-            cluster.propose(node, Command.make(node, round_nr, objs))
+            cluster.propose(node, Command.make(node, round_nr, [f"o{node}"]))
         cluster.run_for(spacing)
     cluster.run_for(2.0)
 
@@ -416,44 +414,6 @@ class TestHealthDetector:
         detector.subscribe(seen.append)
         detector.observe_frame(_frame(0, inflight=5))
         assert [e.kind for e in seen] == ["overload"]
-
-
-# ----------------------------------------------------------------------
-# HealthDetector -> AdaptiveSwitcher (the acceptance wiring)
-# ----------------------------------------------------------------------
-
-
-class TestSwitcherConsumesContention:
-    def test_contention_event_flips_the_cluster_to_multipaxos(self):
-        from repro.core.switcher import (
-            MODE_M2,
-            MODE_MP,
-            AdaptiveSwitcher,
-            SwitcherConfig,
-        )
-
-        # A window the local sampler can never fill and no dwell: the
-        # only way this cluster can switch is through the health event.
-        config = SwitcherConfig(window=10**6, min_dwell=0.0)
-        cluster = make_cluster(
-            lambda i, n: AdaptiveSwitcher(config), n_nodes=3, seed=5
-        )
-        telemetry = Telemetry(
-            cluster, interval=0.1, health=HealthConfig(min_decides=4)
-        )
-        assert telemetry.subscribe_protocols() == 3
-        telemetry.start()
-        assert all(node.protocol.mode == MODE_M2 for node in cluster.nodes)
-        # Every node hammers one shared object: most commands decide via
-        # the acquisition path, so frames breach the contention ratio.
-        _drive_sim(cluster, rounds=30, objects=lambda n, r: ["hot"])
-        telemetry.stop()
-        assert any(e.kind == "contention" for e in telemetry.events)
-        stats = [node.protocol.stats for node in cluster.nodes]
-        assert sum(s["health_events"] for s in stats) >= 3
-        assert sum(s["votes_sent"] for s in stats) >= 1
-        assert all(node.protocol.mode == MODE_MP for node in cluster.nodes)
-        cluster.check_consistency()
 
 
 # ----------------------------------------------------------------------
