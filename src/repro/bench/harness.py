@@ -109,13 +109,10 @@ class PointSpec:
     zone_latency: Optional["ZoneLatency"] = None
     zone_affinity: bool = False
     # Serving tier (m2paxos only; all off by default, keeping the run
-    # byte-identical to the seed): ownership-lease knobs, the aggregate
-    # client-session count per node (wired into both the workload's
-    # session stamps and the open-loop driver), and latency-aware
-    # accept-quorum targeting.
+    # byte-identical to the seed): ownership-lease knobs and
+    # latency-aware accept-quorum targeting.
     lease_duration: float = 0.0
     lease_margin: float = 0.002
-    sessions_per_node: int = 0
     nearest_accept: bool = False
     quorum_rtt: Optional[tuple] = None
     quorum: Optional[object] = None
@@ -123,15 +120,7 @@ class PointSpec:
 
 def build_workload(spec: PointSpec, rng: RngRegistry):
     if spec.workload == "synthetic":
-        synthetic = spec.synthetic
-        if spec.sessions_per_node and not synthetic.sessions_per_node:
-            # One knob drives both halves of the session model: the
-            # workload stamps (client_id, seq) and the client driver
-            # aggregates issuance over the same session count.
-            synthetic = replace(
-                synthetic, sessions_per_node=spec.sessions_per_node
-            )
-        return SyntheticWorkload(synthetic, spec.n_nodes, rng.stream("workload"))
+        return SyntheticWorkload(spec.synthetic, spec.n_nodes, rng.stream("workload"))
     if spec.workload == "tpcc":
         return TpccWorkload(spec.tpcc, spec.n_nodes, rng.stream("workload"))
     raise ValueError(f"unknown workload {spec.workload!r}")
@@ -236,7 +225,6 @@ def build_run(
             clients_per_node=spec.clients_per_node,
             think_time=spec.think_time,
             max_inflight_per_node=spec.max_inflight,
-            sessions_per_node=spec.sessions_per_node,
         ),
     )
     return RunHandle(

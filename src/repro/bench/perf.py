@@ -47,6 +47,9 @@ SERVING_COSTS = ProtocolCosts(
     propose_cost=250e-6,
     per_command_cost=60e-6,
 )
+# Lease length of the serving comparison's leased sim arms, in virtual
+# seconds.
+SERVING_LEASE = 0.2
 
 # The one pipelined M2 configuration every runtime arm runs: with
 # ``batch_adaptive`` on, a depth-1 client sees immediate flushes (the
@@ -72,7 +75,6 @@ class PerfConfig:
     serving_read_ratios: tuple[float, ...] = (0.0, 0.5, 0.9, 0.99)
     serving_commands: int = 1200
     serving_repeats: int = 5
-    serving_lease: float = 0.2  # virtual seconds (sim arms)
     # Telemetry-overhead bench: commands per arm, alternating off/on
     # repeats (the tax is the ratio of per-arm bests, so more repeats
     # give each arm more chances to record an uncontaminated run), and
@@ -295,7 +297,7 @@ def bench_serving(config: PerfConfig) -> dict:
             warmup=max(config.bench_warmup, 0.4),
             seed=config.seed,
             frame_sizes="codec",
-            lease_duration=config.serving_lease if leased else 0.0,
+            lease_duration=SERVING_LEASE if leased else 0.0,
         )
         result = run_point(spec, costs=SERVING_COSTS)
         stats = result.extra["protocol_stats"]
@@ -355,7 +357,7 @@ def bench_serving(config: PerfConfig) -> dict:
     unleased, leased = _fastest(runs[False]), _fastest(runs[True])
     return {
         "nodes": config.n_nodes,
-        "lease_duration": config.serving_lease,
+        "lease_duration": SERVING_LEASE,
         "ratios": ratios,
         "headline_read_ratio": headline_rf,
         "read_local_speedup": ratios[f"{headline_rf:g}"]["speedup"],

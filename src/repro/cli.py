@@ -94,7 +94,6 @@ def _spec_from_args(args, protocol: str) -> PointSpec:
         zone_latency=zone_latency,
         zone_affinity=getattr(args, "zone_affinity", False),
         lease_duration=args.leases,
-        sessions_per_node=args.sessions,
     )
     if args.saturate:
         spec = saturated_spec(spec)
@@ -151,12 +150,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         help="ownership-lease duration in virtual seconds; a leased "
              "owner answers reads locally with zero consensus messages "
              "(m2paxos only; 0 = off)",
-    )
-    parser.add_argument(
-        "--sessions", type=int, default=0,
-        help="exactly-once client sessions per node: commands carry "
-             "(client_id, seq) stamps and duplicate retries replay the "
-             "cached result (0 = off)",
     )
     _add_storage_args(parser)
 

@@ -28,10 +28,6 @@ class Command:
     ``is_read``: a read-only command.  Reads never mutate state, so an
     owner holding a valid lease may answer them locally without a
     consensus round; without a lease they run as ordinary commands.
-    ``session``: optional ``(client_id, seq)`` exactly-once identity.
-    Client seqs are issued in order per client; the serving tier's dedup
-    table uses them to answer retries from cache instead of re-running
-    the command.
 
     ``_bin_body``: the codec's wire encoding, filled on first encode and
     reused by every frame that carries the command.  A cache, not part
@@ -45,7 +41,6 @@ class Command:
     proposer: int = 0
     noop: bool = False
     is_read: bool = False
-    session: Optional[tuple[int, int]] = None
     _bin_body: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -61,7 +56,6 @@ class Command:
         objects: Iterable[str],
         payload_bytes: int = 16,
         is_read: bool = False,
-        session: Optional[tuple[int, int]] = None,
     ) -> "Command":
         """Convenience constructor used by workload generators."""
         return Command(
@@ -70,7 +64,6 @@ class Command:
             payload_bytes=payload_bytes,
             proposer=proposer,
             is_read=is_read,
-            session=session,
         )
 
     def conflicts(self, other: "Command") -> bool:

@@ -113,11 +113,15 @@ class GpDecide(Message):
     to_decide: dict[Instance, Command]
 
 
+# The leader checks the frontiers every COLLISION_CHECK_PERIOD seconds and
+# runs a classic round on one stuck for COLLISION_TIMEOUT seconds.
+COLLISION_CHECK_PERIOD = 0.05
+COLLISION_TIMEOUT = 0.05
+
+
 @dataclass(frozen=True)
 class GenPaxosConfig:
     leader: int = 0
-    collision_check_period: float = 0.05
-    collision_timeout: float = 0.05
     retry_timeout: float = 0.3
 
 
@@ -318,7 +322,7 @@ class GenPaxos(Protocol):
             self._check_collisions()
             self._schedule_collision_check()
 
-        self.env.set_timer(self.config.collision_check_period, check)
+        self.env.set_timer(COLLISION_CHECK_PERIOD, check)
 
     def _check_collisions(self) -> None:
         """Find frontier instances that cannot complete on the fast path.
@@ -338,7 +342,7 @@ class GenPaxos(Protocol):
             stuck = inst in self._seen_votes or obj.max_decided > frontier
             if not stuck:
                 continue
-            if now - obj.last_progress < self.config.collision_timeout:
+            if now - obj.last_progress < COLLISION_TIMEOUT:
                 continue
             self.stats["collisions"] += 1
             self._start_classic_round((inst,), command=None)

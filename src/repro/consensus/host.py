@@ -49,7 +49,7 @@ class Host(ABC):
         # from scratch: the delivery log it had built before the crash.
         self.delivery_history: list[list[Command]] = []
         self.deliver_listeners: list[Callable[[int, Command, float], None]] = []
-        # Serving tier: locally-answered reads / cached session replies.
+        # Serving tier: reads answered locally under a lease.
         # Kept apart from ``delivered`` on purpose -- served reads happen
         # at the owner alone and must never enter the replicated
         # decision log the consistency checker byte-compares.
@@ -120,7 +120,7 @@ class Host(ABC):
             listener(self.node_id, command, now)
 
     def on_read(self, command: Command, result: object) -> None:
-        """Record one locally-served read/session-replay result."""
+        """Record one locally-served read result."""
         if self.crashed:
             return
         self.read_log.append((command, result))

@@ -39,7 +39,7 @@ from typing import Optional
 from repro.consensus.base import Protocol, ProtocolCosts
 from repro.core.delivery import DeliveryEngine
 from repro.core.messages import Accept, Decide
-from repro.core.policy import OnDemandPolicy, OwnershipPolicy
+from repro.core.policy import OnDemandPolicy
 from repro.core.quorum import MajorityQuorums, QuorumSystem
 from repro.core.m2.acceptor import AcceptorMixin
 from repro.core.m2.config import M2PaxosConfig, SafetyViolation
@@ -83,12 +83,10 @@ class M2Paxos(
     def __init__(self, config: Optional[M2PaxosConfig] = None) -> None:
         super().__init__()
         self.config = config or M2PaxosConfig()
-        policy = self.config.policy
-        if policy is not None and not isinstance(policy, OwnershipPolicy):
-            # Factory form: policies hold per-node state, so a config
-            # shared across a cluster supplies `lambda: Policy(...)`.
-            policy = policy()
-        self.policy = policy or OnDemandPolicy()
+        # Policies hold per-node state, so the config carries a factory
+        # and each node builds its own.
+        factory = self.config.policy
+        self.policy = factory() if factory is not None else OnDemandPolicy()
         self.state = NodeState(home_hint=self.config.home_hint)
         # Bound at bind() time (needs the cluster size); None until then.
         self.quorums: Optional[QuorumSystem] = None
@@ -104,8 +102,6 @@ class M2Paxos(
             "gap_recoveries": 0,
             "read_local": 0,
             "read_fallback": 0,
-            "session_hit": 0,
-            "session_evict": 0,
         }
 
     # ------------------------------------------------------------------

@@ -17,6 +17,11 @@ _DECIDED_EPOCH = 1 << 30
 replies, so SELECT always re-forces the decided command."""
 
 
+_RETRY_BACKOFF = 0.002
+"""Base delay (env seconds) before a NACKed round or a recovery retries,
+times U[0.5, 1.5) and, for a NACKed round, the attempt count."""
+
+
 _SUPERVISE, _ROUND, _LEARN = 0, 1, 2
 """Entry kinds on a node's deadline heap (``NodeState.deadlines``); the
 kind sorts before the key, so two kinds never compare their keys."""
@@ -31,7 +36,6 @@ class M2PaxosConfig:
     """Tunables (timeouts in seconds of env time)."""
 
     forward_timeout: float = 0.05
-    retry_backoff: float = 0.002
     gap_check_period: float = 0.2
     gap_timeout: float = 0.4
     # Proposer-side supervision: re-coordinate a command that has not
@@ -87,18 +91,16 @@ class M2PaxosConfig:
     # over by preparing epoch 1.
     home_hint: Optional[Callable[[str], int]] = None
     # When-to-acquire policy (Section IV-C calls this an orthogonal
-    # problem); None means the paper's on-demand policy.  Accepts either
-    # a policy instance (legacy; fine for single-node configs) or a
-    # zero-argument factory returning one -- policies hold per-node
-    # state, so a config shared by every node of a cluster must use the
-    # factory form.  See repro.core.policy.
+    # problem): a zero-argument factory returning a fresh policy per
+    # node, since policies hold per-node state; None means the paper's
+    # on-demand policy.  See repro.core.policy.
     policy: Optional[object] = None
     # Quorum system spec (see repro.core.quorum): None means the seed's
     # classic-majority pair.  Bound to the cluster size (and validated
     # against the prepare∩accept intersection condition) at bind time.
     quorum: Optional[object] = None
     # ------------------------------------------------------------------
-    # Serving tier (leased owner-local reads + exactly-once sessions).
+    # Serving tier (leased owner-local reads, nearest accept quorum).
     # ------------------------------------------------------------------
     # Ownership leases: > 0 enables time-bounded read leases.  Every
     # positive AckAccept (and AckRenew heartbeat) grants the owner the
@@ -121,11 +123,6 @@ class M2PaxosConfig:
     # owner's heartbeat timer re-grants leases on owned objects that
     # accept traffic has not refreshed recently.
     lease_renew_fraction: float = 0.34
-    # Exactly-once session table bound (satellite: 10^6 sessions must
-    # not OOM a node): beyond ``session_cap`` live client entries the
-    # least-recently-active session is evicted (counted in telemetry).
-    # Entries are O(1) each -- a watermark plus the last cached result.
-    session_cap: int = 65536
     # Latency-aware accept-quorum selection: when the quorum system
     # admits several accept quorums, send the first attempt of each
     # non-scoped Accept round only to the quorum minimising the worst

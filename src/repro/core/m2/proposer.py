@@ -14,7 +14,7 @@ from typing import Optional
 from repro.consensus.base import handles
 from repro.consensus.commands import Command
 from repro.core.messages import Accept, AckAccept, Decide, Forward, Instance
-from repro.core.m2.config import _LEARN, _ROUND, _SUPERVISE, _PendingAccept
+from repro.core.m2.config import _LEARN, _RETRY_BACKOFF, _ROUND, _SUPERVISE, _PendingAccept
 from repro.core.policy import FORWARD
 
 
@@ -27,9 +27,8 @@ class ProposerMixin:
 
     def propose(self, command: Command) -> None:
         if self._intercept_propose(command):
-            # Serving tier: a leased owner-local read, or a session
-            # retry answered from the dedup cache -- either way the
-            # command is complete with zero consensus messages.
+            # Serving tier: a leased owner-local read, complete with
+            # zero consensus messages.
             return
         self.policy.on_local_request(self.env.node_id, command)
         # In-flight gauge feeding the adaptive batch_wait: our own
@@ -279,7 +278,7 @@ class ProposerMixin:
         """
         attempt = self.state.attempts.get(command.cid, 0) + 1
         self.state.attempts[command.cid] = attempt
-        delay = self.config.retry_backoff * attempt * (0.5 + self.env.rng.random())
+        delay = _RETRY_BACKOFF * attempt * (0.5 + self.env.rng.random())
 
         def fire() -> None:
             if not self._fully_decided(command):

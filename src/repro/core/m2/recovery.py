@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro.consensus.commands import Command
 from repro.core.messages import Instance
+from repro.core.m2.config import _RETRY_BACKOFF
 
 
 class RecoveryMixin:
@@ -62,7 +63,7 @@ class RecoveryMixin:
                 return
             self._prepare_round(command, remaining, kind="recover", fins=fins)
 
-        jitter = self.config.retry_backoff * (0.5 + self.env.rng.random())
+        jitter = _RETRY_BACKOFF * (0.5 + self.env.rng.random())
         self.env.set_timer(jitter, fire)
 
     # ------------------------------------------------------------------

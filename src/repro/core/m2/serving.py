@@ -1,6 +1,5 @@
-"""Serving tier: leased owner-local reads + exactly-once sessions.
-
-Two orthogonal mechanisms live here, both inert under default config:
+"""Serving tier: leased owner-local reads and accept-quorum targeting,
+both inert under default config.
 
 **Ownership leases** (``config.lease_duration > 0``).  Every leadership
 Accept an acceptor absorbs doubles as a time-bounded *read lease* grant
@@ -28,19 +27,8 @@ opens with a *lease blackout* -- it parks all Prepares for one full
 lease window -- so grants forgotten across a crash can never
 un-protect a lease that is still live somewhere.
 
-**Exactly-once sessions** (``command.session = (client_id, seq)``).
-Every node keeps a dedup table mapping client id to the highest applied
-seq and that command's cached result.  The table is updated at append
-time, making it a pure function of the delivered sequence: all nodes
-(and every replayed incarnation) converge on the same table, which is
-what lets it survive restarts through the ordinary Storage API with no
-extra log records.  A retried command whose seq is at or below the
-watermark is answered from cache without a consensus round.  The table
-is bounded by ``session_cap``: beyond it the least-recently-active
-session is evicted (counted in telemetry).  An evicted session's
-*cached response* is lost -- a retry after eviction re-runs consensus
--- but exactly-once application still holds, because the delivery
-engine's cid dedup refuses a second append of the same command.
+A command proposed twice is still applied once: the delivery engine's
+cid dedup refuses a second append of the same command.
 
 Read results are ``{object: reads_frontier}`` snapshots -- the count of
 non-noop commands applied per object -- delivered on the env's separate
@@ -66,7 +54,7 @@ from repro.core.messages import (
 
 
 class ServingMixin:
-    """Leases, the session dedup table, and accept-quorum targeting."""
+    """Leases and accept-quorum targeting."""
 
     # Test hook: an offset on this node's lease clock.  The protocol only
     # compares its own stamps against its own clock, so a *constant*
@@ -163,8 +151,6 @@ class ServingMixin:
 
     def _intercept_propose(self, command: Command) -> bool:
         """Serving-tier front door; True when fully handled locally."""
-        if command.session is not None and self._session_replay(command):
-            return True
         if command.is_read:
             if self._try_serve_read(command):
                 return True
@@ -200,12 +186,18 @@ class ServingMixin:
             if self.state.obj(l).appended < self.state.serve_floor.get(l, 0):
                 return False
         result = {l: self.state.obj(l).reads_frontier for l in command.ls}
-        if command.session is not None:
-            self._session_store(command, result)
         self.stats["read_local"] += 1
         self.note("read_local", cid=command.cid)
         self.env.deliver_read(command, result)
         return True
+
+    def _fold_append(self, command: Command) -> None:
+        """Advance the read frontiers of one delivered non-noop command,
+        on every node.  A pure function of the delivered sequence, so
+        every node -- and every recovered incarnation -- converges on
+        them."""
+        for l in command.ls:
+            self.state.obj(l).reads_frontier += 1
 
     # ------------------------------------------------------------------
     # Acceptor-side parking (the granter's half of the invariant)
@@ -382,52 +374,6 @@ class ServingMixin:
                 continue  # released or lost since the heartbeat left
             if expiry > grants.get(sender, 0.0):
                 grants[sender] = expiry
-
-    # ------------------------------------------------------------------
-    # Exactly-once session table
-    # ------------------------------------------------------------------
-
-    def _session_replay(self, command: Command) -> bool:
-        """Answer a retry at or below the client's watermark from cache
-        (called at propose time, before any consensus work)."""
-        client, seq = command.session
-        entry = self.state.sessions.get(client)
-        if entry is None or seq > entry[0]:
-            return False
-        self.stats["session_hit"] += 1
-        self.note("session_hit", cid=command.cid)
-        self.env.deliver_read(command, entry[1])
-        return True
-
-    def _fold_append(self, command: Command) -> None:
-        """Append-time bookkeeping of one delivered non-noop command, on
-        every node: its objects' read frontiers, then the session table.
-        Both are a pure function of the delivered sequence, so every
-        node -- and every recovered incarnation -- converges on them."""
-        for l in command.ls:
-            self.state.obj(l).reads_frontier += 1
-        if command.session is not None:
-            self._session_store(command, {l: self.state.obj(l).reads_frontier for l in command.ls})
-
-    def _session_store(self, command: Command, result: object) -> None:
-        """Cache ``result`` under the command's session, unless a later
-        seq is already there (then the entry is only touched, LRU)."""
-        client, seq = command.session
-        entry = self.state.sessions.pop(client, None)
-        if entry is not None and seq <= entry[0]:
-            self.state.sessions[client] = entry
-            return
-        self.state.sessions[client] = (seq, result)
-        self._evict_sessions_over_cap()
-
-    def _evict_sessions_over_cap(self) -> None:
-        cap = self.config.session_cap
-        while len(self.state.sessions) > cap:
-            evicted = next(iter(self.state.sessions))
-            del self.state.sessions[evicted]
-            self.stats["session_evict"] += 1
-            if not self.state.replaying:
-                self.note("session_evict", client=evicted)
 
     # ------------------------------------------------------------------
     # Latency-aware accept-quorum targeting (satellite)

@@ -97,8 +97,8 @@ class ObjectState:
     # Serving-tier read frontier: count of non-noop commands delivered
     # on this object, the "result" a leased local read observes (and
     # what the chaos stale-read audit compares against the decided
-    # write log).  Maintained unconditionally at append time so session
-    # results stay a pure function of the delivered sequence.
+    # write log).  Maintained at append time, a pure function of the
+    # delivered sequence.
     reads_frontier: int = derived(0)
 
     def observe_position(self, position: int) -> None:
@@ -292,12 +292,6 @@ class NodeState(M2PaxosState):
     # cid is ``(node, -seq - 1)``); :meth:`replayed` is their replay rule.
     req: int = durable(0)
     noop: int = durable(0)
-    # Exactly-once dedup: client -> (seq watermark, cached result), in
-    # least-recently-active-first order (dict order + pop/reinsert
-    # touches = an O(1) LRU).  A function of the C-struct, but for the
-    # cached result of a locally served read, which a store recovery
-    # drops (the retry re-runs consensus).
-    sessions: dict[int, tuple[int, object]] = derived(factory=dict)
     # -- Rounds in flight, keyed by ``req``, and their guards.
     pending_accepts: dict[int, object] = volatile(factory=dict)
     pending_prepares: dict[int, object] = volatile(factory=dict)

@@ -51,11 +51,6 @@ from repro.obs.span import (
     path_breakdown,
 )
 
-READ_PATHS = ("read_local", "session_hit")
-"""Path labels of commands answered at their proposer without
-consensus: a leased owner-local read, an exactly-once session replay."""
-
-
 @dataclass
 class RunResult:
     """What one run (simulated or live) produced."""
@@ -84,9 +79,9 @@ class RunResult:
     # Commands proposed and not (yet) delivered at their proposer by the
     # end of the run: lost, or still in flight when it was read.
     inflight: int = 0
-    # Reads answered locally by a leased owner (plus exactly-once
-    # session replays): completed client operations that never enter the
-    # decision log, counted into ``throughput`` alongside ``delivered``.
+    # Reads answered locally by a leased owner: completed client
+    # operations that never enter the decision log, counted into
+    # ``throughput`` alongside ``delivered``.
     reads_served: int = 0
 
     @property
@@ -318,12 +313,12 @@ class ObsCollector(EnvObserver):
             # encoded frame bytes on the TCP runtime.
             self.wire_bytes += fields["bytes"]
             return
-        if kind in READ_PATHS:
-            # A leased owner-local read (or an exactly-once session
-            # replay) completes at its proposer without ever being
-            # decided or delivered: close its trace here so the
-            # per-path breakdown shows the consensus-free path
-            # explicitly instead of leaking the command as "inflight".
+        if kind == "read_local":
+            # A leased owner-local read completes at its proposer
+            # without ever being decided or delivered: close its trace
+            # here so the per-path breakdown shows the consensus-free
+            # path explicitly instead of leaking the command as
+            # "inflight".
             trace = self.traces.get(fields.get("cid"))
             if trace is not None and trace.first_delivered_at is None:
                 now = self.clock.now()
@@ -494,7 +489,7 @@ class ObsCollector(EnvObserver):
             raise RuntimeError("begin_window() was never called")
         end = self._window_end if self._window_end is not None else self.clock.now()
         paths = self.path_stats(start, end)
-        reads = sum(paths[path].count for path in READ_PATHS if path in paths)
+        reads = paths["read_local"].count if "read_local" in paths else 0
         delivered = sum(stats.count for stats in paths.values()) - reads
         inflight = 0
         latencies: list[float] = []

@@ -35,12 +35,11 @@ from repro.obs.span import PATH_SEVERITY
 
 from .registry import MetricsRegistry
 
-# The four consensus decision paths plus the serving tier's two
-# consensus-free completion paths (leased owner-local reads and
-# exactly-once session replays) -- the sampler's per-path iteration
-# covers all six so served reads appear in frame throughput and
-# latency breakdowns like any other completion.
-PATHS = tuple(PATH_SEVERITY) + ("read_local", "session_hit")
+# The four consensus decision paths plus the serving tier's
+# consensus-free one (leased owner-local reads) -- the sampler's
+# per-path iteration covers all five so served reads appear in frame
+# throughput and latency breakdowns like any other completion.
+PATHS = tuple(PATH_SEVERITY) + ("read_local",)
 
 
 class TelemetryCollector(EnvObserver):
@@ -142,16 +141,6 @@ class TelemetryCollector(EnvObserver):
             "reads served locally under an ownership lease (no consensus)",
             ("node",),
         )
-        self.session_hits = r.counter(
-            "repro_session_hits_total",
-            "retries answered from the exactly-once session cache",
-            ("node",),
-        )
-        self.session_evictions = r.counter(
-            "repro_session_evictions_total",
-            "session dedup entries evicted by the session_cap bound",
-            ("node",),
-        )
         self.zone_decides = None
         self.zone_latency = None
         if self.zones is not None:
@@ -188,8 +177,6 @@ class TelemetryCollector(EnvObserver):
         self._zone_latency_c: Dict[str, object] = {}
         self._migrations_c: Dict[int, object] = {}
         self._reads_local_c: Dict[int, object] = {}
-        self._session_hits_c: Dict[int, object] = {}
-        self._session_evict_c: Dict[int, object] = {}
         # Note dispatch by kind: one dict probe per note, and kinds this
         # collector does not track (``decide``, ``quorum``, ...) -- the
         # majority of note traffic under load -- fall out immediately
@@ -205,8 +192,6 @@ class TelemetryCollector(EnvObserver):
             "migration": self._note_migration,
             "fault": self._note_fault,
             "read_local": self._note_read_local,
-            "session_hit": self._note_session_hit,
-            "session_evict": self._note_session_evict,
         }
         # Subscribe to exactly the kinds handled above: the env then
         # never calls us for the trace-layer kinds (``decide``,
@@ -394,16 +379,21 @@ class TelemetryCollector(EnvObserver):
         self.faults.child(node_id, event).inc()
         self.interval_faults.append((node_id, event))
 
-    def _complete_without_consensus(
-        self, node_id: int, fields: dict, path: str
-    ) -> None:
-        """A read (or session replay) finished at its proposer without a
-        decide: close its latency window under the serving-tier path."""
+    def _note_read_local(self, node_id: int, fields: dict) -> None:
+        """A read finished at its proposer without a decide: count it
+        and close its latency window under the ``read_local`` path."""
+        counter = self._reads_local_c.get(node_id)
+        if counter is None:
+            counter = self._reads_local_c[node_id] = self.reads_local.child(
+                node_id
+            )
+        counter.value += 1.0
         entry = self._pending.pop(fields.get("cid"), None)
         if entry is None:
             return
         proposed_at, _ = entry
         self._inflight_gauge.value = len(self._pending)
+        path = "read_local"
         decided = self._decides_c.get((node_id, path))
         if decided is None:
             decided = self._decides_c[(node_id, path)] = self.decides.child(
@@ -414,32 +404,6 @@ class TelemetryCollector(EnvObserver):
         if histogram is None:
             histogram = self._latency_c[path] = self.latency.child(path)
         histogram.observe(self._now() - proposed_at)
-
-    def _note_read_local(self, node_id: int, fields: dict) -> None:
-        counter = self._reads_local_c.get(node_id)
-        if counter is None:
-            counter = self._reads_local_c[node_id] = self.reads_local.child(
-                node_id
-            )
-        counter.value += 1.0
-        self._complete_without_consensus(node_id, fields, "read_local")
-
-    def _note_session_hit(self, node_id: int, fields: dict) -> None:
-        counter = self._session_hits_c.get(node_id)
-        if counter is None:
-            counter = self._session_hits_c[node_id] = self.session_hits.child(
-                node_id
-            )
-        counter.value += 1.0
-        self._complete_without_consensus(node_id, fields, "session_hit")
-
-    def _note_session_evict(self, node_id: int, fields: dict) -> None:
-        counter = self._session_evict_c.get(node_id)
-        if counter is None:
-            counter = self._session_evict_c[node_id] = (
-                self.session_evictions.child(node_id)
-            )
-        counter.value += 1.0
 
     # ------------------------------------------------------------------
     # Queries

@@ -68,13 +68,10 @@ class Frame:
     # zone label.
     migrations: int = 0
     # Serving tier (zero on lease-less runs): reads answered locally
-    # under a lease, retries answered from the session cache, and
-    # session entries evicted by the cap -- all interval deltas.  Served
-    # completions also appear in ``path_counts`` under "read_local" /
-    # "session_hit" (and hence in ``decides``/``throughput``).
+    # under a lease, an interval delta.  Served completions also appear
+    # in ``path_counts`` under "read_local" (and hence in
+    # ``decides``/``throughput``).
     reads_local: int = 0
-    session_hits: int = 0
-    session_evictions: int = 0
     zone_decides: Dict[str, int] = field(default_factory=dict)
     zone_fast_share: Dict[str, float] = field(default_factory=dict)
     zone_p50: Dict[str, float] = field(default_factory=dict)
@@ -261,8 +258,6 @@ class IntervalSampler:
             faults=tuple(collector.drain_faults()),
             migrations=int(self._delta(collector.migrations)),
             reads_local=int(self._delta(collector.reads_local)),
-            session_hits=int(self._delta(collector.session_hits)),
-            session_evictions=int(self._delta(collector.session_evictions)),
             zone_decides=zone_decides,
             zone_fast_share=zone_fast_share,
             zone_p50=zone_p50,

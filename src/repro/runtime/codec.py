@@ -138,17 +138,9 @@ def _encode_command_body(command: Command) -> bytes:
         _write_uvarint(out, command.payload_bytes)
         _write_svarint(out, command.proposer)
         out.append(1 if command.noop else 0)
-        if command.is_read or command.session is not None:
-            # Trailing serving-tier extension: the body is length-framed,
-            # so old decoders never see it and plain commands encode
-            # byte-identically with or without this codec version.
-            flags = (1 if command.is_read else 0) | (
-                2 if command.session is not None else 0
-            )
-            out.append(flags)
-            if command.session is not None:
-                _write_svarint(out, command.session[0])
-                _write_svarint(out, command.session[1])
+        if command.is_read:
+            # A read ends in one 0x01 byte; a write ends at its noop byte.
+            out.append(1)
         body = bytes(out)
         object.__setattr__(command, "_bin_body", body)
     return body
@@ -235,28 +227,20 @@ def _decode_command_body(body: bytes) -> Command:
     payload, pos = _read_uvarint(body, pos)
     u, pos = _read_uvarint(body, pos)
     proposer = _unzigzag(u)
-    noop = bool(body[pos])
-    pos += 1
-    is_read = False
-    session = None
-    if pos < len(body):
-        flags = body[pos]
-        pos += 1
-        is_read = bool(flags & 1)
-        if flags & 2:
-            u, pos = _read_uvarint(body, pos)
-            sess_client = _unzigzag(u)
-            u, pos = _read_uvarint(body, pos)
-            sess_seq = _unzigzag(u)
-            session = (sess_client, sess_seq)
+    noop = body[pos]
+    # Only what the encoder writes: a noop byte of 0 or 1, then nothing
+    # (a write) or one 0x01 (a read).  Anything else would decode to a
+    # command that does not re-encode to these bytes.
+    tail = body[pos + 1 :]
+    if noop > 1 or (tail and tail != b"\x01"):
+        raise ValueError(f"non-canonical command body {body!r}")
     command = Command(
         cid=(cid_a, cid_b),
         ls=ls,
         payload_bytes=payload,
         proposer=proposer,
-        noop=noop,
-        is_read=is_read,
-        session=session,
+        noop=noop == 1,
+        is_read=bool(tail),
     )
     if len(_CMD_DECODE_CACHE) >= _CMD_DECODE_CACHE_CAP:
         _CMD_DECODE_CACHE.clear()

@@ -76,9 +76,9 @@ class PipelineDriver:
         self._wake.set()
 
     def _on_read(self, node_id: int, command: Command, result, now: float) -> None:
-        # Serving tier: a leased local read (or session replay) answers
-        # on the read channel, never through the decision log -- it
-        # frees its window slot exactly like a delivery.
+        # Serving tier: a leased local read answers on the read channel,
+        # never through the decision log -- it frees its window slot
+        # exactly like a delivery.
         self._on_deliver(node_id, command, now)
 
     async def _await_wake(self, timeout: float) -> None:

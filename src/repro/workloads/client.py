@@ -32,15 +32,6 @@ class ClientConfig:
     clients_per_node: int = 8
     think_time: float = 0.001
     max_inflight_per_node: int = 64
-    # Aggregate session mode: > 0 models that many client *sessions* per
-    # node with a single repeating timer ticking every ``think_time /
-    # sessions_per_node`` -- the same aggregate open-loop rate as one
-    # timer per session, but with O(1) scheduler state per node, so the
-    # generator scales toward 10^5 sessions.  The workload decides what
-    # each issued command's session stamp is (see
-    # ``SyntheticConfig.sessions_per_node``).  0 keeps the seed's
-    # one-timer-per-client model.
-    sessions_per_node: int = 0
 
     def __post_init__(self) -> None:
         if self.clients_per_node < 1:
@@ -49,8 +40,6 @@ class ClientConfig:
             raise ValueError("think_time must be >= 0")
         if self.max_inflight_per_node < 1:
             raise ValueError("max_inflight_per_node must be >= 1")
-        if self.sessions_per_node < 0:
-            raise ValueError("sessions_per_node must be >= 0")
 
 
 class OpenLoopClients:
@@ -78,22 +67,13 @@ class OpenLoopClients:
             # at max_inflight.
             node.read_listeners.append(self._on_read)
         self._outstanding: dict[tuple[int, int], int] = {}
-        # Issue interval per timer: aggregate session mode folds a whole
-        # node's sessions into one repeating timer.
-        if config.sessions_per_node:
-            self._interval = max(
-                config.think_time / config.sessions_per_node, 1e-6
-            )
-            self._timers_per_node = 1
-        else:
-            self._interval = max(config.think_time, 1e-6)
-            self._timers_per_node = config.clients_per_node
+        self._interval = max(config.think_time, 1e-6)
 
     def start(self) -> None:
         """Kick off every client timer with a small random phase."""
         self._running = True
         for node in self.nodes:
-            for _client in range(self._timers_per_node):
+            for _client in range(self.config.clients_per_node):
                 delay = self._rng.random() * self._interval
                 self._schedule(node, delay)
 

@@ -12,18 +12,12 @@ level.  Knobs map one-to-one to the paper's experiments:
 - ``local_set_size``: objects per node (Figure 7 varies 10/100/1000).
 - ``payload_bytes``: 16 in the paper's synthetic runs.
 
-Two serving-tier extensions (both off by default, in which case the
-generator draws exactly the seed's RNG sequence and emits byte-identical
-commands):
+One serving-tier extension, off by default, in which case the generator
+draws exactly the seed's RNG sequence and emits byte-identical commands:
 
 - ``read_fraction``: probability a command is a read (``is_read``).
   Reads target a single object chosen by the same locality rule as
   simple writes; the owner may serve them locally under a lease.
-- ``sessions_per_node``: number of exactly-once client sessions per
-  node.  Commands round-robin across the node's sessions and carry
-  ``session=(client_id, seq)`` with a per-session sequence number --
-  O(1) generator state per session (one int), so session counts can
-  scale toward 10^5 without the workload itself becoming the bottleneck.
 """
 
 from __future__ import annotations
@@ -41,7 +35,6 @@ class SyntheticConfig:
     complex_fraction: float = 0.0
     payload_bytes: int = 16
     read_fraction: float = 0.0
-    sessions_per_node: int = 0
 
     def __post_init__(self) -> None:
         if self.local_set_size < 1:
@@ -52,8 +45,6 @@ class SyntheticConfig:
             raise ValueError("complex_fraction must be in [0, 1]")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ValueError("read_fraction must be in [0, 1]")
-        if self.sessions_per_node < 0:
-            raise ValueError("sessions_per_node must be >= 0")
 
 
 class SyntheticWorkload:
@@ -64,11 +55,6 @@ class SyntheticWorkload:
         self.n_nodes = n_nodes
         self._rng = rng
         self._seq = [0] * n_nodes
-        # Per-session sequence numbers (one int per session) plus a
-        # round-robin cursor per node; empty when sessions are off.
-        spn = config.sessions_per_node
-        self._session_seq = [[0] * spn for _ in range(n_nodes)] if spn else []
-        self._session_next = [0] * n_nodes
 
     def object_name(self, node: int, index: int) -> str:
         return f"o{node}.{index}"
@@ -109,18 +95,10 @@ class SyntheticWorkload:
         else:
             objects = {self._uniform_object()}
 
-        session = None
-        if cfg.sessions_per_node:
-            idx = self._session_next[node]
-            self._session_next[node] = (idx + 1) % cfg.sessions_per_node
-            sseq = self._session_seq[node][idx]
-            self._session_seq[node][idx] = sseq + 1
-            session = (node * cfg.sessions_per_node + idx, sseq)
         return Command.make(
             node,
             seq,
             objects,
             payload_bytes=cfg.payload_bytes,
             is_read=is_read,
-            session=session,
         )

@@ -184,7 +184,7 @@ def _sample(hint):
     if hint is Message:
         return Prepare(req=7, eps={("o", 1): 2})
     if hint is Command:
-        return Command.make(2, 5, ["o", "p"], is_read=True, session=(4, 9))
+        return Command.make(2, 5, ["o", "p"], is_read=True)
     return {int: 3, bool: True, str: "s", float: 0.25}[hint]
 
 

@@ -118,10 +118,10 @@ def test_decoded_commands_share_one_access_set_per_object(monkeypatch):
 
 
 def test_encoded_command_is_equal_hashed_and_shown_like_a_fresh_one():
-    encoded = Command.make(1, 7, ["x", "y"], session=(3, 4))
+    encoded = Command.make(1, 7, ["x", "y"], is_read=True)
     encode_message(1, Decide(to_decide={("x", 1): encoded}))
     assert encoded._bin_body is not None
-    fresh = Command.make(1, 7, ["x", "y"], session=(3, 4))
+    fresh = Command.make(1, 7, ["x", "y"], is_read=True)
     assert fresh._bin_body is None
     assert encoded == fresh and hash(encoded) == hash(fresh)
     assert repr(encoded) == repr(fresh)

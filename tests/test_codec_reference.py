@@ -328,7 +328,7 @@ def _edge_cases() -> list[Message]:
         Prepare(req=1, eps={(f"o{i}", i): i for i in range(200)}),
         Accept(req=1, to_decide={("x" * 130, 1): _CMD}, eps={("é" * 70, 1): 1},
                cmd_ins={(1, 7): tuple(("éléphant", i) for i in range(130))}),
-        Decide(to_decide={("w3.s17", 2**40): Command.make(2, 5, ["ü" * 100], is_read=True, session=(4, 9))}),
+        Decide(to_decide={("w3.s17", 2**40): Command.make(2, 5, ["ü" * 100], is_read=True)}),
         Forward(command=Command(cid=(3, 4), ls=frozenset(["y" * 300]), noop=True), hops=200),
         # What stays on the generic walk, nested in what does not.
         _Parcel(leaf=_Leaf("deep", (1.5, -2.25, _Leaf("deeper"))), tags=frozenset(["b", "a"]),
@@ -543,6 +543,31 @@ def test_hostile_shapes_inside_typed_fields_are_frame_errors():
         assert _outcome(ref_decode_message, payload) is FrameError
         assert _outcome(codec.decode_message, payload) is FrameError
         assert _outcome(codec.decode_message, memoryview(payload)) is FrameError
+
+
+_WRITE = Command.make(2, 5, ["o"])
+_WRITE_BODY = _encode_command_body(_WRITE)  # ends at its noop byte, 0
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        _WRITE_BODY + b"\x02\x08\x12",  # a retired (client 4, seq 9) stamp
+        _WRITE_BODY + b"\x00",  # a flags byte that sets nothing
+        _WRITE_BODY + b"\x01\x00",  # a read, then one byte more
+        _WRITE_BODY[:-1] + b"\x02",  # a noop byte that is neither 0 nor 1
+    ],
+    ids=["session-stamp", "zero-flags", "trailing-byte", "noop-byte"],
+)
+def test_a_command_body_no_encoder_writes_is_a_frame_error(body):
+    """A body decodes only if it re-encodes to the same bytes: after
+    the noop byte comes nothing (a write) or exactly 0x01 (a read)."""
+    payload = _payload(codec.encode_message(1, Decide(to_decide={("o", 1): _WRITE})))
+    framed = bytes([len(_WRITE_BODY)]) + _WRITE_BODY
+    assert payload.count(framed) == 1
+    hostile = payload.replace(framed, bytes([len(body)]) + body)
+    assert _outcome(ref_decode_message, hostile) is FrameError
+    assert _outcome(codec.decode_message, hostile) is FrameError
 
 
 # ----------------------------------------------------------------------

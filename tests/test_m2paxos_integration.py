@@ -232,3 +232,11 @@ class TestConfigKnobs:
         cluster.run_for(1.0)
         cluster.check_consistency()
         assert len(cluster.delivered(0)) == 1
+        # A retry at other nodes re-runs consensus there, and the cid
+        # dedup still applies the command exactly once on every node.
+        cluster.propose(1, c)
+        cluster.propose(2, c)
+        cluster.run_for(1.0)
+        cluster.check_consistency()
+        for node in range(3):
+            assert [d.cid for d in cluster.delivered(node)] == [c.cid]

@@ -241,7 +241,7 @@ class TestPolicyInProtocol:
         def factory(node_id, n):
             return M2Paxos(
                 M2PaxosConfig(
-                    policy=StickyPolicy(threshold=3),
+                    policy=lambda: StickyPolicy(threshold=3),
                     gap_timeout=0.2,
                     gap_check_period=0.1,
                 )
@@ -264,7 +264,7 @@ class TestPolicyInProtocol:
             cluster = make_cluster(
                 lambda i, n: M2Paxos(
                     M2PaxosConfig(
-                        policy=policy_factory(),
+                        policy=policy_factory,
                         gap_timeout=0.2,
                         gap_check_period=0.1,
                     )

@@ -1,29 +1,23 @@
-"""Serving tier: leased owner-local reads + exactly-once sessions.
+"""Serving tier: leased owner-local reads and accept-quorum targeting.
 
 The lease tests prove the tentpole invariant from both sides -- a valid
 lease serves linearizable reads with *zero consensus messages* (checked
 against the Tracer's message-level ground truth, like the delay-count
 tests in test_obs.py), while anything that could make a local read
 unsafe (ownership in flight, a stale local log behind the serve floor,
-clock skew beyond the margin) forces the full round.  The session tests
-pin the exactly-once lifecycle: replicated watermarks, cached replays,
-bounded tables with eviction, and recovery through the Storage API.
+clock skew beyond the margin) forces the full round.  The targeting
+tests pin the nearest accept quorum; the last class checks that every
+serving knob at its off value leaves decision logs unchanged.
 """
 
 from __future__ import annotations
-
-import random
 
 import pytest
 
 from repro.consensus.commands import Command
 from repro.core.protocol import M2Paxos, M2PaxosConfig
 from repro.core.quorum import FlexibleQuorums
-from repro.sim.cluster import Cluster
 from repro.sim.trace import Tracer
-from repro.spec import ClusterSpec
-from repro.storage.base import StorageConfig
-from repro.workloads.synthetic import SyntheticConfig, SyntheticWorkload
 from tests.conftest import assert_all_delivered, make_cluster, run_workload
 
 # Long enough (in virtual seconds) that renewal heartbeats -- not
@@ -197,116 +191,6 @@ class TestLeaseSkew:
         cluster.check_consistency()
 
 
-class TestSessions:
-    def test_retry_replays_cached_result_without_consensus(self):
-        cluster = make_cluster(lambda node_id, n: M2Paxos(), n_nodes=5, seed=7)
-        write = Command.make(0, 0, ["x"], session=(42, 1))
-        cluster.propose(0, write)
-        cluster.run_for(1.0)
-        assert write.cid in cluster.all_delivered_cids()
-        tracer = Tracer(cluster)
-        mark = tracer.mark()
-        cluster.propose(0, write)  # client retry, same (client, seq)
-        cluster.run_for(0.05)
-        assert cluster.nodes[0].protocol.stats["session_hit"] == 1
-        assert len(cluster.nodes[0].read_log) == 1
-        assert "Accept" not in tracer.message_counts(since=mark)
-        # Applied exactly once everywhere.
-        for node in range(5):
-            assert [c.cid for c in cluster.delivered(node)].count(write.cid) == 1
-
-    def test_watermark_replicates_to_every_node(self):
-        """The dedup table is a function of the delivered sequence, so a
-        retry hitting a *different* node also replays from cache."""
-        cluster = make_cluster(lambda node_id, n: M2Paxos(), n_nodes=5, seed=8)
-        write = Command.make(0, 0, ["x"], session=(7, 3))
-        cluster.propose(0, write)
-        cluster.run_for(1.0)
-        retry = Command.make(1, 50, ["x"], session=(7, 3))
-        cluster.propose(1, retry)
-        cluster.run_for(0.2)
-        assert cluster.nodes[1].protocol.stats["session_hit"] == 1
-        assert retry.cid not in cluster.all_delivered_cids()
-
-    def test_eviction_is_bounded_and_counted(self):
-        config = M2PaxosConfig(session_cap=4)
-        cluster = make_cluster(
-            lambda node_id, n: M2Paxos(config), n_nodes=3, seed=9
-        )
-        for client in range(8):
-            cluster.propose(0, Command.make(0, client, ["x"], session=(client, 1)))
-            cluster.run_for(0.1)
-        cluster.run_for(1.0)
-        for node in cluster.nodes:
-            proto = node.protocol
-            assert len(proto.state.sessions) <= 4
-            assert proto.stats["session_evict"] >= 4
-        # The survivors are the most recently active clients.
-        assert set(cluster.nodes[0].protocol.state.sessions) == {4, 5, 6, 7}
-
-    def test_retry_after_eviction_is_still_applied_exactly_once(self):
-        """Losing a cached *response* must not break exactly-once
-        *application*: the delivery engine's cid dedup refuses a second
-        append even though the retry re-runs consensus."""
-        config = M2PaxosConfig(session_cap=2)
-        cluster = make_cluster(
-            lambda node_id, n: M2Paxos(config), n_nodes=3, seed=10
-        )
-        first = Command.make(0, 0, ["x"], session=(0, 1))
-        cluster.propose(0, first)
-        cluster.run_for(0.5)
-        for client in range(1, 4):  # push client 0 out of the table
-            cluster.propose(0, Command.make(0, client, ["x"], session=(client, 1)))
-            cluster.run_for(0.3)
-        assert 0 not in cluster.nodes[0].protocol.state.sessions
-        hits_before = cluster.nodes[0].protocol.stats["session_hit"]
-        cluster.propose(0, first)  # retry of the evicted session
-        cluster.run_for(1.0)
-        assert cluster.nodes[0].protocol.stats["session_hit"] == hits_before
-        for node in range(3):
-            assert [c.cid for c in cluster.delivered(node)].count(first.cid) == 1
-        cluster.check_consistency()
-
-    def test_durable_restart_rebuilds_session_table(self):
-        """Replaying the durable log rebuilds watermarks and cached
-        results with no serving-specific storage records."""
-        cluster = Cluster(
-            ClusterSpec(n_nodes=3, seed=11, storage=StorageConfig(kind="mem")),
-            lambda node_id, n: M2Paxos(),
-        )
-        cluster.start()
-        for seq in range(1, 4):
-            cluster.propose(0, Command.make(0, seq, ["x"], session=(5, seq)))
-            cluster.run_for(0.3)
-        cluster.crash(1)
-        cluster.run_for(0.2)
-        cluster.restart(1, "durable")
-        cluster.run_for(0.5)
-        assert (
-            cluster.nodes[1].protocol.state.sessions
-            == cluster.nodes[0].protocol.state.sessions
-        )
-        # A retry at the restarted node replays from the rebuilt cache.
-        cluster.propose(1, Command.make(1, 99, ["x"], session=(5, 2)))
-        cluster.run_for(0.2)
-        assert cluster.nodes[1].protocol.stats["session_hit"] == 1
-        cluster.check_consistency()
-
-    def test_generator_scales_to_1e5_sessions(self):
-        """O(1) state per session: 10^5 sessions per node stamp commands
-        with round-robin client ids and dense per-session seqs."""
-        config = SyntheticConfig(sessions_per_node=100_000, read_fraction=0.5)
-        workload = SyntheticWorkload(config, 2, random.Random(1))
-        seen: dict[int, int] = {}
-        for _ in range(2000):
-            command = workload.next_command(0)
-            client, seq = command.session
-            assert 0 <= client < 100_000
-            assert seq == seen.get(client, 0)
-            seen[client] = seq + 1
-        assert len(seen) == 2000  # round-robin: all distinct clients
-
-
 class TestQuorumTargeting:
     ZONES_RTT = tuple(
         tuple(
@@ -389,7 +273,6 @@ class TestLeasesOffBehaviour:
                 lease_duration=0.0,  # the off switch
                 lease_margin=0.5,
                 lease_renew_fraction=0.9,
-                session_cap=17,
                 nearest_accept=False,
             )
         )

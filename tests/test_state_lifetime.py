@@ -569,7 +569,7 @@ def test_every_state_field_declares_its_kind():
 
 def test_every_node_attribute_is_declared_state_or_wiring():
     """A busy run -- a durable store with snapshots and a crash, leases
-    with served reads, sessions, batching, contended objects -- leaves
+    with served reads, batching, contended objects -- leaves
     no attribute on a node outside the declarations.  The per-object
     and per-instance records are slotted, so they cannot hold one."""
     storage = StorageConfig(kind="mem", snapshot_every=30)
@@ -579,7 +579,7 @@ def test_every_node_attribute_is_declared_state_or_wiring():
             objs = ["shared"] if seq % 3 == 0 else [f"own{node}", "shared"][: 1 + seq % 2]
             cluster.propose(
                 node,
-                Command.make(node, seq, objs, is_read=seq % 6 == 4, session=(node, seq + 1)),
+                Command.make(node, seq, objs, is_read=seq % 6 == 4),
             )
         cluster.run_for(0.01)
     cluster.crash(2)
@@ -594,7 +594,7 @@ def test_every_node_attribute_is_declared_state_or_wiring():
         protocol = node.protocol
         assert set(vars(protocol)) == WIRING
         assert set(vars(protocol.state)) == field_names(NodeState)
-        assert protocol.state.sessions and protocol.state.objects
+        assert protocol.state.objects
         for records, cls in (
             (protocol.state.objects, ObjectState),
             (protocol.state.instances, InstanceState),
@@ -634,7 +634,7 @@ def test_a_store_recovered_node_holds_no_volatile_value_from_its_old_life():
     for seq in range(20):
         for node in range(3):
             objs = ["shared", f"own{node}"][: 1 + seq % 2]
-            cluster.propose(node, Command.make(node, seq, objs, session=(node, seq + 1)))
+            cluster.propose(node, Command.make(node, seq, objs))
         cluster.run_for(0.002)
     cluster.crash(1)
     old = cluster.nodes[1].protocol.state
