@@ -26,6 +26,13 @@ The last two rows are the durable log's bill for one 7-command round
 to PR 21 -- the Accept's 5-tuple, and one ``(instance, command)`` pair
 per decision, each through the generic value walk -- against the one
 message payload per ``Accept`` / ``Decide`` it writes now.
+
+The sizer rows time the simulator's size estimate (``Message.size_bytes``
+without its per-message memo) on ``Accept``, ``AckAccept`` and
+``AckPrepare`` shaped like ``sim-contended``'s (one instance, 1,000
+objects per node, an AckPrepare reporting one accepted command): the
+recursive walk (``consensus.base._estimate_size``) against the class's
+generated sizer.
 """
 
 from __future__ import annotations
@@ -36,8 +43,9 @@ from time import perf_counter
 
 sys.path[:0] = [str(Path(__file__).resolve().parent.parent)]
 
+from repro.consensus import base  # noqa: E402
 from repro.consensus.commands import Command  # noqa: E402
-from repro.core.messages import Accept, AckAccept, Decide  # noqa: E402
+from repro.core.messages import Accept, AckAccept, AckPrepare, Decide  # noqa: E402
 from repro.runtime import codec  # noqa: E402
 from tests.test_codec_reference import ref_decode_message, ref_encode_message  # noqa: E402
 
@@ -118,6 +126,17 @@ def log_records(batch: int) -> list:
     ]
 
 
+def sim_messages() -> list:
+    """One of each of the messages ``sim-contended`` sizes most."""
+    ins = ("o4.310", 19)
+    command = Command.make(4, 23, [ins[0]])
+    return [
+        Accept(req=352, to_decide={ins: command}, eps={ins: 80}),
+        AckAccept(req=337, coordinator=2, ok=True, cids={ins: command.cid}, eps={ins: 47}),
+        AckPrepare(req=220, ok=True, decs={ins: (command, 35, (ins,))}),
+    ]
+
+
 def main() -> int:
     print(f"{'frame':10} {'batch':>5} {'bytes':>6} {'enc walk':>9} {'enc live':>9} {'ratio':>6} "
           f"{'dec walk':>9} {'dec live':>9} {'ratio':>6}   (us per call)")
@@ -152,6 +171,15 @@ def main() -> int:
         enc = best_pair(old, new)
         print(f"{name:10} {7:5d} {old_bytes:6d} {len(new()):6d} "
               f"{enc[0]:9.2f} {enc[1]:9.2f} {enc[1] / enc[0]:6.2f}")
+    print(f"\n{'sizer':10} {'bytes':>6} {'walk':>9} {'generated':>9} {'ratio':>6}   (us per estimate)")
+    for message in sim_messages():
+        cls = type(message)
+        generated = base._MESSAGE_SIZERS.get(cls) or base._compile_sizer(cls)
+        walk = lambda m: m.TAG_BYTES + base._estimate_size(m)  # noqa: E731
+        assert generated(message) == walk(message) == message.size_bytes()
+        size = best_pair(walk, generated, message)
+        print(f"{cls.__name__:10} {message.size_bytes():6d} "
+              f"{size[0]:9.2f} {size[1]:9.2f} {size[1] / size[0]:6.2f}")
     return 0
 
 

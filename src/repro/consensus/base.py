@@ -11,11 +11,14 @@ simulator (:mod:`repro.sim`) and the asyncio runtime
 
 from __future__ import annotations
 
+import linecache
 import random
 import time
+import types
+import typing
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Any, Callable, Optional
 
 from repro.consensus.commands import Command
 
@@ -54,7 +57,8 @@ class Message:
     approximate wire size from the fields so the network model can
     charge transmission time (this is how dependency metadata makes
     EPaxos/GenPaxos messages bigger, one of the effects the paper
-    measures).  A message and the containers it holds are immutable
+    measures), with a function generated per class (:func:`sizer_source`).
+    A message and the containers it holds are immutable
     once handed to ``env.send``: its size, its frame size and its
     commands' encoded bodies are each computed once and kept on the
     object.
@@ -64,11 +68,14 @@ class Message:
 
     def size_bytes(self) -> int:
         # Cached: messages are immutable and broadcast to N receivers,
-        # so the recursive estimate runs once per message, not per send.
-        cached = self.__dict__.get("_cached_size")
+        # so the estimate runs once per message, not per send.
+        attrs = self.__dict__
+        cached = attrs.get("_cached_size")
         if cached is None:
-            cached = self.TAG_BYTES + _estimate_size(self)
-            object.__setattr__(self, "_cached_size", cached)
+            sizer = _MESSAGE_SIZERS.get(self.__class__)
+            if sizer is None:
+                sizer = _compile_sizer(self.__class__)
+            cached = attrs["_cached_size"] = sizer(self)
         return cached
 
 
@@ -123,6 +130,111 @@ def _sizer_for(cls: type) -> object:
             [getattr(value, name) for name in names], 0
         )
     _SIZERS[cls] = sizer
+    return sizer
+
+
+# ----------------------------------------------------------------------
+# Per-class generated sizers
+# ----------------------------------------------------------------------
+
+
+def annotation_shape(hint: Any) -> tuple[Any, tuple]:
+    """``(kind, parameters)`` of a field annotation that generated code
+    inlines (the sizers here, the codec's encoders and decoders):
+    ``int``, ``bool``, ``str`` and ``Command`` with ``()``, ``Optional``
+    and ``...`` (``tuple[X, ...]``) with ``(X,)``, ``tuple`` with its
+    parameters and ``dict`` with ``(K, V)``.  Anything else -- a bare
+    container, ``Any``, a set, a float, a nested class -- is
+    ``(None, ())``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in (int, bool, str, Command):
+        return hint, ()
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and args[1] is type(None):
+        return Optional, args[:1]
+    if origin is tuple and len(args) == 2 and args[1] is ...:
+        return ..., args[:1]
+    if (origin is tuple and 0 < len(args) < 128) or (origin is dict and len(args) == 2):
+        return origin, args
+    return None, ()
+
+
+_MESSAGE_SIZERS: dict[type, Callable[[Message], int]] = {}
+"""Message class -> its generated ``size(message)``, made on the class's
+first :meth:`Message.size_bytes`."""
+
+_SCALAR_SIZES = {
+    int: ("int", "8"),
+    bool: ("bool", "1"),
+    str: ("str", "len({v})"),
+    # ``Command.size_bytes``, inlined.
+    Command: ("Command", "12 + 8 * len({v}.ls) + {v}.payload_bytes"),
+}
+"""Scalar kind -> (exact class checked, generated size of ``{v}``)."""
+
+
+def _emit_size(src: list[str], hint: Any, v: str, d: int) -> None:
+    """Add to ``src`` the statements that add variable ``v``'s estimate
+    to ``total``: the inline form under a check of ``v``'s exact runtime
+    class, else the walk from ``v`` down."""
+    pad = "    " * d
+    kind, args = annotation_shape(hint)
+    if kind is Optional:
+        src += [f"{pad}if {v} is None: total += 1", f"{pad}else:"]
+        return _emit_size(src, args[0], v, d + 1)
+    if kind is None:
+        return src.append(f"{pad}total += _estimate_size({v})")
+    if kind in _SCALAR_SIZES:
+        cls, size = _SCALAR_SIZES[kind]
+        size = size.format(v=v)
+        return src.append(f"{pad}total += {size} if {v}.__class__ is {cls} else _estimate_size({v})")
+    # A container's parts are done with before its sibling starts, so
+    # names need only differ by depth (fields are ``f_<name>``).
+    parts = [f"t{d}_{i}" for i in range(len(args))]
+    if kind is tuple:
+        src += [f"{pad}if {v}.__class__ is tuple and len({v}) == {len(args)}:",
+                f"{pad}    total += 4; {', '.join(parts)}, = {v}"]
+        inner = d + 1
+    else:
+        src += [f"{pad}if {v}.__class__ is {'dict' if kind is dict else 'tuple'}:",
+                f"{pad}    total += 4",
+                f"{pad}    for {', '.join(parts)} in {v}{'.items()' if kind is dict else ''}:"]
+        inner = d + 2
+    for part, arg in zip(parts, args):
+        _emit_size(src, arg, part, inner)
+    src.append(f"{pad}else: total += _estimate_size({v})")
+
+
+def sizer_source(cls: type) -> str:
+    """The Python source of ``cls``'s generated sizer: one flat function
+    from the class's field annotations whose result is always
+    ``cls.TAG_BYTES`` plus the recursive estimate of its fields.  Every
+    value the annotation promised is sized inline; a value of any other
+    class goes to the walk (:func:`_estimate_size`) from there down."""
+    try:
+        hints = typing.get_type_hints(cls)
+    except (NameError, TypeError):  # e.g. a class local to a function
+        hints = {}
+    src = ["def size(value):", f"    total = {cls.TAG_BYTES!r}"]
+    for f in fields(cls):
+        src.append(f"    f_{f.name} = value.{f.name}")
+        _emit_size(src, hints.get(f.name), f"f_{f.name}", 1)
+    src.append("    return total")
+    return "\n".join(src) + "\n"
+
+
+def _compile_sizer(cls: type) -> Callable[[Message], int]:
+    """Generate, ``exec`` and remember the sizer of ``cls``.  A message
+    class that is not a dataclass is sized by the walk alone.  The
+    source is put in ``linecache`` so tracebacks show its lines."""
+    if not is_dataclass(cls):
+        sizer = lambda message: message.TAG_BYTES + _estimate_size(message)  # noqa: E731
+    else:
+        source, filename = sizer_source(cls), f"<repro.sizer {cls.__name__}>"
+        made: dict = {}
+        exec(compile(source, filename, "exec"), globals(), made)
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        sizer = made["size"]
+    _MESSAGE_SIZERS[cls] = sizer
     return sizer
 
 
@@ -292,7 +404,9 @@ class NullStorage(Storage):
 
 
 NULL_STORAGE = NullStorage()
-"""Shared default: stateless, so one instance serves every env."""
+"""Shared default: stateless, so one instance serves every env.
+:meth:`Env.end_event` recognises it and runs an event's release in
+place instead of handing it to :meth:`NullStorage.commit`."""
 
 
 FlushHook = Callable[[int, "list[tuple[int, Message]]", "dict[int, list[Message]]"], None]
@@ -433,10 +547,11 @@ class Env(ABC):
         The event's effects (buffered sends, deliveries deferred by a
         group-committing storage) are wrapped in a ``release`` closure
         handed to :meth:`Storage.commit`, which runs it once the event's
-        log records are durable -- immediately for :class:`NullStorage`
-        and synchronous stores, later from a group-commit timer
-        otherwise.  This is persist-before-ack for every protocol, with
-        no storage code in any handler.
+        log records are durable -- immediately for synchronous stores,
+        later from a group-commit timer otherwise.  This is
+        persist-before-ack for every protocol, with no storage code in
+        any handler.  Under the shared :data:`NULL_STORAGE`, whose
+        commit would run the release at once, it runs in place.
 
         ``discard=True`` (the event failed with :class:`StorageFull`)
         drops the outbox and pending records instead: a node that could
@@ -456,25 +571,36 @@ class Env(ABC):
             storage.discard_pending()
             return
         queued = self._outbox
+        if storage is NULL_STORAGE:
+            # Nothing to persist, and NullStorage.commit would run the
+            # release at once: run it in place, without the closure.
+            if queued:
+                self._outbox = []
+            if queued or deliveries:
+                self._release(queued, deliveries)
+            return
         if not queued and not deliveries and not storage.dirty:
             return
         if queued:
             self._outbox = []
         else:
             queued = []
+        storage.commit(lambda: self._release(queued, deliveries))
 
-        def release() -> None:
-            if deliveries:
-                for command in deliveries:
-                    self._do_deliver(command)
-            if not queued:
-                return
-            if self._held is not None:
-                self._held += queued
-            else:
-                self._flush_queued(queued)
-
-        storage.commit(release)
+    def _release(
+        self, queued: list[tuple[int, Message]], deliveries: Optional[list[Command]]
+    ) -> None:
+        """One event's effects, once its records are durable: deferred
+        deliveries first, then the sends."""
+        if deliveries:
+            for command in deliveries:
+                self._do_deliver(command)
+        if not queued:
+            return
+        if self._held is not None:
+            self._held += queued
+        else:
+            self._flush_queued(queued)
 
     def run_releases(self, releases: "list[Callable[[], None]]") -> None:
         """Run one group-commit window's ``releases`` in commit order,
@@ -803,13 +929,13 @@ class Protocol(Dispatcher, ABC):
         """
         return self.costs.base_cost, self.costs.serial_fraction
 
-    def occupancy_cost(self, message: Message) -> tuple[float, float]:
-        """``(cpu_seconds, serial_fraction)`` of extra CPU occupancy for
-        handling ``message``: work that loads the cores (capping
-        throughput) without delaying the handler itself.  Used e.g. for
-        the Multi-Paxos leader's per-command coordination work.
-        Default: none."""
-        return 0.0, 0.0
+    occupancy_cost: Optional[Callable[[Message], tuple[float, float]]] = None
+    """A method ``occupancy_cost(message) -> (cpu_seconds,
+    serial_fraction)`` of extra CPU occupancy for handling ``message``:
+    work that loads the cores (capping throughput) without delaying the
+    handler itself.  Used e.g. for the Multi-Paxos leader's per-command
+    coordination work.  ``None`` (the default): no protocol message
+    costs any, and the simulator asks nothing per message."""
 
     # ------------------------------------------------------------------
     # Durable-state hooks (storage-backed recovery)

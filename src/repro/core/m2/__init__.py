@@ -130,13 +130,13 @@ class M2Paxos(
         first adds that much CPU, so batching amortises -- not erases --
         per-command work in the simulator.
         """
-        cost, serial = self.costs.base_cost, self.costs.serial_fraction
-        extra = self.costs.per_command_cost
-        if extra and isinstance(message, (Accept, Decide)):
+        costs = self.costs
+        cost = costs.base_cost
+        if costs.per_command_cost and isinstance(message, (Accept, Decide)):
             n_commands = len({c.cid for c in message.to_decide.values()})
             if n_commands > 1:
-                cost += extra * (n_commands - 1)
-        return cost, serial
+                cost += costs.per_command_cost * (n_commands - 1)
+        return cost, costs.serial_fraction
 
     def _next_req(self) -> int:
         self.state.req += 1

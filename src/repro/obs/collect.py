@@ -7,8 +7,12 @@ protocols' structured notes (``path`` / ``quorum`` / ``decide`` /
 ``epoch_bump`` / ``owner_handoff`` / ``outbox_depth``):
 
 - one :class:`~repro.obs.span.CommandTrace` per command;
-- per-message-type handler counts and CPU attribution (measured with
-  ``perf_counter``, so it is real Python CPU on both substrates);
+- with ``record_spans=True`` only, per-message-type handler counts and
+  CPU attribution (measured with ``perf_counter``, so it is real Python
+  CPU on both substrates); without spans the collector declines the
+  handler bracket (:attr:`wants_handler_timing`), so a figure or
+  benchmark run pays no clock read per message and ``handler_stats``
+  stays empty;
 - ownership-churn gauges (epoch bumps and owner handoffs per object)
   and per-destination outbox depth;
 - a timeline of fault events (``fault`` notes emitted by the substrate
@@ -157,6 +161,10 @@ class ObsCollector(EnvObserver):
     ) -> None:
         self.clock = clock
         self.record_spans = record_spans
+        # Handler CPU is attributed only where spans are recorded (the
+        # trace command, chaos): elsewhere nothing reads it, and the
+        # bracket would cost every message two clock reads.
+        self.wants_handler_timing = record_spans
         self.max_spans = self.DEFAULT_MAX_SPANS if max_spans is None else max_spans
         self.dropped_spans = 0
         self.traces: dict[Cid, CommandTrace] = {}
@@ -167,7 +175,7 @@ class ObsCollector(EnvObserver):
         self.churn = OwnershipChurn()
         self.outbox_depth: dict[int, int] = {}  # dst -> max depth seen
         self.client_inflight: dict[int, int] = {}  # node -> max pipeline depth
-        self.message_types: dict[str, int] = {}
+        self._sent_by_class: dict[type, int] = {}
         self.flush_batches = 0
         self.wire_messages = 0
         self.wire_bytes = 0
@@ -257,10 +265,10 @@ class ObsCollector(EnvObserver):
     def on_flush(self, node_id: int, queued, batches) -> None:
         self.flush_batches += len(batches)
         self.wire_messages += len(queued)
-        types = self.message_types
+        sent = self._sent_by_class
         for _dst, message in queued:
-            name = type(message).__name__
-            types[name] = types.get(name, 0) + 1
+            cls = message.__class__
+            sent[cls] = sent.get(cls, 0) + 1
         for dst, messages in batches.items():
             if len(messages) > self.outbox_depth.get(dst, 0):
                 self.outbox_depth[dst] = len(messages)
@@ -416,6 +424,14 @@ class ObsCollector(EnvObserver):
     # Queries
     # ------------------------------------------------------------------
 
+    @property
+    def message_types(self) -> dict[str, int]:
+        """Messages flushed so far, by message class name."""
+        types: dict[str, int] = {}
+        for cls, count in self._sent_by_class.items():
+            types[cls.__name__] = types.get(cls.__name__, 0) + count
+        return types
+
     def path_counts(self) -> dict[str, int]:
         """Decision-path counts over every *delivered* trace."""
         counts: dict[str, int] = {}
@@ -514,7 +530,7 @@ class ObsCollector(EnvObserver):
             ),
             bytes_sent=network.bytes_sent if network is not None else self.wire_bytes,
             proposed=self.proposed,
-            message_types=dict(self.message_types),
+            message_types=self.message_types,
             flush_batches=self.flush_batches,
             wire_messages=self.wire_messages,
             wire_bytes=self.wire_bytes,

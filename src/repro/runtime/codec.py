@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import linecache
 import struct
-import types
 import typing
 from dataclasses import fields, is_dataclass
 from typing import Any, Callable, Optional
 
 from repro.consensus import epaxos, genpaxos, multipaxos
-from repro.consensus.base import Message
+from repro.consensus.base import Message, annotation_shape
 from repro.consensus.commands import Command
 from repro.core import messages as core_messages
 
@@ -115,7 +114,11 @@ def _read_uvarint(buf: "bytes | memoryview", pos: int) -> tuple[int, int]:
         pos += 1
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
-            return result, pos
+            # A last group of zero after the first spells the same
+            # number in more bytes than the encoder writes.
+            if byte or not shift:
+                return result, pos
+            raise ValueError(f"overlong varint ending at offset {pos - 1}")
         shift += 7
 
 
@@ -329,28 +332,12 @@ def _head(tag: int, size: str) -> tuple[str, ...]:
             "if n < 128: out.append(n)", "else: _write_uvarint(out, n)")
 
 
-def _shape(hint: Any) -> tuple[Any, tuple]:
-    """``(kind, parameters)`` of an annotation the generator inlines
-    (``...`` is ``tuple[X, ...]``), or ``(None, ())``: a bare container,
-    ``Any``, a set, a float, a nested class."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if hint in (int, bool, str, Command):
-        return hint, ()
-    if origin in (typing.Union, types.UnionType) and len(args) == 2 and args[1] is type(None):
-        return Optional, args[:1]
-    if origin is tuple and len(args) == 2 and args[1] is ...:
-        return ..., args[:1]
-    if (origin is tuple and 0 < len(args) < 128) or (origin is dict and len(args) == 2):
-        return origin, args
-    return None, ()
-
-
 def _emit(enc: list[str], dec: list[str], hint: Any, v: str, d: int) -> None:
     """Add to ``enc`` the statements that append variable ``v`` to
     ``out`` and to ``dec`` those that read it back from ``buf[pos]``:
     the inline form under a check of the runtime class (of the tag on
     the wire), else the walk."""
-    kind, args = _shape(hint)
+    kind, args = annotation_shape(hint)
     if kind is Optional:
         _put(enc, d, f"if {v} is None: out.append({_T_NONE})", "else:")
         _put(dec, d, f"if buf[pos] == {_T_NONE}: {v} = None; pos += 1", "else:")

@@ -172,7 +172,8 @@ class SimNode(Host):
         now = self.loop.now
         done = self.cpu.submit(now, cost, serial)
         if done <= now:
-            self._run_charged(self.incarnation, fn, args)
+            # Completes in the incarnation that charged it.
+            self.run_event(fn, *args)
         else:
             self.loop.post_at(done, self._run_charged, self.incarnation, fn, args)
 
@@ -186,11 +187,12 @@ class SimNode(Host):
     def _on_network_message(self, sender: int, message: object, size: int) -> None:
         if self.crashed:
             return
-        assert isinstance(message, Message)
-        occupancy, occupancy_serial = self.protocol.occupancy_cost(message)
-        if occupancy > 0:
-            self.cpu.submit(self.loop.now, occupancy, occupancy_serial)
-        self._charge_and_run(message, self.protocol.on_message, sender, message)
+        protocol = self.protocol
+        if protocol.occupancy_cost is not None:
+            occupancy, occupancy_serial = protocol.occupancy_cost(message)
+            if occupancy > 0:
+                self.cpu.submit(self.loop.now, occupancy, occupancy_serial)
+        self._charge_and_run(message, protocol.on_message, sender, message)
 
     def propose(self, command: Command) -> None:
         """Client-side C-PROPOSE entry point.

@@ -73,8 +73,9 @@ def scan_records(data: bytes) -> tuple[list[tuple[int, int, bytes]], int]:
             (crc,) = _CRC.unpack_from(buf, p + size)
             if crc != zlib.crc32(bytes(buf[start : p + size])):
                 break
-        except IndexError:
-            # Varint ran off the end of the buffer: torn header.
+        except (IndexError, ValueError):
+            # Varint ran off the end of the buffer, or is overlong
+            # (which no writer makes): torn or garbage header.
             break
         records.append((seq, rtype, bytes(buf[p : p + size])))
         pos = end
@@ -108,6 +109,6 @@ def parse_snapshot(data: bytes) -> Optional[tuple[int, bytes]]:
         (crc,) = _CRC.unpack_from(buf, p + size)
         if crc != zlib.crc32(bytes(buf[:p + size])):
             return None
-    except IndexError:
+    except (IndexError, ValueError):
         return None
     return covers_seq, bytes(buf[p : p + size])

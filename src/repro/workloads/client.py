@@ -72,17 +72,14 @@ class OpenLoopClients:
     def start(self) -> None:
         """Kick off every client timer with a small random phase."""
         self._running = True
+        loop = self.cluster.loop
         for node in self.nodes:
             for _client in range(self.config.clients_per_node):
                 delay = self._rng.random() * self._interval
-                self._schedule(node, delay)
+                loop.post_at(loop.now + delay, self._tick, node)
 
     def stop(self) -> None:
         self._running = False
-
-    def _schedule(self, node: int, delay: float) -> None:
-        loop = self.cluster.loop
-        loop.post_at(loop.now + delay, self._tick, node)
 
     def _tick(self, node: int) -> None:
         if not self._running:
@@ -93,7 +90,8 @@ class OpenLoopClients:
             self._outstanding[command.cid] = node
             self.cluster.propose(node, command)
         # Open loop: sleep and go again whether or not we issued.
-        self._schedule(node, self._interval)
+        loop = self.cluster.loop
+        loop.post_at(loop.now + self._interval, self._tick, node)
 
     def _on_deliver(self, node_id: int, command: Command, now: float) -> None:
         origin = self._outstanding.get(command.cid)

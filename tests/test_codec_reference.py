@@ -570,6 +570,33 @@ def test_a_command_body_no_encoder_writes_is_a_frame_error(body):
     assert _outcome(codec.decode_message, hostile) is FrameError
 
 
+_ZERO = Command.make(0, 5, ["o"])  # cid[0] = 0: its body starts with 00
+
+
+@pytest.mark.parametrize("where", ["command-body", "sender"])
+def test_an_overlong_varint_is_a_frame_error(where):
+    """``80 00`` spells 0 in two bytes.  No encoder writes a zero group
+    after the first, so a frame that does is refused, not decoded to a
+    second spelling of a value that has one."""
+    body = _encode_command_body(_ZERO)
+    assert body == bytes.fromhex("000a01016f100000")
+    payload = _payload(codec.encode_message(0, Decide(to_decide={("o", 1): _ZERO})))
+    framed = bytes([len(body)]) + body
+    assert payload.count(framed) == 1 and payload[:2] == b"\xb1\x00"
+    if where == "command-body":
+        hostile = payload.replace(framed, bytes([len(body) + 1]) + b"\x80" + body)
+    else:
+        hostile = b"\xb1\x80" + payload[1:]
+    for decode in (ref_decode_message, codec.decode_message):
+        assert _outcome(decode, hostile) is FrameError
+        assert _outcome(decode, memoryview(hostile)) is FrameError
+        assert decode(payload) == (0, Decide(to_decide={("o", 1): _ZERO}))
+    with pytest.raises(ValueError):
+        _read_uvarint(b"\x80\x00", 0)
+    assert _read_uvarint(b"\x80\x01", 0) == (128, 2)  # a zero first group is fine
+    assert _read_uvarint(b"\x00", 0) == (0, 1)
+
+
 # ----------------------------------------------------------------------
 # (iii) what reaches the wire in a live cluster
 # ----------------------------------------------------------------------

@@ -15,10 +15,11 @@ from __future__ import annotations
 import asyncio
 import json
 
+from repro.bench.harness import PointSpec, build_run
 from repro.consensus.base import EnvObserver
 from repro.consensus.commands import Command
 from repro.core.protocol import M2Paxos, M2PaxosConfig
-from repro.obs import ObsCollector, to_chrome_trace
+from repro.obs import ObsCollector, jsonl_records, to_chrome_trace
 from repro.obs.collect import RunResult
 from repro.runtime.cluster import LocalCluster
 from repro.sim.latency import FixedLatency
@@ -332,3 +333,34 @@ class TestInflight:
         assert collector.traces == {}
         assert collector.message_types == {}
         assert len(cluster.delivered(0)) == 1  # the cluster still works
+
+
+class TestHandlerClock:
+    """Handler CPU is attributed only where spans are recorded: a
+    figure or benchmark run pays no clock read per message."""
+
+    SPEC = PointSpec("m2paxos", 3, duration=0.05, warmup=0.05, seed=2)
+
+    def _run(self, record_spans: bool):
+        handle = build_run(self.SPEC, record_spans=record_spans)
+        handle.start()
+        handle.cluster.run_for(self.SPEC.warmup + self.SPEC.duration)
+        return handle
+
+    def test_a_figure_run_brackets_no_handler(self):
+        handle = self._run(record_spans=False)
+        assert handle.collector.message_types  # messages were handled
+        for node in handle.cluster.nodes:
+            assert node.env._timing_observers is None
+        assert handle.collector.handler_stats == {}
+        assert not [r for r in jsonl_records(handle.collector) if r["kind"] == "handler"]
+
+    def test_a_span_run_keeps_handler_spans_and_rows(self):
+        handle = self._run(record_spans=True)
+        collector = handle.collector
+        for node in handle.cluster.nodes:
+            assert node.env._timing_observers == [collector]
+        assert any(s.category == "handler" for s in collector.spans)
+        rows = [r for r in jsonl_records(collector) if r["kind"] == "handler"]
+        assert {r["message_type"] for r in rows} >= {"Accept", "AckAccept"}
+        assert all(r["count"] > 0 and r["cpu_seconds"] > 0 for r in rows)
