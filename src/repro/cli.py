@@ -577,16 +577,10 @@ def cmd_perf(args) -> int:
 def _quorum_from_args(args):
     """The :class:`~repro.core.quorum.QuorumSystem` spec the modelcheck
     flags name (always non-None; majority is the default)."""
-    from repro.core.quorum import (
-        FlexibleQuorums,
-        MajorityQuorums,
-        ZoneQuorums,
-    )
+    from repro.core.quorum import FlexibleQuorums, MajorityQuorums
 
     if args.quorum == "flexible":
         return FlexibleQuorums(prepare=args.prepare, accept=args.accept)
-    if args.quorum == "zone":
-        return ZoneQuorums(_parse_zones(args.zones or "0,0,1,1,2"))
     return MajorityQuorums()
 
 
@@ -602,7 +596,7 @@ def cmd_modelcheck(args) -> int:
 
     # Phase 1: exhaustive prepare x accept intersection sweep over
     # cluster sizes 3..5 (the Flexible Paxos safety condition).  Sizes
-    # the spec cannot bind to (a zone map pins one n) are skipped.
+    # the spec cannot bind to (a quorum larger than n) are skipped.
     results = verify_intersections(system, n_lo=3, n_hi=5)
     failed = False
     for n, problems in sorted(results.items()):
@@ -626,7 +620,8 @@ def cmd_modelcheck(args) -> int:
         return 1
 
     # Phase 2: BFS over the abstract GFPaxos state space under the
-    # configured quorum families, when the spec binds at the model size.
+    # configured quorum families, when the spec binds at the model's
+    # 3 acceptors (``--prepare 4 --accept 2`` does not, and is skipped).
     try:
         config = ModelConfig(
             n_ballots=args.ballots,
@@ -756,10 +751,11 @@ def main(argv=None) -> int:
     mc_parser.add_argument("--ballots", type=int, default=1)
     mc_parser.add_argument("--max-states", type=int, default=2_000_000)
     mc_parser.add_argument(
-        "--quorum", choices=("majority", "flexible", "zone"),
+        "--quorum", choices=("majority", "flexible"),
         default="majority",
         help="quorum system to verify: intersection sweep at n=3..5, "
-             "then the BFS state search under its families",
+             "then the BFS state search under its families where they "
+             "bind to 3 acceptors",
     )
     mc_parser.add_argument(
         "--prepare", type=int, default=4,
@@ -768,11 +764,6 @@ def main(argv=None) -> int:
     mc_parser.add_argument(
         "--accept", type=int, default=2,
         help="--quorum flexible: phase-2 (fast-path) quorum size",
-    )
-    mc_parser.add_argument(
-        "--zones", default=None,
-        help="--quorum zone: comma-separated node->zone map "
-             "(default 0,0,1,1,2)",
     )
     mc_parser.set_defaults(fn=cmd_modelcheck)
 

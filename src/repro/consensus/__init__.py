@@ -1,7 +1,8 @@
 """Consensus protocols: shared sans-I/O interface and the paper's baselines.
 
 - :mod:`repro.consensus.base` -- the :class:`Protocol` / :class:`Env`
-  contract every implementation follows, quorum helpers, CPU-cost hooks.
+  contract every implementation follows, CPU-cost hooks (quorum sizes,
+  ballots and value selection live in :mod:`repro.core.quorum`).
 - :mod:`repro.consensus.commands` -- commands with object access sets
   (``c.LS`` in the paper) and the conflict relation.
 - :mod:`repro.consensus.multipaxos` -- single-leader Multi-Paxos.
@@ -11,23 +12,13 @@
   slow paths, SCC-based execution order).
 """
 
-from repro.consensus.base import (
-    Env,
-    Protocol,
-    ProtocolCosts,
-    classic_quorum_size,
-    fast_quorum_size,
-    epaxos_fast_quorum_size,
-)
+from repro.consensus.base import Env, Protocol, ProtocolCosts
 from repro.consensus.commands import Command, conflict
 
 __all__ = [
     "Env",
     "Protocol",
     "ProtocolCosts",
-    "classic_quorum_size",
-    "fast_quorum_size",
-    "epaxos_fast_quorum_size",
     "Command",
     "conflict",
 ]

@@ -23,33 +23,6 @@ from typing import Any, Callable, Optional
 from repro.consensus.commands import Command
 
 
-def classic_quorum_size(n: int) -> int:
-    """Classic (majority) quorum: ``floor(N/2) + 1``."""
-    if n < 1:
-        raise ValueError("need at least one node")
-    return n // 2 + 1
-
-
-def fast_quorum_size(n: int) -> int:
-    """Fast Paxos / Generalized Paxos fast quorum: ``floor(2N/3) + 1``."""
-    if n < 1:
-        raise ValueError("need at least one node")
-    return (2 * n) // 3 + 1
-
-
-def epaxos_fast_quorum_size(n: int) -> int:
-    """EPaxos fast quorum: ``F + floor((F+1)/2)`` where ``N = 2F + 1``.
-
-    For N <= 5 this equals the classic majority (the 'optimized EPaxos'
-    quorum), which is why EPaxos tracks M2Paxos up to 5-7 nodes in the
-    paper's Figure 3 and then falls behind.
-    """
-    if n < 1:
-        raise ValueError("need at least one node")
-    f = (n - 1) // 2
-    return f + (f + 1) // 2
-
-
 class Message:
     """Base class for protocol messages.
 

@@ -24,7 +24,10 @@ messages (bigger wire sizes under contention).
 Recovery (explicit prepare) is implemented in the simplified
 common-case form: a replica that suspects an instance's leader collects
 the instance state from a majority and finishes with the strongest
-state found (committed > accepted > preaccepted).  The paper's
+state found: a committed one, else the accepted attributes of the
+highest accepted ballot (the classic Paxos rule of
+:func:`repro.core.quorum.highest_ballot`; each replica records and
+reports the ballot it accepted at), else a preaccepted one.  The paper's
 evaluation never crashes replicas, and neither do the benchmarks; the
 fault-tolerance tests exercise this path only in the shapes the
 simplified rules handle correctly (no partially-formed fast quorum at
@@ -34,6 +37,7 @@ the crash point).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from repro.consensus.base import (
@@ -41,10 +45,14 @@ from repro.consensus.base import (
     handles,
     Protocol,
     ProtocolCosts,
-    classic_quorum_size,
-    epaxos_fast_quorum_size,
 )
 from repro.consensus.commands import Command
+from repro.core.quorum import (
+    classic_quorum,
+    epaxos_fast_quorum,
+    highest_ballot,
+    next_ballot,
+)
 
 EpInstanceId = tuple[int, int]
 """``(replica, slot)``."""
@@ -113,6 +121,8 @@ class EpPrepareReply(Message):
     command: Optional[Command] = None
     seq: int = 0
     deps: frozenset[EpInstanceId] = frozenset()
+    # The ballot at which an ``ACCEPTED`` status's attributes were accepted.
+    accepted_ballot: int = 0
 
 
 @dataclass
@@ -124,6 +134,7 @@ class _EpInstance:
     deps: frozenset[EpInstanceId] = frozenset()
     status: str = PREACCEPTED
     ballot: int = 0
+    accepted_ballot: int = 0
     # Leader-side bookkeeping.
     replies: list[EpPreAcceptReply] = field(default_factory=list)
     accept_votes: set[int] = field(default_factory=set)
@@ -168,13 +179,10 @@ class EPaxos(Protocol):
         self._timeout_armed: set[EpInstanceId] = set()
         self.stats = {"fast_path": 0, "slow_path": 0, "committed": 0, "recoveries": 0}
 
-    @property
-    def quorum(self) -> int:
-        return classic_quorum_size(self.env.n_nodes)
-
-    @property
-    def fast_quorum(self) -> int:
-        return epaxos_fast_quorum_size(self.env.n_nodes)
+    def bind(self, env) -> None:
+        super().bind(env)
+        self.quorum = classic_quorum(env.n_nodes)
+        self.fast_quorum = epaxos_fast_quorum(env.n_nodes)
 
     # ------------------------------------------------------------------
     # Phase 1: PreAccept
@@ -280,6 +288,7 @@ class EPaxos(Protocol):
             record.seq = seq
             record.deps = deps
             record.status = ACCEPTED
+            record.accepted_ballot = record.ballot
             record.accept_votes = set()
             self.env.broadcast(
                 EpAccept(
@@ -305,7 +314,7 @@ class EPaxos(Protocol):
         record.seq = msg.seq
         record.deps = msg.deps
         record.status = ACCEPTED
-        record.ballot = msg.ballot
+        record.ballot = record.accepted_ballot = msg.ballot
         self._index(msg.instance, msg.command, msg.seq)
         self._arm_commit_timeout(msg.instance)
         self.env.send(
@@ -469,7 +478,9 @@ class EPaxos(Protocol):
     def _recover(self, instance_id: EpInstanceId) -> None:
         record = self.instances.setdefault(instance_id, _EpInstance())
         self.stats["recoveries"] += 1
-        record.ballot += 1 + self.env.node_id
+        record.ballot = next_ballot(
+            record.ballot, self.env.node_id, self.env.n_nodes
+        )
         record.prepare_replies = {}
         record.leading = True
         self.env.broadcast(
@@ -496,6 +507,7 @@ class EPaxos(Protocol):
                 command=record.command,
                 seq=record.seq,
                 deps=record.deps,
+                accepted_ballot=record.accepted_ballot,
             ),
         )
 
@@ -527,7 +539,10 @@ class EPaxos(Protocol):
                 include_self=False,
             )
             return
-        accepted = next((r for r in replies if r.status == ACCEPTED), None)
+        accepted = highest_ballot(
+            (r for r in replies if r.status == ACCEPTED),
+            attrgetter("accepted_ballot"),
+        )
         chosen = accepted or next(
             (r for r in replies if r.status == PREACCEPTED), None
         )
@@ -537,6 +552,7 @@ class EPaxos(Protocol):
         record.seq = chosen.seq
         record.deps = chosen.deps
         record.status = ACCEPTED
+        record.accepted_ballot = record.ballot
         record.accept_votes = set()
         record.leading = True
         self.env.broadcast(

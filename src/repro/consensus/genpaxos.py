@@ -14,9 +14,11 @@ subsequences.  We therefore run the protocol over per-object instances
   *fast quorum* (floor(2N/3) + 1) voted identically.
 - **Collisions**: when votes at an index split between conflicting
   commands, no fast quorum can form; the designated leader notices the
-  stuck frontier and resolves the instance in a classic round (prepare /
-  accept with majority quorums, two extra delays) -- the same recovery
-  cost as Fast Paxos, as the paper notes.
+  stuck frontier and resolves the instance in a classic round (a
+  prepare quorum large enough to recover a fast round, a majority accept
+  quorum, two extra delays) -- the same recovery cost as Fast Paxos, as
+  the paper notes.  Sizes, ballots and the value the round must pick
+  come from the Paxos kernel, :mod:`repro.core.quorum`.
 - **Multi-object commands** are serialised through the leader, which
   assigns them one index per accessed object atomically in a classic
   round.  This mirrors the conservative handling that makes Generalized
@@ -30,6 +32,7 @@ Delivery reuses the per-object frontier engine of the core package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from repro.consensus.base import (
@@ -37,12 +40,17 @@ from repro.consensus.base import (
     handles,
     Protocol,
     ProtocolCosts,
-    classic_quorum_size,
-    fast_quorum_size,
 )
 from repro.consensus.commands import Command, make_noop
 from repro.core.delivery import DeliveryEngine
 from repro.core.messages import Instance
+from repro.core.quorum import (
+    classic_quorum,
+    fast_paxos_value,
+    fast_quorum,
+    fast_recovery_quorum,
+    next_ballot,
+)
 from repro.core.state import M2PaxosState
 
 
@@ -172,32 +180,16 @@ class GenPaxos(Protocol):
     def bind(self, env) -> None:
         super().bind(env)
         self.delivery = DeliveryEngine(self.state, self._on_append)
+        n = env.n_nodes
+        self.quorum = classic_quorum(n)
+        self.fast_quorum = fast_quorum(n)
+        # Phase 1 of a classic round must out-vote any rival of a value
+        # a fast quorum may have chosen (see the kernel's docstring).
+        self.recovery_quorum = fast_recovery_quorum(n)
 
     def on_start(self) -> None:
         if self.env.node_id == self.config.leader:
             self._schedule_collision_check()
-
-    @property
-    def quorum(self) -> int:
-        return classic_quorum_size(self.env.n_nodes)
-
-    @property
-    def fast_quorum(self) -> int:
-        return fast_quorum_size(self.env.n_nodes)
-
-    @property
-    def recovery_quorum(self) -> int:
-        """Phase-1 quorum for classic rounds.
-
-        Fast Paxos safety requires the prepare quorum ``q`` to satisfy
-        ``q > 2 * (N - fq)`` so that a value with a possible fast quorum
-        of votes strictly out-votes any rival inside the prepare quorum.
-        With ``fq = floor(2N/3) + 1`` this exceeds a bare majority for
-        N >= 7 -- one of the larger-quorum costs of Generalized Paxos
-        the paper calls out.
-        """
-        n = self.env.n_nodes
-        return max(self.quorum, 2 * (n - self.fast_quorum) + 1)
 
     def _next_req(self) -> int:
         self._req_counter += 1
@@ -356,10 +348,10 @@ class GenPaxos(Protocol):
         if command is not None:
             self.note_path(command, "slow")
         self._recovering.update(instances)
-        ballot = (
-            max(self._promised.get(inst, 0) for inst in instances)
-            + 1
-            + self.env.node_id
+        ballot = next_ballot(
+            max(self._promised.get(inst, 0) for inst in instances),
+            self.env.node_id,
+            self.env.n_nodes,
         )
         req = self._next_req()
         self._pending_prepares[req] = {
@@ -417,8 +409,13 @@ class GenPaxos(Protocol):
         command = pending["command"]
         forced_map: dict[Instance, Optional[Command]] = {}
         for inst in pending["instances"]:
-            forced_map[inst] = self._pick_value(
-                votes.get(inst, ()) for votes in pending["promises"].values()
+            forced_map[inst] = fast_paxos_value(
+                (
+                    vote
+                    for votes in pending["promises"].values()
+                    for vote in votes.get(inst, ())
+                ),
+                ident=attrgetter("cid"),
             )
 
         own = all(
@@ -467,28 +464,6 @@ class GenPaxos(Protocol):
             )
             if recorded_cmd is not None:
                 self._start_classic_round(record, recorded_cmd)
-
-    @staticmethod
-    def _pick_value(promise_votes) -> Optional[Command]:
-        """Fast Paxos value selection: highest ballot wins; among ballot-0
-        (fast) votes, the most-voted command (with the safe recovery
-        quorum, only a fast-chosen value can hold a strict plurality)."""
-        best_ballot = -1
-        by_command: dict[tuple[int, int], tuple[int, Command]] = {}
-        for votes in promise_votes:
-            for ballot, command in votes:
-                if ballot > best_ballot:
-                    best_ballot = ballot
-                    by_command = {}
-                if ballot == best_ballot:
-                    count, _ = by_command.get(command.cid, (0, command))
-                    by_command[command.cid] = (count + 1, command)
-        if not by_command:
-            return None
-        _, command = max(
-            by_command.values(), key=lambda pair: (pair[0], pair[1].cid)
-        )
-        return command
 
     def _classic_accept(self, ballot: int, to_decide: dict[Instance, Command]) -> None:
         req = self._next_req()

@@ -13,8 +13,8 @@ throughput at roughly ``1 / (messages_at_leader * base_cost)``, which
 reproduces the degradation past ~11 nodes in the paper's Figure 1.
 
 View change: any node that suspects the leader (commands it proposed
-are not decided within ``leader_timeout``) prepares the smallest view
-greater than the current one that maps to itself (``view % N == id``),
+are not decided within ``leader_timeout``) prepares its next view above
+the current one (``core.quorum.next_ballot``, so ``view % N == id``),
 collects promises with the accepted-slot maps from a majority, then
 re-proposes the highest-view value per slot (no-ops for gaps).
 """
@@ -29,9 +29,9 @@ from repro.consensus.base import (
     handles,
     Protocol,
     ProtocolCosts,
-    classic_quorum_size,
 )
 from repro.consensus.commands import Command, make_noop
+from repro.core.quorum import classic_quorum, highest_ballot, next_ballot
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,11 @@ class MultiPaxos(Protocol):
         self._pending_view: Optional[int] = None
         self._promises: dict[int, MpPromise] = {}
         self._awaiting: dict[tuple[int, int], float] = {}
-        self._chosen_view: dict[int, int] = {}
         self.stats = {"decided": 0, "view_changes": 0, "forwards": 0}
+
+    def bind(self, env) -> None:
+        super().bind(env)
+        self.quorum = classic_quorum(env.n_nodes)
 
     # ------------------------------------------------------------------
 
@@ -131,10 +134,6 @@ class MultiPaxos(Protocol):
     @property
     def is_leader(self) -> bool:
         return self.leader == self.env.node_id
-
-    @property
-    def quorum(self) -> int:
-        return classic_quorum_size(self.env.n_nodes)
 
     def propose(self, command: Command) -> None:
         if self.is_leader:
@@ -249,9 +248,7 @@ class MultiPaxos(Protocol):
     # ------------------------------------------------------------------
 
     def _start_view_change(self) -> None:
-        new_view = self.view + 1
-        while new_view % self.env.n_nodes != self.env.node_id:
-            new_view += 1
+        new_view = next_ballot(self.view, self.env.node_id, self.env.n_nodes)
         if self._pending_view is not None and self._pending_view >= new_view:
             return
         self.stats["view_changes"] += 1
@@ -292,14 +289,11 @@ class MultiPaxos(Protocol):
         # fill holes below the frontier with no-ops, then re-propose.
         self.view = msg.view
         self._pending_view = None
-        self._chosen_view = {}
-        chosen: dict[int, Command] = {}
+        votes: dict[int, list[tuple[int, Command]]] = {}
         for promise in self._promises.values():
-            for slot, (vote_view, command) in promise.accepted.items():
-                current = chosen.get(slot)
-                if current is None or vote_view > self._chosen_view.get(slot, -1):
-                    chosen[slot] = command
-                    self._chosen_view[slot] = vote_view
+            for slot, vote in promise.accepted.items():
+                votes.setdefault(slot, []).append(vote)
+        chosen = {slot: highest_ballot(vs)[1] for slot, vs in votes.items()}
         top = max(
             [self.delivered_upto]
             + list(chosen.keys())

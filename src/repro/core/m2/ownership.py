@@ -7,12 +7,20 @@ replies into accept rounds that honour forced values.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional
 
 from repro.consensus.base import handles
 from repro.consensus.commands import Command, make_noop
 from repro.core.messages import AckPrepare, Instance, Prepare
 from repro.core.m2.config import _DECIDED_EPOCH, _ROUND, _PendingPrepare
+from repro.core.quorum import highest_ballot, next_ballot
+
+_EPOCH = itemgetter(1)
+"""A phase-1 report ``(command, epoch, instances)``'s ballot."""
+
+_NO_VOTE: tuple = (None, 0, ())
+"""What SELECT forces where no reply reports a command."""
 
 
 class OwnershipMixin:
@@ -97,16 +105,10 @@ class OwnershipMixin:
         self._push_deadline(self.config.round_timeout, _ROUND, req)
 
     def _next_epoch(self, floor: int) -> int:
-        """The smallest epoch above ``floor`` that belongs to this node.
-
-        Epochs are striped ``k * N + node_id``, making every epoch value
-        globally unique: no two nodes can ever run rounds at the same
-        ballot, which is what rules out same-epoch duelling coordinators
-        structurally.
-        """
-        n = self.env.n_nodes
-        k = floor // n + 1
-        return k * n + self.env.node_id
+        """This node's next epoch above ``floor``: the kernel's
+        :func:`~repro.core.quorum.next_ballot`, whose striping rules out
+        same-epoch duelling coordinators structurally."""
+        return next_ballot(floor, self.env.node_id, self.env.n_nodes)
 
     def _next_noop(self, l: str) -> Command:
         """A hole filler for ``l`` with an id this node never used."""
@@ -296,14 +298,16 @@ class OwnershipMixin:
         ],
     ) -> dict[Instance, tuple[Optional[Command], int, tuple[Instance, ...]]]:
         """Paxos phase-2a value selection per instance (Algorithm 4,
-        lines 22-28): the command accepted in the highest epoch wins,
-        along with the instance set of the round that accepted it."""
+        lines 22-28), by the kernel's classic rule: the command accepted
+        in the highest epoch wins, along with the instance set of the
+        round that accepted it."""
         out: dict[Instance, tuple[Optional[Command], int, tuple[Instance, ...]]] = {}
+        reports = replies.values()
         for inst in eps:
-            best: tuple[Optional[Command], int, tuple[Instance, ...]] = (None, -1, ())
-            for decs in replies.values():
-                cmd, epoch, fins = decs.get(inst, (None, -1, ()))
-                if cmd is not None and epoch > best[1]:
-                    best = (cmd, epoch, fins)
-            out[inst] = best if best[0] is not None else (None, 0, ())
+            voted = [
+                report
+                for decs in reports
+                if (report := decs.get(inst, _NO_VOTE))[0] is not None
+            ]
+            out[inst] = highest_ballot(voted, _EPOCH) or _NO_VOTE
         return out

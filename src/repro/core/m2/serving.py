@@ -120,8 +120,8 @@ class ServingMixin:
         over needs a prepare quorum, every prepare quorum then includes
         a live granter, and that granter is parking the Prepare until
         after our own (strictly earlier-ending) window closes.  Works
-        unchanged for flexible and zone quorum systems because it asks
-        the quorum family itself, not a count.
+        unchanged for flexible quorum systems because it asks the
+        quorum system itself, not a count.
         """
         if at is None:
             at = self._lease_now()

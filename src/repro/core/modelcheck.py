@@ -37,6 +37,7 @@ from repro.core.quorum import (
     MajorityQuorums,
     QuorumSystem,
     check_intersections,
+    highest_ballot,
 )
 
 
@@ -65,10 +66,6 @@ class ModelConfig:
                 "commands",
                 {"c1": ("o1", "o2"), "c2": ("o1",)},
             )
-
-    @property
-    def quorum(self) -> int:
-        return self.n_acceptors // 2 + 1
 
     def bound_system(self) -> QuorumSystem:
         """The quorum system bound to ``n_acceptors``."""
@@ -100,9 +97,10 @@ class ModelChecker:
     def __init__(self, config: Optional[ModelConfig] = None) -> None:
         self.config = config or ModelConfig()
         self.states_explored = 0
-        # Quorum families are fixed for the whole search; enumerate once.
         self.system = self.config.bound_system()
-        self._accept_quorums = self.system.accept_quorums()
+        # Prepare (phase-1) quorums are what the Vote precondition
+        # (ProvedSafeAt) uses; fixed for the whole search, so enumerate
+        # once.  Chosen values are counted with the accept predicate.
         self._prepare_quorums = self.system.prepare_quorums()
 
     # ------------------------------------------------------------------
@@ -217,7 +215,7 @@ class ModelChecker:
             return False
         # A quorum must have reached our ballot and prove the value safe.
         quorum_found = False
-        for quorum in self._quorums():
+        for quorum in self._prepare_quorums:
             if all(ballots[q][oi] >= ballot for q in quorum):
                 safe = self._proved_safe(votes, quorum, obj, instance, ballot)
                 if command in safe:
@@ -234,21 +232,16 @@ class ModelChecker:
 
     def _proved_safe(self, votes, quorum, obj, instance, ballot) -> set[str]:
         """ProvedSafeAt: the vote in the highest ballot below ``ballot``
-        among the quorum, or every proposed command if none."""
-        best_ballot = -1
-        best_value: Optional[str] = None
-        for (a, o, i, b, c) in votes:
-            if o == obj and i == instance and a in quorum and b < ballot:
-                if b > best_ballot:
-                    best_ballot = b
-                    best_value = c
-        if best_value is not None:
-            return {best_value}
+        among the quorum (the kernel's classic rule), or every proposed
+        command if none."""
+        best = highest_ballot(
+            (b, c)
+            for (a, o, i, b, c) in votes
+            if o == obj and i == instance and a in quorum and b < ballot
+        )
+        if best is not None:
+            return {best[1]}
         return set(self.config.commands)
-
-    def _quorums(self):
-        """Prepare (phase-1) quorums: what JoinBallot/ProvedSafeAt use."""
-        return self._prepare_quorums
 
     # ------------------------------------------------------------------
     # Invariant
@@ -311,16 +304,14 @@ def verify_intersections(system: QuorumSystem, n_lo: int = 3, n_hi: int = 5):
     ``system`` is an unbound spec; each size gets its own bound copy and
     a full pairwise sweep of its prepare×accept families.  Returns
     ``{n: [problems]}`` -- all lists empty for a safe system.  Sizes the
-    spec cannot bind to (a zone map pinned to one n) are skipped.
+    spec cannot bind to (a quorum larger than the cluster) are skipped.
     """
     results: dict[int, list[str]] = {}
     for n in range(n_lo, n_hi + 1):
         try:
-            bound = system.build(n)
-        except ValueError as exc:
-            if "intersection" in str(exc):
-                results[n] = [str(exc)]
-            continue  # spec not applicable at this size (e.g. zone map)
+            bound = system.bind(n)
+        except ValueError:
+            continue
         results[n] = check_intersections(bound)
     return results
 

@@ -12,7 +12,9 @@ protocols' structured notes (``path`` / ``quorum`` / ``decide`` /
   CPU on both substrates); without spans the collector declines the
   handler bracket (:attr:`wants_handler_timing`), so a figure or
   benchmark run pays no clock read per message and ``handler_stats``
-  stays empty;
+  stays empty; likewise the ``quorum`` / ``decide`` milestones
+  (``CommandTrace.quorum_at`` / ``decided_at``) are subscribed to only
+  with spans, and stay ``None`` without;
 - ownership-churn gauges (epoch bumps and owner handoffs per object)
   and per-destination outbox depth;
 - a timeline of fault events (``fault`` notes emitted by the substrate
@@ -144,6 +146,18 @@ class OwnershipChurn:
         return sum(self.owner_handoffs.values())
 
 
+_NOTE_KINDS = frozenset({
+    "wire_bytes", "read_local", "path", "epoch_bump", "owner_handoff",
+    "outbox_depth", "inflight", "fsync", "snapshot", "recovery", "fault",
+})
+"""The note kinds every collector reads."""
+
+_SPAN_NOTE_KINDS = _NOTE_KINDS | {"decide", "quorum"}
+"""With spans, also the milestones that fill ``CommandTrace.decided_at``
+and ``quorum_at``: the JSONL export and the delay counts read them, no
+:class:`RunResult` does, and a saturated run emits several per command."""
+
+
 class ObsCollector(EnvObserver):
     """Attach to every node's Env; query after (or during) the run."""
 
@@ -165,6 +179,7 @@ class ObsCollector(EnvObserver):
         # trace command, chaos): elsewhere nothing reads it, and the
         # bracket would cost every message two clock reads.
         self.wants_handler_timing = record_spans
+        self.note_kinds = _SPAN_NOTE_KINDS if record_spans else _NOTE_KINDS
         self.max_spans = self.DEFAULT_MAX_SPANS if max_spans is None else max_spans
         self.dropped_spans = 0
         self.traces: dict[Cid, CommandTrace] = {}

@@ -1,15 +1,11 @@
-"""Unit tests for quorum arithmetic, message sizing, and the Env contract."""
+"""Unit tests for quorum arithmetic (the Paxos kernel's sizes), message
+sizing, and the Env contract."""
 
 import pytest
 
-from repro.consensus.base import (
-    Message,
-    ProtocolCosts,
-    classic_quorum_size,
-    epaxos_fast_quorum_size,
-    fast_quorum_size,
-)
+from repro.consensus.base import Message, ProtocolCosts
 from repro.consensus.commands import Command
+from repro.core.quorum import classic_quorum, epaxos_fast_quorum, fast_quorum
 from dataclasses import dataclass
 
 
@@ -18,13 +14,13 @@ class TestQuorums:
         "n,expected", [(1, 1), (2, 2), (3, 2), (4, 3), (5, 3), (7, 4), (11, 6), (49, 25)]
     )
     def test_classic_quorum(self, n, expected):
-        assert classic_quorum_size(n) == expected
+        assert classic_quorum(n) == expected
 
     @pytest.mark.parametrize(
         "n,expected", [(3, 3), (5, 4), (7, 5), (11, 8), (49, 33)]
     )
     def test_fast_quorum(self, n, expected):
-        assert fast_quorum_size(n) == expected
+        assert fast_quorum(n) == expected
 
     @pytest.mark.parametrize(
         "n,expected",
@@ -32,19 +28,19 @@ class TestQuorums:
     )
     def test_epaxos_fast_quorum(self, n, expected):
         # F + floor((F+1)/2), N = 2F+1
-        assert epaxos_fast_quorum_size(n) == expected
+        assert epaxos_fast_quorum(n) == expected
 
     def test_epaxos_fast_quorum_equals_majority_up_to_five(self):
         for n in (3, 5):
-            assert epaxos_fast_quorum_size(n) == classic_quorum_size(n)
-        assert epaxos_fast_quorum_size(7) > classic_quorum_size(7)
+            assert epaxos_fast_quorum(n) == classic_quorum(n)
+        assert epaxos_fast_quorum(7) > classic_quorum(7)
 
     def test_two_classic_quorums_intersect(self):
         for n in range(1, 60):
-            assert 2 * classic_quorum_size(n) > n
+            assert 2 * classic_quorum(n) > n
 
     def test_invalid_n_rejected(self):
-        for fn in (classic_quorum_size, fast_quorum_size, epaxos_fast_quorum_size):
+        for fn in (classic_quorum, fast_quorum, epaxos_fast_quorum):
             with pytest.raises(ValueError):
                 fn(0)
 

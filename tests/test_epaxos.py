@@ -1,7 +1,15 @@
 """Integration tests for the EPaxos baseline."""
 
 from repro.consensus.commands import Command
-from repro.consensus.epaxos import EPaxos, EPaxosConfig
+from repro.consensus.epaxos import (
+    ACCEPTED,
+    PREACCEPTED,
+    EPaxos,
+    EPaxosConfig,
+    EpAccept,
+    EpPrepareReply,
+)
+from repro.core.quorum import classic_quorum, epaxos_fast_quorum
 
 from tests.conftest import assert_all_delivered, make_cluster, run_workload
 
@@ -103,12 +111,45 @@ class TestRecovery:
             assert (0, 1) in cids
 
 
+    def test_recovery_reproposes_the_highest_accepted_ballot(self):
+        # Two replicas report ACCEPTED attributes: one accepted at the
+        # leader's ballot 0, one at a later recovery's ballot.  The
+        # lower-ballot reply arrives first; recovery must still pick the
+        # higher-ballot attributes (the classic Paxos rule).
+        cluster = make_cluster(ep(), n_nodes=5, seed=4)
+        protocol = cluster.nodes[0].protocol
+        sent = []
+        protocol.env.broadcast = lambda msg, include_self=True: sent.append(msg)
+        instance = (4, 1)
+        command = Command.make(4, 0, ["x"])
+        protocol._recover(instance)
+        ballot = protocol.instances[instance].ballot
+        old_deps, new_deps = frozenset({(1, 1)}), frozenset({(1, 1), (2, 1)})
+
+        def reply(status, deps, accepted_ballot):
+            return EpPrepareReply(
+                instance=instance, ballot=ballot, ok=True, status=status,
+                command=command, seq=1, deps=deps,
+                accepted_ballot=accepted_ballot,
+            )
+
+        protocol._on_prepare_reply(1, reply(ACCEPTED, old_deps, 0))
+        protocol._on_prepare_reply(2, reply(ACCEPTED, new_deps, 7))
+        protocol._on_prepare_reply(3, reply(PREACCEPTED, frozenset(), 0))
+        accepts = [m for m in sent if isinstance(m, EpAccept)]
+        assert len(accepts) == 1
+        assert accepts[0].deps == new_deps
+        assert accepts[0].ballot == ballot
+        assert protocol.instances[instance].accepted_ballot == ballot
+
+
 class TestQuorums:
     def test_fast_quorum_grows_past_five_nodes(self):
         small = make_cluster(ep(), n_nodes=5, seed=9)
         large = make_cluster(ep(), n_nodes=11, seed=9)
-        assert small.nodes[0].protocol.fast_quorum == 3  # == majority
-        assert large.nodes[0].protocol.fast_quorum == 8  # > majority (6)
+        assert small.nodes[0].protocol.fast_quorum == epaxos_fast_quorum(5) == 3
+        assert large.nodes[0].protocol.fast_quorum == epaxos_fast_quorum(11) == 8
+        assert classic_quorum(5) == 3 and classic_quorum(11) == 6
 
     def test_dependency_messages_grow_with_conflicts(self):
         from repro.consensus.epaxos import EpPreAccept

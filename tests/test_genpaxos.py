@@ -2,6 +2,7 @@
 
 from repro.consensus.commands import Command
 from repro.consensus.genpaxos import GenPaxos, GenPaxosConfig
+from repro.core.quorum import classic_quorum, fast_quorum, fast_recovery_quorum
 
 from tests.conftest import assert_all_delivered, make_cluster, run_workload
 
@@ -34,12 +35,14 @@ class TestFastRounds:
 
     def test_fast_quorum_size_used(self):
         cluster = make_cluster(gp(), n_nodes=7, seed=3)
-        assert cluster.nodes[0].protocol.fast_quorum == 5  # floor(14/3)+1
+        protocol = cluster.nodes[0].protocol
+        assert protocol.fast_quorum == fast_quorum(7) == 5  # floor(14/3)+1
 
     def test_recovery_quorum_exceeds_majority_for_n7(self):
         cluster = make_cluster(gp(), n_nodes=7, seed=3)
         protocol = cluster.nodes[0].protocol
-        assert protocol.recovery_quorum == 5 > protocol.quorum
+        assert protocol.recovery_quorum == fast_recovery_quorum(7) == 5
+        assert protocol.quorum == classic_quorum(7) == 4
 
 
 class TestCollisions:

@@ -63,11 +63,12 @@ def fixed_latency_cluster(n_nodes: int = 3):
 
 
 class TestDelayCounts:
-    """decision_latency counts one-way delays per decision path."""
+    """decision_latency counts one-way delays per decision path (the
+    ``decide`` milestone it reads is taken only where spans are)."""
 
     def test_acquisition_takes_at_least_four_delays(self):
         cluster = fixed_latency_cluster()
-        obs = ObsCollector.for_cluster(cluster)
+        obs = ObsCollector.for_cluster(cluster, record_spans=True)
         tracer = Tracer(cluster)
         cmd = Command.make(0, 0, ["x"])  # first touch: nobody owns "x"
         cluster.propose(0, cmd)
@@ -85,7 +86,7 @@ class TestDelayCounts:
 
     def test_fast_path_takes_two_delays(self):
         cluster = fixed_latency_cluster()
-        obs = ObsCollector.for_cluster(cluster)
+        obs = ObsCollector.for_cluster(cluster, record_spans=True)
         tracer = Tracer(cluster)
         cluster.propose(0, Command.make(0, 0, ["x"]))  # warm: acquire "x"
         cluster.run_for(1.0)
@@ -113,7 +114,7 @@ class TestDelayCounts:
 
     def test_forward_takes_three_delays(self):
         cluster = fixed_latency_cluster()
-        obs = ObsCollector.for_cluster(cluster)
+        obs = ObsCollector.for_cluster(cluster, record_spans=True)
         tracer = Tracer(cluster)
         cluster.propose(0, Command.make(0, 0, ["x"]))  # warm: node 0 owns "x"
         cluster.run_for(1.0)
@@ -137,7 +138,7 @@ class TestDelayCounts:
 
     def test_path_counters_agree_with_protocol_stats(self):
         cluster = fixed_latency_cluster()
-        obs = ObsCollector.for_cluster(cluster)
+        obs = ObsCollector.for_cluster(cluster, record_spans=True)
         cluster.propose(0, Command.make(0, 0, ["x"]))  # acquisition
         cluster.run_for(1.0)
         for seq in (1, 2, 3):  # fast: node 0 owns "x"
@@ -354,6 +355,17 @@ class TestHandlerClock:
             assert node.env._timing_observers is None
         assert handle.collector.handler_stats == {}
         assert not [r for r in jsonl_records(handle.collector) if r["kind"] == "handler"]
+
+    def test_milestone_notes_only_with_spans(self):
+        plain = self._run(record_spans=False).collector
+        assert plain.traces
+        assert all(
+            t.decided_at is None and t.quorum_at is None
+            for t in plain.traces.values()
+        )
+        traced = self._run(record_spans=True).collector
+        assert any(t.decided_at is not None for t in traced.traces.values())
+        assert any(t.quorum_at is not None for t in traced.traces.values())
 
     def test_a_span_run_keeps_handler_spans_and_rows(self):
         handle = self._run(record_spans=True)
