@@ -8,6 +8,9 @@ prints, for the ``src/`` tree of ``CHECKOUT`` (default: this one):
   (``find src -name '*.py' | xargs wc -l``);
 - ``config_fields``: fields of the dataclasses a caller sets to shape a
   run -- those named ``*Config``, ``*Spec`` or ``Scenario``;
+- ``restated_fields``: field names declared on two or more of those
+  classes where neither class subclasses the other -- one knob spelled
+  in two places (a subclass redeclaring a default does not count);
 - ``substrate_probes``: ``getattr``/``hasattr`` calls on a ``node`` or
   ``cluster`` -- code asking its argument which substrate it came from;
 - ``env_observers``: subclasses of ``EnvObserver`` -- consumers of the
@@ -112,9 +115,39 @@ def _concrete_subclasses(modules: dict[str, tuple[str, ast.Module]]) -> list[lis
     return found
 
 
+def _restated(fields: dict[str, list[str]], bases: dict[str, list[str]]) -> dict:
+    """Field name -> the classes declaring it, for each name declared by
+    two classes of ``fields`` where neither subclasses the other."""
+
+    def ancestors(name: str) -> set[str]:
+        found, stack = set(), list(bases.get(name, ()))
+        while stack:
+            base = stack.pop()
+            if base not in found:
+                found.add(base)
+                stack.extend(bases.get(base, ()))
+        return found
+
+    lineage = {name: ancestors(name) for name in fields}
+    declared: dict[str, list[str]] = {}
+    for name, names in sorted(fields.items()):
+        for field in names:
+            declared.setdefault(field, []).append(name)
+    return {
+        field: classes
+        for field, classes in declared.items()
+        if any(
+            a not in lineage[b] and b not in lineage[a]
+            for i, a in enumerate(classes)
+            for b in classes[i + 1:]
+        )
+    }
+
+
 def measure(src: Path) -> dict:
     lines = 0
-    fields: dict[str, int] = {}
+    fields: dict[str, list[str]] = {}
+    bases: dict[str, list[str]] = {}
     probes: list[str] = []
     observers: list[str] = []
     kinds = dict.fromkeys(KINDS, 0)
@@ -143,15 +176,25 @@ def measure(src: Path) -> dict:
             if _is_dataclass(node) and (
                 node.name.endswith(("Config", "Spec")) or node.name == "Scenario"
             ):
-                fields[node.name] = sum(
-                    isinstance(statement, ast.AnnAssign) for statement in node.body
-                )
+                fields[node.name] = [
+                    statement.target.id
+                    for statement in node.body
+                    if isinstance(statement, ast.AnnAssign)
+                ]
+                bases[node.name] = [_dotted(base).rpartition(".")[2] for base in node.bases]
     protocols, envs = _concrete_subclasses(modules)
+    restated = _restated(fields, bases)
     return {
         "src_lines": (lines, ""),
         "config_fields": (
-            sum(fields.values()),
-            " ".join(f"{name}={count}" for name, count in sorted(fields.items())),
+            sum(map(len, fields.values())),
+            " ".join(f"{name}={len(names)}" for name, names in sorted(fields.items())),
+        ),
+        "restated_fields": (
+            len(restated),
+            " ".join(
+                f"{name}({','.join(classes)})" for name, classes in sorted(restated.items())
+            ),
         ),
         "substrate_probes": (len(probes), " ".join(probes)),
         "env_observers": (len(observers), " ".join(sorted(observers))),

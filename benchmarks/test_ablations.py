@@ -143,20 +143,15 @@ def test_ablation_home_hint_tpcc(benchmark):
                 )
             )
             if not use_hint:
-                # Bypass the harness's automatic hint by running the
-                # synthetic path of the factory manually.
+                # Bypass the harness's automatic TPC-C hint.
                 import repro.bench.harness as harness
 
-                original = harness.protocol_factory
-
-                def no_hint_factory(name, home_hint=None, **kwargs):
-                    return original(name, home_hint=None, **kwargs)
-
-                harness.protocol_factory = no_hint_factory
+                original = harness.tpcc_home_hint
+                harness.tpcc_home_hint = lambda n_nodes: None
                 try:
                     result = run_point(spec)
                 finally:
-                    harness.protocol_factory = original
+                    harness.tpcc_home_hint = original
             else:
                 result = run_point(spec)
             rows.append({"home_hint": use_hint, "throughput": result.throughput})

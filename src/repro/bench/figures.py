@@ -19,9 +19,11 @@ import sys
 import time
 from dataclasses import replace
 
-from repro.bench.harness import PointSpec, run_point, saturated_spec
+from repro.bench.harness import BENCH_NETWORK, PointSpec, run_point, saturated_spec
 from repro.bench.report import print_table
+from repro.sim.cpu import CpuConfig
 from repro.spec import PROTOCOLS
+from repro.workloads.client import ClientConfig
 from repro.workloads.synthetic import SyntheticConfig
 from repro.workloads.tpcc import TpccConfig
 
@@ -78,10 +80,10 @@ def fig2(full: bool = False):
             spec = PointSpec(
                 protocol=protocol,
                 n_nodes=n,
-                batching=False,
-                clients_per_node=4,
-                think_time=0.01,
-                max_inflight=8,
+                network=replace(BENCH_NETWORK, batching=False),
+                client=ClientConfig(
+                    clients_per_node=4, think_time=0.01, max_inflight_per_node=8
+                ),
                 warmup=0.3,
                 duration=0.5,
             )
@@ -110,9 +112,9 @@ def fig3(full: bool = False):
             spec = PointSpec(
                 protocol=protocol,
                 n_nodes=n,
-                clients_per_node=64,
-                think_time=0.005,
-                max_inflight=96,
+                client=ClientConfig(
+                    clients_per_node=64, think_time=0.005, max_inflight_per_node=96
+                ),
                 warmup=0.5,
                 duration=0.3,
             )
@@ -143,7 +145,7 @@ def fig4(full: bool = False):
     rows = []
     for cores in cores_sweep:
         for protocol in PROTOCOLS:
-            row = _max_throughput(protocol, n, cores=cores)
+            row = _max_throughput(protocol, n, cpu=CpuConfig(cores=cores))
             row["cores"] = cores
             rows.append(row)
     return rows, ["protocol", "cores", "throughput"]
@@ -166,9 +168,11 @@ def fig5(full: bool = False):
                         protocol=protocol,
                         n_nodes=n,
                         synthetic=SyntheticConfig(locality=locality),
-                        clients_per_node=32,
-                        think_time=think,
-                        max_inflight=64,
+                        client=ClientConfig(
+                            clients_per_node=32,
+                            think_time=think,
+                            max_inflight_per_node=64,
+                        ),
                         warmup=0.4,
                         duration=0.25,
                     )

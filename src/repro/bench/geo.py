@@ -28,6 +28,7 @@ over ``pinned`` by a healthy margin.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from repro.consensus.commands import Command
 
@@ -151,7 +152,7 @@ def run_geo_arm(
     nearest_accept: bool = False,
 ) -> dict:
     """One geo arm: build, warm (migrations happen here), measure."""
-    from repro.bench.harness import protocol_factory
+    from repro.bench.harness import BENCH_M2
     from repro.obs.telemetry import Telemetry
     from repro.sim.cluster import Cluster
     from repro.sim.rng import RngRegistry
@@ -164,16 +165,16 @@ def run_geo_arm(
         seed=config.seed,
         zones=zones,
         zone_latency=ZoneLatency(intra=GEO_INTRA, inter=GEO_INTER),
+        m2=replace(
+            BENCH_M2,
+            home_hint=lambda name: HOME_NODE,
+            policy=policy,
+            quorum=quorum,
+            nearest_accept=nearest_accept,
+            quorum_rtt=zone_rtt_matrix(zones) if nearest_accept else None,
+        ),
     )
-    factory = protocol_factory(
-        "m2paxos",
-        home_hint=lambda name: HOME_NODE,
-        policy=policy,
-        quorum=quorum,
-        nearest_accept=nearest_accept,
-        quorum_rtt=zone_rtt_matrix(zones) if nearest_accept else None,
-    )
-    cluster = Cluster(spec, factory)
+    cluster = Cluster(spec)
     workload = GeoZipfWorkload(
         zones, RngRegistry(config.seed * 104729 + 1).stream("geo")
     )

@@ -20,12 +20,10 @@ from repro.consensus.multipaxos import MultiPaxos, MultiPaxosConfig
 from repro.core.protocol import M2Paxos, M2PaxosConfig
 from repro.obs.collect import ObsCollector, RunResult
 from repro.sim.cluster import Cluster
-from repro.sim.cpu import CpuConfig
 from repro.sim.latency import GaussianLatency
 from repro.sim.network import NetworkConfig
 from repro.sim.rng import RngRegistry
-from repro.spec import PROTOCOLS, ClusterSpec, ZoneLatency
-from repro.storage.base import StorageConfig
+from repro.spec import PROTOCOLS, ClusterSpec
 from repro.workloads.client import ClientConfig, OpenLoopClients
 from repro.workloads.synthetic import SyntheticConfig, SyntheticWorkload
 from repro.workloads.tpcc import TpccConfig, TpccWorkload
@@ -43,6 +41,9 @@ BENCH_M2 = M2PaxosConfig(
     round_timeout=10.0,
 )
 
+# The paper's ~0.1 ms LAN, every bench point's default network.
+BENCH_NETWORK = NetworkConfig(latency=GaussianLatency(100e-6, 10e-6))
+
 
 def protocol_factory(
     name: str, costs=None, **m2
@@ -50,17 +51,25 @@ def protocol_factory(
     """Benchmark-tuned factory for each protocol under test.
 
     ``m2`` names :class:`M2PaxosConfig` fields to set on top of
-    :data:`BENCH_M2` (ignored by the other protocols; an unknown name is
-    a ``TypeError``).  Note ``policy`` is an ownership-policy *factory*
-    (zero-arg callable -- policies hold per-node state).  ``costs``
-    optionally replaces the M2Paxos CPU-cost profile (the serving bench
-    uses one that lets the message path dominate).
+    :data:`BENCH_M2` (an unknown name is a ``TypeError``).  Note
+    ``policy`` is an ownership-policy *factory* (zero-arg callable --
+    policies hold per-node state).  ``costs`` optionally replaces the
+    M2Paxos CPU-cost profile (the serving bench uses one that lets the
+    message path dominate).
     """
+    return make_factory(name, replace(BENCH_M2, **m2), costs)
+
+
+def make_factory(
+    name: str, m2: M2PaxosConfig, costs=None
+) -> Callable[[int, int], Protocol]:
+    """The ``(node_id, n_nodes) -> Protocol`` factory for ``name``: M2Paxos
+    runs ``m2`` (under ``costs`` when given), the other protocols their
+    bench-tuned timeouts."""
     if name == "m2paxos":
-        config = replace(BENCH_M2, **m2)
 
         def make_m2(node_id: int, n: int) -> Protocol:
-            protocol = M2Paxos(config)
+            protocol = M2Paxos(m2)
             if costs is not None:
                 protocol.costs = costs
             return protocol
@@ -78,44 +87,32 @@ def protocol_factory(
     raise ValueError(f"unknown protocol {name!r}; choose from {PROTOCOLS}")
 
 
-@dataclass
-class PointSpec:
-    """Everything defining one datapoint."""
+@dataclass(frozen=True)
+class PointSpec(ClusterSpec):
+    """One datapoint: a cluster deployment plus the load it runs.
 
-    protocol: str
-    n_nodes: int
+    The deployment fields are :class:`~repro.spec.ClusterSpec`'s, with
+    seed 1 and :data:`BENCH_NETWORK` as defaults; ``m2=None`` means
+    :data:`BENCH_M2`.  A TPC-C point additionally homes every warehouse
+    at one node (:func:`tpcc_home_hint`, layered on in :func:`build_run`).
+    """
+
+    seed: int = 1
+    network: NetworkConfig = field(default_factory=lambda: replace(BENCH_NETWORK))
     workload: str = "synthetic"  # "synthetic" | "tpcc"
     synthetic: SyntheticConfig = field(default_factory=SyntheticConfig)
     tpcc: TpccConfig = field(default_factory=TpccConfig)
-    clients_per_node: int = 64
-    think_time: float = 0.005
-    max_inflight: int = 96
+    client: ClientConfig = ClientConfig(
+        clients_per_node=64, think_time=0.005, max_inflight_per_node=96
+    )
     duration: float = 0.25
     warmup: float = 0.15
-    seed: int = 1
-    cores: int = 16
-    batching: bool = True
-    # M2Paxos fast-path batching (1 = off, the seed-identical default).
-    max_batch: int = 1
-    batch_wait: float = 0.0
-    # "estimate" (seed default) or "codec" (real binary frame sizes).
-    frame_sizes: str = "estimate"
-    # Durable storage; None keeps today's in-memory-only behaviour.
-    storage: Optional[StorageConfig] = None
-    # Geo runs: node->zone assignment, the intra/inter-zone latency
-    # shorthand (replaces the Gaussian LAN model when set), and whether
-    # m2paxos runs the zone-aware migration policy.
-    zones: Optional[tuple[int, ...]] = None
-    zone_latency: Optional["ZoneLatency"] = None
-    zone_affinity: bool = False
-    # Serving tier (m2paxos only; all off by default, keeping the run
-    # byte-identical to the seed): ownership-lease knobs and
-    # latency-aware accept-quorum targeting.
-    lease_duration: float = 0.0
-    lease_margin: float = 0.002
-    nearest_accept: bool = False
-    quorum_rtt: Optional[tuple] = None
-    quorum: Optional[object] = None
+
+
+def tpcc_home_hint(n_nodes: int) -> Callable[[str], int]:
+    """TPC-C declares its partitioning: every object of warehouse W is
+    homed at node ``W % N`` (DESIGN.md, "home-ownership hint")."""
+    return lambda name: int(name[1:].split(".", 1)[0]) % n_nodes
 
 
 def build_workload(spec: PointSpec, rng: RngRegistry):
@@ -162,71 +159,13 @@ def build_run(
     spec: PointSpec, record_spans: bool = False, costs=None
 ) -> RunHandle:
     """Assemble cluster + workload + collector + clients for ``spec``."""
-    network = NetworkConfig(
-        latency=GaussianLatency(100e-6, 10e-6),  # the paper's ~0.1 ms LAN
-        batching=spec.batching,
-        frame_sizes=spec.frame_sizes,
-    )
-    home_hint = None
+    m2 = BENCH_M2 if spec.m2 is None else spec.m2
     if spec.workload == "tpcc":
-        # TPC-C declares its partitioning: every object of warehouse W
-        # is homed at node ``W % N`` (DESIGN.md, "home-ownership hint").
-        n_nodes = spec.n_nodes
-
-        def home_hint(name: str, _n: int = n_nodes) -> int:
-            return int(name[1:].split(".", 1)[0]) % _n
-
-    policy = None
-    if spec.zone_affinity:
-        if spec.zones is None:
-            raise ValueError("zone_affinity requires zones")
-        if spec.protocol != "m2paxos":
-            raise ValueError("zone_affinity is an m2paxos policy")
-        from repro.core.policy import ZoneAffinityPolicy
-
-        zones = spec.zones
-        policy = lambda: ZoneAffinityPolicy(zones)  # noqa: E731
-    cluster_spec = ClusterSpec(
-        protocol=spec.protocol,
-        n_nodes=spec.n_nodes,
-        seed=spec.seed,
-        network=network,
-        cpu=CpuConfig(cores=spec.cores),
-        storage=spec.storage,
-        zones=spec.zones,
-        zone_latency=spec.zone_latency,
-    )
-    cluster = Cluster(
-        cluster_spec,
-        # The bench-tuned factory, not cluster_spec.protocol_factory():
-        # it layers home hints, fast-path batching, and cost overrides
-        # on top of the spec's protocol choice.
-        protocol_factory(
-            spec.protocol,
-            home_hint=home_hint,
-            max_batch=spec.max_batch,
-            batch_wait=spec.batch_wait,
-            costs=costs,
-            policy=policy,
-            quorum=spec.quorum,
-            lease_duration=spec.lease_duration,
-            lease_margin=spec.lease_margin,
-            nearest_accept=spec.nearest_accept,
-            quorum_rtt=spec.quorum_rtt,
-        ),
-    )
-    workload_rng = RngRegistry(spec.seed * 7919 + 13)
-    workload = build_workload(spec, workload_rng)
+        m2 = replace(m2, home_hint=tpcc_home_hint(spec.n_nodes))
+    cluster = Cluster(spec, make_factory(spec.protocol, m2, costs))
+    workload = build_workload(spec, RngRegistry(spec.seed * 7919 + 13))
     collector = ObsCollector.for_cluster(cluster, record_spans=record_spans)
-    clients = OpenLoopClients(
-        cluster,
-        workload,
-        ClientConfig(
-            clients_per_node=spec.clients_per_node,
-            think_time=spec.think_time,
-            max_inflight_per_node=spec.max_inflight,
-        ),
-    )
+    clients = OpenLoopClients(cluster, workload, spec.client)
     return RunHandle(
         spec=spec,
         cluster=cluster,
@@ -285,9 +224,9 @@ def saturated_spec(spec: PointSpec) -> PointSpec:
     """
     return replace(
         spec,
-        clients_per_node=64,
-        think_time=0.002,
-        max_inflight=96,
+        client=ClientConfig(
+            clients_per_node=64, think_time=0.002, max_inflight_per_node=96
+        ),
         warmup=max(spec.warmup, 0.5),
         duration=max(spec.duration, 0.3),
     )

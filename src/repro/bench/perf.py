@@ -277,8 +277,15 @@ def bench_serving(config: PerfConfig) -> dict:
     with the ratio of per-arm bests as the datapoint (see
     :func:`_alternating_repeats`).
     """
-    from repro.bench.harness import PointSpec, protocol_factory, run_point
+    from repro.bench.harness import (
+        BENCH_M2,
+        BENCH_NETWORK,
+        PointSpec,
+        protocol_factory,
+        run_point,
+    )
     from repro.runtime.cluster import LocalCluster
+    from repro.workloads.client import ClientConfig
     from repro.workloads.synthetic import SyntheticConfig
 
     def sim_arm(read_fraction: float, leased: bool) -> dict:
@@ -290,14 +297,14 @@ def bench_serving(config: PerfConfig) -> dict:
                 local_set_size=16,
                 read_fraction=read_fraction,
             ),
-            clients_per_node=64,
-            think_time=0.002,
-            max_inflight=96,
+            client=ClientConfig(
+                clients_per_node=64, think_time=0.002, max_inflight_per_node=96
+            ),
             duration=config.bench_duration,
             warmup=max(config.bench_warmup, 0.4),
             seed=config.seed,
-            frame_sizes="codec",
-            lease_duration=SERVING_LEASE if leased else 0.0,
+            network=replace(BENCH_NETWORK, frame_sizes="codec"),
+            m2=replace(BENCH_M2, lease_duration=SERVING_LEASE if leased else 0.0),
         )
         result = run_point(spec, costs=SERVING_COSTS)
         stats = result.extra["protocol_stats"]

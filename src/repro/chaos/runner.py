@@ -1,11 +1,12 @@
 """Run one chaos scenario end to end under the deterministic simulator.
 
-A :class:`Scenario` bundles a cluster shape, a seeded workload, and a
-:class:`~repro.chaos.plan.FaultPlan`.  :func:`run_scenario`:
+A :class:`Scenario` bundles a :class:`~repro.spec.ClusterSpec`, a
+seeded workload, and a :class:`~repro.chaos.plan.FaultPlan`.
+:func:`run_scenario`:
 
-1. builds a simulated M2Paxos cluster with chaos-tuned timeouts and
-   installs the plan's :class:`~repro.chaos.injector.WireFaults` as the
-   network injector;
+1. builds the scenario's simulated cluster (by default M2Paxos with
+   chaos-tuned timeouts) and installs the plan's
+   :class:`~repro.chaos.injector.WireFaults` as the network injector;
 2. schedules every crash/restart on the virtual clock and the whole
    proposal workload up front (so the event heap, and therefore the
    run, is a pure function of the seed);
@@ -40,47 +41,78 @@ from repro.consensus.commands import Command
 from repro.core.protocol import M2PaxosConfig, SafetyViolation
 from repro.obs.collect import ObsCollector
 from repro.sim.cluster import Cluster, ConsistencyViolation
-from repro.spec import ClusterSpec, ZoneLatency
+from repro.spec import ClusterSpec, ConfigError
 from repro.storage.base import StorageConfig
+
+
+# Chaos-tuned protocol timeouts: short enough that supervision retries
+# and decide re-sends fit inside the settle window, and the decide
+# re-send budget covers the whole run so a durably-restarted node is
+# guaranteed to hear about every instance decided while it was down.
+_CHAOS_M2 = M2PaxosConfig(
+    forward_timeout=0.05,
+    supervise_timeout=0.6,
+    round_timeout=0.3,
+    gap_check_period=0.1,
+    gap_timeout=0.3,
+    learn_resend_timeout=0.15,
+    learn_resend_attempts=80,
+)
+
+
+# The deployment every scenario starts from: five M2Paxos nodes with the
+# chaos-tuned timeouts, each on an in-memory store -- a durable restart
+# replays it, an amnesia restart wipes it.  The in-memory default
+# (``fsync_wait=0``) keeps decision logs byte-identical to a run with no
+# store; ``kind="disk"`` with no dir gets a per-run tmpdir from the runner.
+CHAOS_CLUSTER = ClusterSpec(
+    protocol="m2paxos",
+    n_nodes=5,
+    seed=1,
+    m2=_CHAOS_M2,
+    storage=StorageConfig(kind="mem"),
+)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One reproducible chaos experiment: workload + fault plan."""
+    """One reproducible chaos experiment: a deployment, the workload the
+    runner generates on it, and a fault plan.
+
+    The workload and the wire faults draw from ``cluster.seed``.  When
+    ``cluster.m2`` grants leases and ``read_fraction > 0``, the runner
+    also audits every locally served read against the decided write
+    order (no stale read may be returned after a lease handoff)."""
 
     name: str
     plan: FaultPlan
-    n_nodes: int = 5
-    seed: int = 1
+    cluster: ClusterSpec = CHAOS_CLUSTER
     rounds: int = 40          # proposal rounds (one command/node/round)
     spacing: float = 0.02     # virtual seconds between rounds
     objects: int = 6          # shared object-pool size
     locality: float = 0.7     # P(own home object) vs a random one
     multi: float = 0.1        # P(two-object command)
     settle: float = 4.0       # extra run time past the last fault
-    # Every node's store: a durable restart replays it, an amnesia
-    # restart wipes it.  The in-memory default (``fsync_wait=0``) keeps
-    # decision logs byte-identical to a run with no store.  ``kind="disk"``
-    # with no dir gets a per-run tmpdir from the runner.
-    storage: StorageConfig = StorageConfig(kind="mem")
-    # Geo shape: node->zone map plus the intra/inter-zone latency
-    # shorthand (see ClusterSpec); ``zone_affinity`` additionally runs
-    # the zone-aware migration policy, so partitions along a zone
-    # boundary exercise ownership moving *while* the WAN is cut.
-    zones: Optional[tuple[int, ...]] = None
-    zone_latency: Optional[ZoneLatency] = None
-    zone_affinity: bool = False
-    # Serving tier: fraction of the workload issued as reads, and the
-    # ownership-lease knobs enabling owner-local serving.  Defaults keep
-    # the workload's RNG draw sequence and the protocol config exactly
-    # as before, so every existing scenario's fingerprint is unchanged.
-    # When both are set the runner additionally audits every served
-    # read against the decided write order (no stale read may be
-    # returned after a lease handoff).
+    # Fraction of the workload issued as reads.  At 0 the generator
+    # skips the read draw, so scenarios without reads keep their pinned
+    # fingerprints.
     read_fraction: float = 0.0
-    lease_duration: float = 0.0
-    lease_margin: float = 0.002
     description: str = ""
+
+    def __post_init__(self) -> None:
+        for name, ok, rule in (
+            ("rounds", self.rounds >= 1, ">= 1"),
+            ("objects", self.objects >= 1, ">= 1"),
+            ("spacing", self.spacing > 0, "> 0"),
+            ("settle", self.settle >= 0, ">= 0"),
+            ("locality", 0 <= self.locality <= 1, "in [0, 1]"),
+            ("multi", 0 <= self.multi <= 1, "in [0, 1]"),
+            ("read_fraction", 0 <= self.read_fraction <= 1, "in [0, 1]"),
+        ):
+            if not ok:
+                raise ConfigError(
+                    f"{name}: must be {rule}, got {getattr(self, name)!r}"
+                )
 
 
 @dataclass
@@ -104,29 +136,14 @@ class ChaosResult:
         return self.report.ok
 
 
-# Chaos-tuned protocol timeouts: short enough that supervision retries
-# and decide re-sends fit inside the settle window, and the decide
-# re-send budget covers the whole run so a durably-restarted node is
-# guaranteed to hear about every instance decided while it was down.
-_CHAOS_M2 = M2PaxosConfig(
-    forward_timeout=0.05,
-    supervise_timeout=0.6,
-    round_timeout=0.3,
-    gap_check_period=0.1,
-    gap_timeout=0.3,
-    learn_resend_timeout=0.15,
-    learn_resend_attempts=80,
-)
-
-
 def _workload(scenario: Scenario) -> list[tuple[float, int, Command]]:
     """The full ``(time, proposer, command)`` schedule, from the seed."""
-    rng = random.Random((scenario.seed << 4) ^ 0x5CE9A)
+    rng = random.Random((scenario.cluster.seed << 4) ^ 0x5CE9A)
     pool = [f"obj{i}" for i in range(scenario.objects)]
     schedule: list[tuple[float, int, Command]] = []
     for round_nr in range(scenario.rounds):
         at = 0.05 + round_nr * scenario.spacing
-        for node in range(scenario.n_nodes):
+        for node in range(scenario.cluster.n_nodes):
             # The read draw short-circuits at read_fraction == 0.0 so
             # legacy scenarios consume the exact seed RNG sequence and
             # keep their pinned fingerprints.
@@ -220,57 +237,26 @@ def _audit_served_reads(
 
 def run_scenario(
     scenario: Scenario,
-    config: Optional[M2PaxosConfig] = None,
-    storage: Optional[StorageConfig] = None,
     telemetry_interval: Optional[float] = None,
 ) -> ChaosResult:
-    """Execute ``scenario`` once and check it; never raises on a safety
-    failure -- violations land in the returned report.  ``config``
-    overrides the chaos-tuned protocol config (the batching tests rerun
-    the suite with ``max_batch > 1``); ``storage`` overrides the
-    scenario's storage shape (the CLI reruns the durable suite on real
-    disk).  A ``kind="disk"`` config gets a fresh per-run directory
-    (under its ``dir`` when set, else the system tmpdir), removed when
-    the run finishes.  ``telemetry_interval`` additionally attaches the
-    live-telemetry sampler at that virtual-clock cadence (frames, fault
-    stamps, health events on ``result.telemetry``); sampler callbacks
-    only read, so the fingerprint is unchanged for a given seed."""
-    plan = scenario.plan
-    protocol_config = config if config is not None else _CHAOS_M2
-    if scenario.zone_affinity:
-        from repro.core.policy import ZoneAffinityPolicy
-
-        zones = scenario.zones
-        if zones is None:
-            raise ValueError("zone_affinity scenarios require zones")
-        protocol_config = replace(
-            protocol_config, policy=lambda: ZoneAffinityPolicy(zones)
-        )
-    if scenario.lease_duration > 0.0:
-        protocol_config = replace(
-            protocol_config,
-            lease_duration=scenario.lease_duration,
-            lease_margin=scenario.lease_margin,
-        )
-    storage_config = storage if storage is not None else scenario.storage
+    """Execute ``scenario`` once on ``Cluster(scenario.cluster)`` and
+    check it; never raises on a safety failure -- violations land in
+    the returned report.  A ``kind="disk"`` store gets a fresh per-run
+    directory (under its ``dir`` when set, else the system tmpdir),
+    removed when the run finishes.  ``telemetry_interval`` additionally
+    attaches the live-telemetry sampler at that virtual-clock cadence
+    (frames, fault stamps, health events on ``result.telemetry``);
+    sampler callbacks only read, so the fingerprint is unchanged for a
+    given seed."""
+    spec = scenario.cluster
     tmpdir: Optional[str] = None
-    if storage_config.kind == "disk":
-        # Always a fresh per-run directory (under ``dir`` when given,
-        # else the system tmpdir): reusing one directory across runs
-        # would make recovery replay a *previous* run's log.
+    if spec.storage is not None and spec.storage.kind == "disk":
+        # Always a fresh per-run directory: reusing one directory across
+        # runs would make recovery replay a *previous* run's log.
         tmpdir = tempfile.mkdtemp(
-            prefix=f"chaos-{scenario.name}-", dir=storage_config.dir
+            prefix=f"chaos-{scenario.name}-", dir=spec.storage.dir
         )
-        storage_config = replace(storage_config, dir=tmpdir)
-    spec = ClusterSpec(
-        protocol="m2paxos",
-        n_nodes=scenario.n_nodes,
-        seed=scenario.seed,
-        m2=protocol_config,
-        storage=storage_config,
-        zones=scenario.zones,
-        zone_latency=scenario.zone_latency,
-    )
+        spec = replace(spec, storage=replace(spec.storage, dir=tmpdir))
     cluster = Cluster(spec)
     try:
         return _run_scenario(
@@ -290,7 +276,7 @@ def _run_scenario(
     plan = scenario.plan
     faults: Optional[WireFaults] = None
     if plan.has_wire_faults:
-        faults = WireFaults(plan, scenario.seed)
+        faults = WireFaults(plan, scenario.cluster.seed)
         cluster.network.injector = faults
     obs = ObsCollector.for_cluster(cluster, record_spans=True)
     telemetry = None
@@ -305,7 +291,10 @@ def _run_scenario(
     # proposer -- the moment a client is acknowledged), for the
     # stale-read audit after the run.  Listener lists live on the
     # SimNode, so they survive crash/restart incarnations.
-    lease_audit = scenario.lease_duration > 0.0 and scenario.read_fraction > 0.0
+    m2 = scenario.cluster.m2
+    lease_audit = (
+        m2 is not None and m2.lease_duration > 0.0 and scenario.read_fraction > 0.0
+    )
     served_reads: list[tuple[int, Command, object, float]] = []
     completions: dict[tuple[int, int], float] = {}
     if lease_audit:
@@ -383,7 +372,8 @@ def _run_scenario(
     # crash window.  (Timers and CPU completions charged to the dead
     # incarnation are cancelled/ignored by the substrate; this audits
     # that from the outside.)
-    for node in range(scenario.n_nodes):
+    n_nodes = scenario.cluster.n_nodes
+    for node in range(n_nodes):
         for start, end in plan.crash_windows(node):
             window_end = end if end is not None else cluster.loop.now
             active = obs.activity_spans(node, start, window_end)
@@ -407,7 +397,7 @@ def _run_scenario(
         if node.crashed and node.node_id not in plan.ever_crashed()
     }
     live = (
-        set(range(scenario.n_nodes))
+        set(range(n_nodes))
         - set(plan.down_forever())
         - self_crashed
     )

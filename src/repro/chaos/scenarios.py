@@ -8,6 +8,8 @@ Times are virtual seconds; the workload runs roughly ``[0.05, 0.85]``
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.chaos.plan import (
     NO_FAULTS,
     Crash,
@@ -17,15 +19,18 @@ from repro.chaos.plan import (
     FaultPlan,
     PartitionWindow,
 )
-from repro.chaos.runner import Scenario
+from repro.chaos.runner import CHAOS_CLUSTER, Scenario
+from repro.core.policy import ZoneAffinityPolicy
 from repro.spec import ZoneLatency
 from repro.storage.base import StorageConfig
+
+_GEO_ZONES = (0, 0, 1, 1, 2)
 
 SCENARIOS: list[Scenario] = [
     Scenario(
         name="baseline",
         plan=NO_FAULTS,
-        seed=11,
+        cluster=replace(CHAOS_CLUSTER, seed=11),
         description="no faults; exercises the harness and checker only",
     ),
     Scenario(
@@ -33,7 +38,7 @@ SCENARIOS: list[Scenario] = [
         plan=FaultPlan(
             crashes=(Crash(at=0.2, node=1, restart_at=0.5, mode="durable"),)
         ),
-        seed=12,
+        cluster=replace(CHAOS_CLUSTER, seed=12),
         description="one node crashes mid-run and rejoins with its log",
     ),
     Scenario(
@@ -41,7 +46,7 @@ SCENARIOS: list[Scenario] = [
         plan=FaultPlan(
             crashes=(Crash(at=0.2, node=2, restart_at=0.5, mode="amnesia"),)
         ),
-        seed=13,
+        cluster=replace(CHAOS_CLUSTER, seed=13),
         description="one node crashes and rejoins blank (promises lost)",
     ),
     Scenario(
@@ -49,7 +54,7 @@ SCENARIOS: list[Scenario] = [
         plan=FaultPlan(
             crashes=(Crash(at=0.25, node=3), Crash(at=0.35, node=4))
         ),
-        seed=14,
+        cluster=replace(CHAOS_CLUSTER, seed=14),
         description="two of five nodes die for good; majority keeps going",
     ),
     Scenario(
@@ -64,7 +69,7 @@ SCENARIOS: list[Scenario] = [
                 ),
             )
         ),
-        seed=15,
+        cluster=replace(CHAOS_CLUSTER, seed=15),
         description="minority isolated for 0.4 s, then the link heals",
     ),
     Scenario(
@@ -79,7 +84,7 @@ SCENARIOS: list[Scenario] = [
                 ),
             )
         ),
-        seed=16,
+        cluster=replace(CHAOS_CLUSTER, seed=16),
         locality=1.0,
         description="an object owner is cut off; others must re-acquire",
     ),
@@ -88,7 +93,7 @@ SCENARIOS: list[Scenario] = [
         plan=FaultPlan(
             drops=(DropWindow(start=0.2, end=0.5, probability=0.3),)
         ),
-        seed=17,
+        cluster=replace(CHAOS_CLUSTER, seed=17),
         description="30% of all messages dropped for 0.3 s",
     ),
     Scenario(
@@ -99,7 +104,7 @@ SCENARIOS: list[Scenario] = [
                 DuplicateWindow(start=0.3, end=0.6, probability=0.4),
             ),
         ),
-        seed=18,
+        cluster=replace(CHAOS_CLUSTER, seed=18),
         description="loss and duplication overlap; dedup must hold",
     ),
     Scenario(
@@ -109,7 +114,7 @@ SCENARIOS: list[Scenario] = [
                 DelayWindow(start=0.2, end=0.5, extra=0.04, jitter=0.02),
             )
         ),
-        seed=19,
+        cluster=replace(CHAOS_CLUSTER, seed=19),
         description="40-60 ms latency spike, reordering timer races",
     ),
     Scenario(
@@ -129,7 +134,7 @@ SCENARIOS: list[Scenario] = [
                 DuplicateWindow(start=0.2, end=0.7, probability=0.25),
             ),
         ),
-        seed=20,
+        cluster=replace(CHAOS_CLUSTER, seed=20),
         settle=5.0,
         description="partition, then a crash, under loss and duplication",
     ),
@@ -142,7 +147,7 @@ SCENARIOS: list[Scenario] = [
                 Crash(at=0.25, node=3, restart_at=0.55, mode="amnesia"),
             )
         ),
-        seed=21,
+        cluster=replace(CHAOS_CLUSTER, seed=21),
         settle=5.0,
         description="repeated crash-restart cycles, durable then amnesia",
     ),
@@ -158,10 +163,15 @@ SCENARIOS: list[Scenario] = [
                 ),
             )
         ),
-        seed=26,
-        zones=(0, 0, 1, 1, 2),
-        zone_latency=ZoneLatency(intra=0.0005, inter=0.005),
-        zone_affinity=True,
+        cluster=replace(
+            CHAOS_CLUSTER,
+            seed=26,
+            zones=_GEO_ZONES,
+            zone_latency=ZoneLatency(intra=0.0005, inter=0.005),
+            m2=replace(
+                CHAOS_CLUSTER.m2, policy=lambda: ZoneAffinityPolicy(_GEO_ZONES)
+            ),
+        ),
         locality=0.9,
         settle=5.0,
         description="WAN cut along the zone-0 boundary while the "
@@ -172,7 +182,7 @@ SCENARIOS: list[Scenario] = [
     Scenario(
         name="contention-storm",
         plan=NO_FAULTS,
-        seed=25,
+        cluster=replace(CHAOS_CLUSTER, seed=25),
         objects=2,
         locality=0.0,
         multi=0.3,
@@ -196,13 +206,15 @@ SCENARIOS: list[Scenario] = [
                 Crash(at=0.75, node=2, restart_at=0.95, mode="amnesia"),
             ),
         ),
-        seed=27,
+        cluster=replace(
+            CHAOS_CLUSTER,
+            seed=27,
+            m2=replace(CHAOS_CLUSTER.m2, lease_duration=0.08, lease_margin=0.01),
+        ),
         objects=5,
         locality=0.6,
         multi=0.0,
         read_fraction=0.5,
-        lease_duration=0.08,
-        lease_margin=0.01,
         settle=5.0,
         description="a leaseholder is partitioned away while others "
         "write its objects (acquisition must wait out the lease), then "
@@ -225,8 +237,11 @@ SCENARIOS: list[Scenario] = [
         plan=FaultPlan(
             crashes=(Crash(at=0.3, node=1, restart_at=0.6, mode="durable"),)
         ),
-        seed=22,
-        storage=StorageConfig(kind="mem", snapshot_every=40),
+        cluster=replace(
+            CHAOS_CLUSTER,
+            seed=22,
+            storage=StorageConfig(kind="mem", snapshot_every=40),
+        ),
         description="crash after snapshots truncate the log; recovery "
         "replays snapshot + tail",
     ),
@@ -235,17 +250,23 @@ SCENARIOS: list[Scenario] = [
         plan=FaultPlan(
             crashes=(Crash(at=0.25, node=2, restart_at=0.55, mode="durable"),)
         ),
-        seed=23,
-        storage=StorageConfig(kind="mem", fsync_wait=0.005),
+        cluster=replace(
+            CHAOS_CLUSTER,
+            seed=23,
+            storage=StorageConfig(kind="mem", fsync_wait=0.005),
+        ),
         description="group-commit window open at the crash; the "
         "un-fsynced tail (and its acks) die with the process",
     ),
     Scenario(
         name="disk-full",
         plan=NO_FAULTS,
-        seed=24,
-        storage=StorageConfig(
-            kind="mem", capacity_bytes=20_000, capacity_nodes=(2,)
+        cluster=replace(
+            CHAOS_CLUSTER,
+            seed=24,
+            storage=StorageConfig(
+                kind="mem", capacity_bytes=20_000, capacity_nodes=(2,)
+            ),
         ),
         description="one node's log fills mid-run; it fail-stops and the "
         "remaining quorum keeps deciding",

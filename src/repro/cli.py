@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
-from repro.bench.harness import PointSpec, run_point, saturated_spec
+from repro.bench.harness import BENCH_M2, PointSpec, run_point, saturated_spec
 from repro.bench.report import print_table
-from repro.spec import PROTOCOLS
+from repro.sim.cpu import CpuConfig
+from repro.spec import PROTOCOLS, ZoneLatency
 from repro.workloads.synthetic import SyntheticConfig
 from repro.workloads.tpcc import TpccConfig
 
@@ -57,26 +59,34 @@ def _parse_zones(text: str) -> tuple[int, ...]:
         )
 
 
-def _zone_shape_from_args(args):
-    """The ``(zones, zone_latency)`` pair the geo flags describe."""
-    if getattr(args, "zones", None) is None:
-        return None, None
-    from repro.spec import ZoneLatency
-
-    zones = _parse_zones(args.zones)
-    latency = ZoneLatency(
-        intra=args.zone_intra_ms * 1e-3,
-        inter=args.zone_inter_ms * 1e-3,
-        jitter=args.zone_jitter_ms * 1e-3,
-    )
-    return zones, latency
-
-
 def _spec_from_args(args, protocol: str) -> PointSpec:
-    zones, zone_latency = _zone_shape_from_args(args)
+    """The run the flags describe: a cluster deployment plus its load."""
+    m2 = replace(BENCH_M2, lease_duration=args.leases)
+    zones = zone_latency = None
+    if args.zones is not None:
+        zones = _parse_zones(args.zones)
+        zone_latency = ZoneLatency(
+            intra=args.zone_intra_ms * 1e-3,
+            inter=args.zone_inter_ms * 1e-3,
+            jitter=args.zone_jitter_ms * 1e-3,
+        )
+    if args.zone_affinity:
+        if zones is None:
+            raise ValueError("--zone-affinity requires --zones")
+        if protocol != "m2paxos":
+            raise ValueError("--zone-affinity is an m2paxos policy")
+        from repro.core.policy import ZoneAffinityPolicy
+
+        m2 = replace(m2, policy=lambda: ZoneAffinityPolicy(zones))
     spec = PointSpec(
         protocol=protocol,
         n_nodes=args.nodes,
+        seed=args.seed,
+        cpu=CpuConfig(cores=args.cores),
+        m2=m2,
+        storage=_storage_from_args(args),
+        zones=zones,
+        zone_latency=zone_latency,
         workload=args.workload,
         synthetic=SyntheticConfig(
             locality=args.locality,
@@ -87,13 +97,6 @@ def _spec_from_args(args, protocol: str) -> PointSpec:
         tpcc=TpccConfig(remote_warehouse_prob=args.remote),
         duration=args.duration,
         warmup=args.warmup,
-        seed=args.seed,
-        cores=args.cores,
-        storage=_storage_from_args(args),
-        zones=zones,
-        zone_latency=zone_latency,
-        zone_affinity=getattr(args, "zone_affinity", False),
-        lease_duration=args.leases,
     )
     if args.saturate:
         spec = saturated_spec(spec)
@@ -443,8 +446,6 @@ def cmd_chaos(args) -> int:
     fingerprints show determinism under this process's
     ``PYTHONHASHSEED``, not across hash seeds.
     """
-    from dataclasses import replace
-
     from repro.chaos import DURABLE_SMOKE, SCENARIOS, SMOKE, by_name, run_scenario
 
     if args.list:
@@ -460,20 +461,22 @@ def cmd_chaos(args) -> int:
     else:
         scenarios = list(SCENARIOS)
 
-    def storage_override(scenario):
+    def on_storage(scenario):
         """``--storage`` reruns a scenario on a different substrate,
         keeping its snapshot/fsync/capacity knobs (disk dirs are
         per-run tmpdirs unless --storage-dir names one)."""
-        if args.storage is None:
-            return None
-        return replace(scenario.storage, kind=args.storage, dir=args.storage_dir)
+        cluster = scenario.cluster
+        storage = replace(cluster.storage, kind=args.storage, dir=args.storage_dir)
+        return replace(scenario, cluster=replace(cluster, storage=storage))
+
+    if args.storage is not None:
+        scenarios = [on_storage(scenario) for scenario in scenarios]
 
     rows = []
     failed = 0
     for scenario in scenarios:
-        storage = storage_override(scenario)
-        first = run_scenario(scenario, storage=storage)
-        second = run_scenario(scenario, storage=storage)
+        first = run_scenario(scenario)
+        second = run_scenario(scenario)
         deterministic = first.fingerprint == second.fingerprint
         ok = first.ok and second.ok and deterministic
         failed += 0 if ok else 1

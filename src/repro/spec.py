@@ -69,7 +69,7 @@ class ClusterSpec:
     """Everything defining one cluster deployment, for either substrate.
 
     ``m2`` carries the M2Paxos tunables (ignored by other protocols);
-    ``None`` means the protocol's defaults.  ``network`` and ``cpu``
+    ``None`` means the bench-tuned defaults.  ``network`` and ``cpu``
     only affect the simulator (the runtime runs on real wires and
     cores); ``storage`` applies to both substrates.
     """
@@ -106,21 +106,12 @@ class ClusterSpec:
             raise ConfigError("zone_latency: requires zones to be set")
 
     def protocol_factory(self) -> Callable[[int, int], Protocol]:
-        """The ``(node_id, n_nodes) -> Protocol`` factory for this spec.
+        """The ``(node_id, n_nodes) -> Protocol`` factory for this spec:
+        :func:`repro.bench.harness.make_factory` over ``m2``, or over the
+        bench-tuned :data:`~repro.bench.harness.BENCH_M2` when it is None."""
+        from repro.bench.harness import BENCH_M2, make_factory
 
-        With explicit ``m2`` tunables (m2paxos only) each node gets
-        ``M2Paxos(config=spec.m2)``; otherwise the benchmark-tuned
-        factory from :mod:`repro.bench.harness` supplies the protocol's
-        defaults.
-        """
-        if self.protocol == "m2paxos" and self.m2 is not None:
-            from repro.core.protocol import M2Paxos
-
-            m2 = self.m2
-            return lambda node_id, n_nodes: M2Paxos(config=m2)
-        from repro.bench.harness import protocol_factory
-
-        return protocol_factory(self.protocol)
+        return make_factory(self.protocol, BENCH_M2 if self.m2 is None else self.m2)
 
     # ------------------------------------------------------------------
     # Validated construction from dict-shaped config
@@ -136,11 +127,13 @@ class ClusterSpec:
         nested dicts of scalar fields.  Non-scalar knobs (the network's
         ``latency`` model object, M2Paxos's ``home_hint``/``policy``
         callables) cannot be expressed in a dict and are rejected --
-        construct the spec directly to set those.
+        construct the spec directly to set those.  Only the deployment
+        is read: a subclass's load fields (a ``PointSpec``'s workload)
+        are unknown keys here.
         """
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a dict, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
+        known = {f.name for f in fields(ClusterSpec)}
         for key in data:
             if key not in known:
                 raise ConfigError(f"unknown key {key!r}")

@@ -12,6 +12,7 @@ from repro.bench.harness import (
 )
 from repro.bench.report import format_table, series_by
 from repro.sim.rng import RngRegistry
+from repro.workloads.client import ClientConfig
 from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.tpcc import TpccWorkload
 
@@ -62,9 +63,9 @@ class TestRunPoint:
         spec = PointSpec(
             protocol="m2paxos",
             n_nodes=3,
-            clients_per_node=4,
-            think_time=0.01,
-            max_inflight=8,
+            client=ClientConfig(
+                clients_per_node=4, think_time=0.01, max_inflight_per_node=8
+            ),
             warmup=0.05,
             duration=0.1,
         )
@@ -78,14 +79,15 @@ class TestRunPoint:
         spec = PointSpec(protocol="m2paxos", n_nodes=3, warmup=0.1)
         stretched = saturated_spec(spec)
         assert stretched.warmup >= 0.5
-        assert stretched.clients_per_node == 64
+        assert stretched.client.clients_per_node == 64
 
     def test_deterministic_given_seed(self):
         spec = PointSpec(
             protocol="multipaxos",
             n_nodes=3,
-            clients_per_node=4,
-            think_time=0.01,
+            client=ClientConfig(
+                clients_per_node=4, think_time=0.01, max_inflight_per_node=96
+            ),
             warmup=0.05,
             duration=0.1,
             seed=7,

@@ -2,6 +2,8 @@
 crash--restart on the simulator, and the fault bugs the harness flushed
 out (stale pruning of ``_attempts`` / ``_active_recoveries``)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import (
@@ -20,6 +22,7 @@ from repro.consensus.commands import Command
 from repro.core.messages import Decide
 from repro.core.protocol import M2Paxos, M2PaxosConfig
 from repro.obs.collect import ObsCollector
+from repro.spec import ConfigError
 from repro.storage.base import StorageConfig
 from tests.conftest import make_cluster
 
@@ -372,6 +375,24 @@ class TestScenarios:
         assert len(set(names)) == len(names)
         assert all(name in names for name in SMOKE)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rounds", 0),
+            ("objects", 0),
+            ("locality", 1.5),
+            ("spacing", 0.0),
+            ("settle", -1.0),
+            ("multi", -0.1),
+            ("read_fraction", 2.0),
+        ],
+    )
+    def test_scenario_refuses_a_bad_field_by_name(self, field, value):
+        """Before the check, ``rounds=0`` and ``objects=0`` failed mid-run
+        on an empty schedule or object pool, and ``locality=1.5`` ran."""
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            replace(by_name("baseline"), **{field: value})
+
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
             by_name("no-such-scenario")
@@ -390,7 +411,7 @@ class TestScenarios:
         [
             s.name
             for s in SCENARIOS
-            if s.storage == MEM
+            if s.cluster.storage == MEM
             and not any(c.mode == "durable" and c.restart_at is not None for c in s.plan.crashes)
         ],
     )
@@ -399,7 +420,9 @@ class TestScenarios:
         restart has one to replay.  A scenario that never replays it
         decides exactly as it would with no store at all."""
         scenario = by_name(name)
-        bare = run_scenario(scenario, storage=StorageConfig())
+        bare = run_scenario(
+            replace(scenario, cluster=replace(scenario.cluster, storage=StorageConfig()))
+        )
         stored = run_scenario(scenario)
         assert bare.ok and stored.ok
         assert stored.fingerprint == bare.fingerprint
@@ -416,13 +439,13 @@ class TestScenarios:
         holders crash and rejoin (durable + amnesia) -- every locally
         served read is audited against the decided write order, and a
         stale one flips ``ok``."""
-        from dataclasses import replace
-
         scenario = by_name("lease-expiry-partition")
-        assert scenario.lease_duration > 0.0 and scenario.read_fraction > 0.0
-        result = run_scenario(replace(scenario, seed=seed))
+        assert scenario.cluster.m2.lease_duration > 0.0 and scenario.read_fraction > 0.0
+        result = run_scenario(
+            replace(scenario, cluster=replace(scenario.cluster, seed=seed))
+        )
         assert result.ok, result.report.violations
-        if seed == scenario.seed:  # determinism on the pinned seed
+        if seed == scenario.cluster.seed:  # determinism on the pinned seed
             again = run_scenario(scenario)
             assert again.ok and again.fingerprint == result.fingerprint
 
@@ -447,7 +470,7 @@ class TestDurableScenarios:
     @pytest.mark.parametrize("name", DURABLE_SMOKE)
     def test_durable_scenarios_pass_and_replay_identically(self, name):
         scenario = by_name(name)
-        assert scenario.storage != MEM  # a store shape of its own
+        assert scenario.cluster.storage != MEM  # a store shape of its own
         first = run_scenario(scenario)
         second = run_scenario(scenario)
         assert first.ok, first.report.violations
@@ -455,13 +478,13 @@ class TestDurableScenarios:
         assert first.fingerprint == second.fingerprint
 
     def test_recover_snapshot_tail_on_disk(self, tmp_path):
-        from dataclasses import replace
-
         scenario = by_name("recover-snapshot-tail")
         storage = replace(
-            scenario.storage, kind="disk", dir=str(tmp_path)
+            scenario.cluster.storage, kind="disk", dir=str(tmp_path)
         )
-        result = run_scenario(scenario, storage=storage)
+        result = run_scenario(
+            replace(scenario, cluster=replace(scenario.cluster, storage=storage))
+        )
         assert result.ok, result.report.violations
 
     def test_disk_full_fail_stop_is_survivable(self):
@@ -475,15 +498,10 @@ class TestDurableScenarios:
         """``wipe()`` (the amnesia-restart path) must leave nothing for
         the recovery scan, so an amnesia rejoin really starts blank."""
         from repro.sim.cluster import Cluster
-        from repro.spec import ClusterSpec
 
         scenario = by_name("recover-snapshot-tail")
-        spec = ClusterSpec(
-            protocol="m2paxos",
-            n_nodes=scenario.n_nodes,
-            seed=scenario.seed,
-            m2=M2PaxosConfig(),
-            storage=StorageConfig(kind="mem"),
+        spec = replace(
+            scenario.cluster, m2=M2PaxosConfig(), storage=StorageConfig(kind="mem")
         )
         cluster = Cluster(spec)
         node = cluster.nodes[1]

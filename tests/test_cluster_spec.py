@@ -14,7 +14,7 @@ import pkgutil
 import pytest
 
 import repro
-from repro.bench.harness import protocol_factory
+from repro.bench.harness import PointSpec, protocol_factory
 from repro.consensus.base import Env, Protocol
 from repro.consensus.commands import Command
 from repro.consensus.epaxos import EPaxos
@@ -145,6 +145,12 @@ class TestFromDict:
     def test_bad_choice_propagates_from_post_init(self):
         with pytest.raises(ConfigError, match="protocol"):
             ClusterSpec.from_dict({"protocol": "raft"})
+
+    def test_from_dict_reads_only_the_deployment(self):
+        """A bench point is a ClusterSpec plus its load; a load key is
+        refused by name, not dropped."""
+        with pytest.raises(ConfigError, match="unknown key 'workload'"):
+            PointSpec.from_dict({"n_nodes": 5, "workload": "tpcc"})
 
 
 class TestCompilation:

@@ -111,20 +111,11 @@ class TestGeoArms:
 class TestGeoChaosScenario:
     def test_zone_partition_scenario_safe_and_deterministic(self):
         scenario = by_name("geo-zone-partition")
-        assert scenario.zones == GEO_ZONES
+        assert scenario.cluster.zones == GEO_ZONES
         first = run_scenario(scenario)
         assert first.ok, first.report.violations
         second = run_scenario(scenario)
         assert second.fingerprint == first.fingerprint
-
-    def test_zone_affinity_scenarios_require_zones(self):
-        from dataclasses import replace
-
-        scenario = replace(
-            by_name("geo-zone-partition"), zones=None, zone_latency=None
-        )
-        with pytest.raises(ValueError, match="require zones"):
-            run_scenario(scenario)
 
 
 def test_home_node_is_in_home_zone():

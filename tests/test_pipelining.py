@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chaos.runner import _CHAOS_M2, run_scenario
+from repro.chaos.runner import run_scenario
 from repro.chaos.scenarios import SMOKE, by_name
 from repro.consensus.commands import Command
 from repro.core.protocol import M2Paxos, M2PaxosConfig
@@ -247,18 +247,16 @@ class TestAdaptiveBatchWait:
         assert fingerprint() == fingerprint()
 
 
-_PIPELINED_CHAOS = replace(
-    _CHAOS_M2, max_batch=8, batch_wait=1e-3, batch_adaptive=True
-)
-
-
 @pytest.mark.parametrize("name", SMOKE)
 def test_chaos_smoke_passes_with_pipelined_batching(name):
     """Crash/partition/wire-fault scenarios stay safe and deterministic
     with the adaptive batcher coalescing a pipelined window."""
     scenario = by_name(name)
-    first = run_scenario(scenario, config=_PIPELINED_CHAOS)
-    second = run_scenario(scenario, config=_PIPELINED_CHAOS)
+    cluster = scenario.cluster
+    m2 = replace(cluster.m2, max_batch=8, batch_wait=1e-3, batch_adaptive=True)
+    scenario = replace(scenario, cluster=replace(cluster, m2=m2))
+    first = run_scenario(scenario)
+    second = run_scenario(scenario)
     assert first.ok, first.report.violations
     assert second.ok, second.report.violations
     assert first.fingerprint == second.fingerprint

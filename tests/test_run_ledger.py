@@ -21,7 +21,7 @@ from typing import Optional
 
 import pytest
 
-from repro.bench.harness import PointSpec, build_run, saturated_spec
+from repro.bench.harness import BENCH_M2, PointSpec, build_run, saturated_spec
 from repro.consensus.commands import Command
 from repro.metrics.stats import summarize
 from repro.obs.clock import Clock
@@ -189,7 +189,7 @@ SIM_CASES = {
         replace(
             CONTENDED,
             synthetic=SyntheticConfig(locality=1.0, local_set_size=16, read_fraction=0.9),
-            lease_duration=0.2,
+            m2=replace(BENCH_M2, lease_duration=0.2),
             seed=3,
         ),
         0.2,

@@ -35,11 +35,11 @@ import pytest
 
 from repro.bench.harness import PointSpec, build_run, saturated_spec
 from repro.chaos import Crash, DelayWindow, DuplicateWindow, FaultPlan, PartitionWindow
-from repro.chaos.runner import _CHAOS_M2, Scenario, _run_scenario
+from repro.chaos.runner import CHAOS_CLUSTER, Scenario, _run_scenario
 from repro.obs.collect import ObsCollector
 from repro.sim.cluster import Cluster
 from repro.sim.network import NetworkConfig
-from repro.spec import ClusterSpec, ZoneLatency
+from repro.spec import ZoneLatency
 from repro.storage.base import StorageConfig
 from repro.workloads.synthetic import SyntheticConfig
 
@@ -113,18 +113,19 @@ def _chaos() -> dict:
         duplicates=(DuplicateWindow(0.05, 0.9, probability=0.2),),
         delays=(DelayWindow(0.1, 0.8, extra=0.002, jitter=0.004),),
     )
-    storage = StorageConfig(kind="mem", fsync_wait=0.001)
-    scenario = Scenario("fingerprint", plan, seed=7, rounds=30, settle=2.0, storage=storage)
-    cluster = Cluster(
-        ClusterSpec(
-            protocol="m2paxos",
-            n_nodes=scenario.n_nodes,
-            seed=scenario.seed,
-            m2=_CHAOS_M2,
-            storage=storage,
+    scenario = Scenario(
+        "fingerprint",
+        plan,
+        cluster=replace(
+            CHAOS_CLUSTER,
+            seed=7,
+            storage=StorageConfig(kind="mem", fsync_wait=0.001),
             network=NetworkConfig(drop_probability=0.01),
-        )
+        ),
+        rounds=30,
+        settle=2.0,
     )
+    cluster = Cluster(scenario.cluster)
     cluster.loop.schedule_at(0.6, lambda: cluster.partition({0, 1}, {4}))
     cluster.loop.schedule_at(0.8, cluster.heal_partitions)
     obs = ObsCollector.for_cluster(cluster)
@@ -143,7 +144,9 @@ CASES = {
     "multipaxos": lambda: _point(replace(CONTENDED, protocol="multipaxos"), 0.05, 0.1),
     "genpaxos": lambda: _point(replace(CONTENDED, protocol="genpaxos"), 0.05, 0.1),
     "epaxos": lambda: _point(replace(CONTENDED, protocol="epaxos"), 0.05, 0.1),
-    "codec-frames": lambda: _point(replace(CONTENDED, frame_sizes="codec"), 0.03, 0.05),
+    "codec-frames": lambda: _point(
+        replace(CONTENDED, network=replace(CONTENDED.network, frame_sizes="codec")), 0.03, 0.05
+    ),
     "geo": lambda: _point(
         replace(
             CONTENDED,

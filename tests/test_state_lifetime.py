@@ -12,7 +12,7 @@ from dataclasses import MISSING, fields, replace
 import pytest
 
 from repro.chaos.plan import Crash, DelayWindow, DuplicateWindow, FaultPlan
-from repro.chaos.runner import _CHAOS_M2, Scenario, _run_scenario
+from repro.chaos.runner import _CHAOS_M2, CHAOS_CLUSTER, Scenario, _run_scenario
 from repro.consensus.commands import Command
 from repro.core.m2.config import _DECIDED_EPOCH, _LEARN, _ROUND, _SUPERVISE
 from repro.core.messages import Accept, AckAccept, AckPrepare, Decide, Prepare
@@ -273,16 +273,12 @@ def test_chaos_with_restarts_leaves_no_per_instance_state():
             duplicates=(DuplicateWindow(start=0.1, end=0.8, probability=0.4),),
             delays=(DelayWindow(start=0.15, end=0.7, extra=0.03, jitter=0.03),),
         ),
-        seed=21,
+        cluster=replace(
+            CHAOS_CLUSTER, seed=21, m2=replace(_CHAOS_M2, learn_resend_attempts=12)
+        ),
         settle=30.0,
-        storage=StorageConfig(kind="mem"),
     )
-    spec = ClusterSpec(
-        protocol="m2paxos", n_nodes=scenario.n_nodes, seed=scenario.seed,
-        m2=replace(_CHAOS_M2, learn_resend_attempts=12),
-        storage=scenario.storage,
-    )
-    cluster = Cluster(spec)
+    cluster = Cluster(scenario.cluster)
     try:
         result = _run_scenario(scenario, cluster)
     finally:
