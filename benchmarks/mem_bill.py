@@ -16,8 +16,13 @@ the marks.  The second runs under ``tracemalloc`` and gives, per
 allocation site, the bytes gained between the marks; the sites that
 gained most are printed, then their sum, the net gain over every site
 and the traced heap at each mark and where perfbench reads the pass's
-final RSS (``peak_rss_mb``), and, per node at each mark, the env
-timers still armed and the deadline heap's entries by kind.  Bytes are
+final RSS (``peak_rss_mb``), per node at each mark, the env timers
+still armed and the deadline heap's entries by kind, and the bytes each
+state structure gained between the marks and holds at the second: the
+decided log, its index, the C-struct, the host's delivered log, the
+deadline heap and the codec's decode memos (``sys.getsizeof`` of each
+container and of the containers it holds, not of the commands they
+share; a checkout with the older layout shows its own structures).  Bytes are
 divided by the commands of the measured chunks (TCP) or the commands
 proposed between the marks (sim).  An allocation is charged to the line that made it; one made
 inside generated code (a dataclass ``__init__``, the codec's per-class
@@ -80,6 +85,33 @@ def timers(nodes, kinds: dict) -> list[tuple[int, int, Counter]]:
     return rows
 
 
+def structures(nodes, codec) -> Counter:
+    """Bytes held by each state structure, summed over ``nodes``."""
+    size = sys.getsizeof
+    held: Counter = Counter()
+    for node in nodes:
+        state = node.protocol.state
+        for obj in state.objects.values():
+            held["decided log"] += size(obj.decided)
+            if hasattr(obj, "decided_pos"):  # the older layout: a dict per object
+                held["decided index"] += size(obj.decided_pos)
+        index = getattr(state, "decided_index", None)
+        if index is not None:
+            held["decided index"] += size(index) + sum(
+                size(at) for at in index.values() if type(at) is dict
+            )
+        if hasattr(state, "appended_cids"):
+            held["appended ids"] += size(state.appended_cids)
+        held["C-struct"] += size(state.cstruct)
+        held["delivered log"] += size(node.delivered)
+        heap = getattr(state, "deadlines", ())
+        held["deadline heap"] += size(heap) + sum(size(entry) for entry in heap)
+    for name, memo in vars(codec).items():
+        if name.endswith("_DECODE_CACHE"):  # one per process, keyed by frame bytes
+            held["codec decode memo"] += size(memo) + sum(size(key) for key in memo)
+    return held
+
+
 def source_of(key: str) -> str:
     path, _, line = key.split(" <- ")[0].rpartition(":")
     return linecache.getline(path, int(line)).strip()
@@ -114,7 +146,7 @@ def main(argv=None) -> int:
 
     workload = WORKLOADS[args.workload].sized(args.quick)
     sim = workload.substrate == "sim"
-    marks = []  # (rss_kb, heap snapshot or None, traced bytes, proposed, timers) per mark
+    marks = []  # (rss_kb, heap snapshot or None, traced bytes, proposed, timers, structures)
     # The deadline heap's kinds by name, as far as the checkout has them.
     kinds = {
         getattr(m2config, name): name[1:].lower()
@@ -144,6 +176,7 @@ def main(argv=None) -> int:
             tracemalloc.get_traced_memory()[0] if traced else 0,
             counter.count,
             timers(nodes, kinds),
+            structures(nodes, codec),
         ))
 
     class SimMarks:
@@ -208,14 +241,14 @@ def main(argv=None) -> int:
             return 1
         passes.append(list(marks))
     if sim:
-        (*_, first, _), (*_, last, _) = passes[1]
+        (*_, first, _, _), (*_, last, _, _) = passes[1]
         commands, what = last - first, "commands proposed between the marks"
     else:
         commands = sum(len(chunk) for chunk in plan.chunks)
         what = "commands in the measured chunks"
 
     (rss0, *_), (rss1, *_) = passes[0]
-    (_, before, heap0, _, timers0), (_, after, heap1, _, timers1) = passes[1]
+    (_, before, heap0, _, timers0, held0), (_, after, heap1, _, timers1, held1) = passes[1]
     gained = by_site(after)
     gained.subtract(by_site(before))
     top = gained.most_common(TOP)
@@ -230,6 +263,9 @@ def main(argv=None) -> int:
         f"traced heap: {heap0 / 2**20:.1f} MB at the first mark, {heap1 / 2**20:.1f} MB"
         f" at the second, {pass_heap[-1] / 2**20:.1f} MB at the end of the pass"
     )
+    print("state structures (B/cmd gained between the marks, KB held at the second):")
+    for name, total in held1.items():
+        print(f"{(total - held0[name]) / commands:8.1f}  {total / 1024:9.1f}  {name}")
     for which, rows in (("first", timers0), ("second", timers1)):
         print(f"timers at the {which} mark (live env timers; deadline heap entries by kind):")
         for node_id, env_timers, heap in rows:

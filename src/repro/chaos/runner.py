@@ -10,7 +10,9 @@ seeded workload, and a :class:`~repro.chaos.plan.FaultPlan`.
 2. schedules every crash/restart on the virtual clock and the whole
    proposal workload up front (so the event heap, and therefore the
    run, is a pure function of the seed);
-3. runs until well past the last fault, then audits:
+3. runs until well past the last fault, or until :data:`EVENT_BUDGET`
+   events have run (a failure that names the scenario and prints its
+   plan), then audits:
 
    - **crash quiescence** -- zero handler/wire spans from any node
      inside any of its crash windows (a crashed machine computes
@@ -58,6 +60,13 @@ _CHAOS_M2 = M2PaxosConfig(
     learn_resend_timeout=0.15,
     learn_resend_attempts=80,
 )
+
+
+EVENT_BUDGET = 60_000
+"""Simulator events one scenario may run.  Every scenario in
+``chaos/scenarios.py`` finishes in under 33,000, and none in the test
+suite needs 39,000; a run that needs more is not converging (a
+livelock), and fails with its plan instead of running on."""
 
 
 # The deployment every scenario starts from: five M2Paxos nodes with the
@@ -357,8 +366,15 @@ def _run_scenario(
         )
 
     horizon = max(plan.end_of_faults(), schedule[-1][0]) + scenario.settle
+    start = cluster.loop.processed_events
     try:
-        cluster.run_until(horizon)
+        cluster.run_until(horizon, max_events=EVENT_BUDGET)
+        if cluster.loop.processed_events - start >= EVENT_BUDGET:
+            extra_violations.append(
+                f"event budget exhausted: scenario {scenario.name!r} ran"
+                f" {EVENT_BUDGET:,} events and stopped at t={cluster.loop.now:.4f}"
+                f" of {horizon:.4f}; its plan: {scenario!r}"
+            )
     except (SafetyViolation, ConsistencyViolation) as exc:
         extra_violations.append(f"safety alarm during run: {exc}")
     finally:

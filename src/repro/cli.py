@@ -286,10 +286,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    # Every protocol's spec first: a flag one of them refuses stops the
+    # command before any point runs.
+    try:
+        specs = {protocol: _spec_from_args(args, protocol) for protocol in PROTOCOLS}
+    except ValueError as exc:
+        print(f"repro compare: {exc}", file=sys.stderr)
+        return 2
     rows = []
     telemetry_rows = []
-    for protocol in PROTOCOLS:
-        spec = _spec_from_args(args, protocol)
+    for protocol, spec in specs.items():
         result = run_point(
             spec, telemetry_interval=_telemetry_interval(args, spec)
         )

@@ -298,7 +298,8 @@ class GenPaxos(Protocol):
         if not command.noop:
             self.note("decide", cid=command.cid)
         assert self.delivery is not None
-        self.delivery.record_decision(l, idx, command, self.env.now())
+        self.delivery.record_decision(l, idx, command)
+        self.state.obj(l).last_progress = self.env.now()
         self.delivery.pump(dirty=command.ls)
 
     def _on_append(self, command: Command) -> None:

@@ -11,7 +11,11 @@ Two practical refinements over the pseudocode:
 - commands that were decided at more than one position for the same
   object (possible when a NACKed accept round is later *forced* to
   completion by another node while the proposer already retried) are
-  appended only once; the duplicate position is skipped like a no-op;
+  appended only once; the duplicate position is skipped like a no-op.
+  A command at the frontier of ``l`` was appended already exactly when
+  its lowest position on ``l`` lies below the frontier: the frontier
+  never passes an undecided position, so it passed that one by
+  appending the command;
 - no-op commands advance the pointer but are not handed to the
   application.
 """
@@ -33,22 +37,17 @@ class DeliveryEngine:
         state: M2PaxosState,
         deliver: Callable[[Command], None],
     ) -> None:
-        self._state = state  # holds the C-struct and its ids
+        self._state = state  # holds the log, its index and the C-struct
         self._deliver = deliver
 
-    def record_decision(self, l: str, position: int, command: Command, now: float) -> bool:
+    def record_decision(self, l: str, position: int, command: Command) -> bool:
         """Record ``Decided[l][position] = command``; returns True if new.
 
         Decisions are final: a second decision for the same instance is
         ignored (and, if it disagrees, reported by the caller's paranoia
         checks before we get here).
         """
-        obj = self._state.obj(l)
-        if position in obj.decided:
-            return False
-        obj.record(position, command)
-        obj.last_progress = now
-        return True
+        return self._state.record(l, position, command)
 
     def pump(self, dirty: Optional[Iterable[str]] = None) -> list[Command]:
         """Append every deliverable command; return the new appends.
@@ -59,19 +58,24 @@ class DeliveryEngine:
         objects are scanned (used by tests and after bulk loads).
         """
         appended: list[Command] = []
-        appended_cids = self._state.appended_cids
+        index = self._state.decided_index
         work = deque(dirty if dirty is not None else self._state.objects)
         while work:
             l = work.popleft()
             obj = self._state.objects.get(l)
             if obj is None:
                 continue
-            while True:
-                command = obj.decided.get(obj.appended + 1)
+            log = obj.decided
+            while obj.appended < len(log):
+                command = log[obj.appended]  # at position appended + 1
                 if command is None:
                     break
-                if command.noop or command.cid in appended_cids:
-                    # Fillers and duplicate positions: just advance.
+                if command.noop:
+                    self._state.advance(l)
+                    continue
+                at = index[command.cid]
+                if (at if at.__class__ is int else at[l]) <= obj.appended:
+                    # Decided lower down on ``l``, so appended already.
                     self._state.advance(l)
                     continue
                 if not self._ready(command):
@@ -87,9 +91,9 @@ class DeliveryEngine:
         """Is ``command`` at the append frontier of all its objects?"""
         for l in command.ls:
             obj = self._state.objects.get(l)
-            if obj is None:
+            if obj is None or obj.appended >= len(obj.decided):
                 return False
-            front = obj.decided.get(obj.appended + 1)
+            front = obj.decided[obj.appended]
             if front is None or front.cid != command.cid:
                 return False
         return True
@@ -99,7 +103,6 @@ class DeliveryEngine:
         for l in command.ls:
             state.advance(l)
         state.cstruct.append(command)
-        state.appended_cids.add(command.cid)
         self._deliver(command)
 
     def undelivered_gap(self, l: str) -> Optional[int]:
@@ -113,11 +116,12 @@ class DeliveryEngine:
         if obj is None:
             return None
         frontier = obj.appended + 1
-        if frontier in obj.decided:
+        log = obj.decided
+        if frontier <= len(log) and log[frontier - 1] is not None:
             return None
         # Any activity at or above the frontier (a higher decision, or an
         # accept/prepare that reserved the position) means the frontier
         # may be stuck -- e.g. its coordinator crashed mid-round.
-        if obj.max_decided > frontier or obj.next_slot > frontier:
+        if len(log) > frontier or obj.next_slot > frontier:
             return frontier
         return None

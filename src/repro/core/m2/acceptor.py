@@ -274,7 +274,7 @@ class AcceptorMixin:
         if not command.noop:
             self.note("decide", cid=command.cid)
         assert self.delivery is not None
-        self.delivery.record_decision(l, position, command, self.env.now())
+        self.delivery.record_decision(l, position, command)
         if self._fully_decided(command):
             # A fully decided command needs no further proposer-side
             # bookkeeping.  Pruning here (not only at append, which can

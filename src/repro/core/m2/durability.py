@@ -145,16 +145,16 @@ class DurabilityMixin:
         final ``appended`` pointers, so nothing is re-pumped: the env
         re-delivers the C-struct, rebuilding the application log."""
         state = self.state
-        for obj in state.objects.values():
-            for position, command in obj.decided.items():
-                obj.record(position, command)
+        for l, obj in state.objects.items():
+            for position, command in enumerate(obj.decided, 1):
+                if command is not None:
+                    state.index(l, position, command)
         for instance in list(state.instances):
             if state.retired(instance):  # saved by a build that kept them
                 del state.instances[instance]
             else:
                 state.active_positions.setdefault(instance[0], set()).add(instance[1])
         for command in state.cstruct:
-            state.appended_cids.add(command.cid)
             if not command.noop:
                 self._fold_append(command)
                 self.env.deliver(command)

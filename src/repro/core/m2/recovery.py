@@ -24,12 +24,11 @@ class RecoveryMixin:
         position up to the highest decided one, so a burst of abandoned
         reservations heals in one shot instead of one per timeout."""
         self.stats["gap_recoveries"] += 1
-        obj = self.state.obj(l)
-        top = min(obj.max_decided, position + self.GAP_BATCH)
+        top = min(self.state.obj(l).max_decided, position + self.GAP_BATCH)
         instances = [
             (l, p)
             for p in range(position, max(top, position) + 1)
-            if p not in obj.decided
+            if self.state.decided_at((l, p)) is None
         ] or [(l, position)]
         self._prepare_round(None, instances, kind="gap")
 

@@ -1,8 +1,8 @@
 """Per-node M2Paxos state (Section V-A of the paper), declared once.
 
 The paper's multidimensional arrays become dictionaries keyed by object
-id or by instance ``(l, in)``; defaults mirror the paper's initial
-values (epochs/rounds 0, votes NULL, owners NULL).
+id or by instance ``(l, in)``, the decision log aside (an array per
+object); defaults mirror the paper's initial values (epochs 0, NULLs).
 
 Every field a node holds is declared here with its kind, the way a TLA+
 spec lists its ``VARIABLES``: :func:`durable` (a crash keeps it; the
@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import MISSING, Field, dataclass, field, fields
-from typing import Callable, Iterable, Optional
+from itertools import repeat
+from typing import Callable, Iterable, Optional, Union
 
 from repro.consensus.commands import Command
 from repro.core.messages import Instance
@@ -26,9 +27,10 @@ KINDS = DURABLE, VOLATILE, DERIVED = ("durable", "volatile", "derived")
 
 def _declarer(kind: str) -> Callable[..., Field]:
     # ``entry``: the record type of a durable dict's values, whose own
-    # durable fields a snapshot stores per key.
-    def declare(default=MISSING, *, factory=MISSING, entry=None) -> Field:
-        metadata = {"kind": kind, "entry": entry}
+    # durable fields a snapshot stores per key; ``form``: the pair
+    # ``(get, set)`` of such a field stored in another shape.
+    def declare(default=MISSING, *, factory=MISSING, entry=None, form=None) -> Field:
+        metadata = {"kind": kind, "entry": entry, "form": form}
         return field(default=default, default_factory=factory, metadata=metadata)
 
     return declare
@@ -41,6 +43,38 @@ durable, volatile, derived = map(_declarer, KINDS)
 def declared(cls: type, kind: str) -> tuple[Field, ...]:
     """The fields of dataclass ``cls`` declared ``kind``, in order."""
     return tuple(f for f in fields(cls) if f.metadata.get("kind") == kind)
+
+
+def _stored(record) -> tuple:
+    """``record``'s durable fields as a snapshot stores them."""
+    return tuple(
+        getattr(record, f.name) if f.metadata["form"] is None else f.metadata["form"][0](record)
+        for f in declared(type(record), DURABLE)
+    )
+
+
+def _unstored(cls: type, values: tuple):
+    """The record of type ``cls`` that :func:`_stored` gave ``values``."""
+    record = cls()
+    for f, value in zip(declared(cls, DURABLE), values):
+        if f.metadata["form"] is None:
+            setattr(record, f.name, value)
+        else:
+            f.metadata["form"][1](record, value)
+    return record
+
+
+def _log_stored(obj: "ObjectState") -> dict[int, Command]:
+    """``{position: command}`` in the order the positions were recorded:
+    the dict earlier builds held, so snapshot bytes do not change."""
+    log = obj.decided
+    order = obj.arrival or [p for p, command in enumerate(log, 1) if command is not None]
+    return {p: log[p - 1] for p in order}
+
+
+def _log_unstored(obj: "ObjectState", stored: dict[int, Command]) -> None:
+    for position, command in stored.items():
+        obj.write(position, command)
 
 
 @dataclass(slots=True)
@@ -76,12 +110,11 @@ class ObjectState:
     owner_epoch: int = durable(0)
     appended: int = durable(0)
     next_slot: int = durable(1)
-    # The decision log, written only through ``record`` so its views
-    # stay exact: ``decided_pos`` (cid -> a position it is decided at:
-    # Algorithm 1 line 2 as a lookup) and the highest decided position.
-    decided: dict[int, Command] = durable(factory=dict)
-    decided_pos: dict[tuple[int, int], int] = derived(factory=dict)
-    max_decided: int = derived(0)
+    # ``Decided[l]``, dense: ``decided[p - 1]`` is position ``p`` (None
+    # at a hole); written only through ``write``.  ``arrival``: the
+    # positions in recording order, kept once one lands below the end.
+    decided: list[Optional[Command]] = durable(factory=list, form=(_log_stored, _log_unstored))
+    arrival: Optional[list[int]] = derived(None)
     last_progress: float = volatile(0.0)  # GenPaxos's collision timer
     # Acceptor-side read-lease grant (serving tier; inert unless the
     # config enables leases).  While ``lease_until`` (this node's clock)
@@ -106,12 +139,29 @@ class ObjectState:
         if position >= self.next_slot:
             self.next_slot = position + 1
 
-    def record(self, position: int, command: Command) -> None:
-        """``Decided[l][position] = command`` -- the log's one write path."""
-        self.decided[position] = command
-        self.decided_pos.setdefault(command.cid, position)
-        self.max_decided = max(self.max_decided, position)
+    @property
+    def max_decided(self) -> int:
+        return len(self.decided)
+
+    def write(self, position: int, command: Command) -> bool:
+        """``Decided[l][position] = command`` unless decided already; True if written."""
+        log = self.decided
+        if position > len(log):
+            if position > len(log) + 1:
+                log.extend(repeat(None, position - len(log) - 1))
+            log.append(command)
+        elif position < 1:
+            raise ValueError(f"position {position} of a log that starts at 1")
+        elif log[position - 1] is not None:
+            return False
+        else:
+            if self.arrival is None:
+                self.arrival = [p for p, c in enumerate(log, 1) if c is not None]
+            log[position - 1] = command
+        if self.arrival is not None:
+            self.arrival.append(position)
         self.observe_position(position)
+        return True
 
 
 @dataclass(slots=True)
@@ -154,10 +204,12 @@ class M2PaxosState:
     home_hint: Optional[Callable[[str], int]] = None
     objects: dict[str, ObjectState] = durable(factory=dict, entry=ObjectState)
     instances: dict[Instance, InstanceState] = durable(factory=dict, entry=InstanceState)
-    # The C-struct: every command appended here, in order, and the ids
-    # among them (a command is appended once).
+    # The C-struct: every command appended here, in order.
     cstruct: list[Command] = durable(factory=list)
-    appended_cids: set[tuple[int, int]] = derived(factory=set)
+    # Each decided command id -> its lowest position on each of its
+    # objects: the position for a command of one object, else (and for
+    # a no-op, whose id an amnesiac incarnation reuses) ``{l: position}``.
+    decided_index: dict[tuple[int, int], Union[int, dict[str, int]]] = derived(factory=dict)
     # Per-object index of positions with acceptor activity, so a
     # prepare can report the object's tail without scanning every
     # instance in the system.
@@ -177,10 +229,9 @@ class M2PaxosState:
         record's own durable fields (the value codec has no lists)."""
         out = {}
         for f in declared(type(self), DURABLE):
-            value, entry = getattr(self, f.name), f.metadata["entry"]
-            if entry is not None:
-                names = [g.name for g in declared(entry, DURABLE)]
-                value = {k: tuple(getattr(r, n) for n in names) for k, r in value.items()}
+            value = getattr(self, f.name)
+            if f.metadata["entry"] is not None:
+                value = {k: _stored(r) for k, r in value.items()}
             out[f.name] = tuple(value) if type(value) is list else value
         return out
 
@@ -190,8 +241,7 @@ class M2PaxosState:
         for f in declared(type(self), DURABLE):
             value, entry = record[f.name], f.metadata["entry"]
             if entry is not None:
-                names = [g.name for g in declared(entry, DURABLE)]
-                value = {k: entry(**dict(zip(names, r))) for k, r in value.items()}
+                value = {k: _unstored(entry, r) for k, r in value.items()}
             elif type(getattr(self, f.name)) is list:
                 value = list(value)
             setattr(self, f.name, value)
@@ -242,28 +292,54 @@ class M2PaxosState:
         }
         obj = self.objects.get(l)
         if obj is not None:
-            tail = range(at_or_above, obj.max_decided + 1)
-            positions.update(p for p in tail if p in obj.decided)
+            log = obj.decided
+            tail = range(max(at_or_above, 1), len(log) + 1)
+            positions.update(p for p in tail if log[p - 1] is not None)
         return sorted(positions)
+
+    def record(self, l: str, position: int, command: Command) -> bool:
+        """``Decided[l][position] = command``, the log's one write path
+        (it keeps the index); True if new."""
+        new = self.obj(l).write(position, command)
+        if new:
+            self.index(l, position, command)
+        return new
+
+    def index(self, l: str, position: int, command: Command) -> None:
+        """Note ``command`` decided at ``(l, position)`` in :attr:`decided_index`."""
+        at = self.decided_index.get(command.cid)
+        if at is None:
+            one = len(command.ls) == 1 and not command.noop
+            self.decided_index[command.cid] = position if one else {l: position}
+        elif at.__class__ is int:
+            self.decided_index[command.cid] = min(at, position)
+        elif position < at.get(l, position + 1):
+            at[l] = position
+
+    def lowest(self, l: str, command: Command) -> Optional[int]:
+        """The lowest position ``command`` is decided at on ``l``, if any."""
+        at = self.decided_index.get(command.cid)
+        if at.__class__ is int:
+            return at if l in command.ls else None
+        return None if at is None else at.get(l)
 
     def decided_at(self, instance: Instance) -> Optional[Command]:
         l, position = instance
         state = self.objects.get(l)
-        if state is None:
+        if state is None or not 0 < position <= len(state.decided):
             return None
-        return state.decided.get(position)
+        return state.decided[position - 1]
 
     def is_decided_for(self, l: str, command: Command) -> bool:
         """``exists in : Decided[l][in] = c`` (Algorithm 1, line 2)."""
-        state = self.objects.get(l)
-        return state is not None and command.cid in state.decided_pos
+        return self.lowest(l, command) is not None
 
     def instances_of(self, command: Command) -> tuple[Instance, ...]:
         """``command``'s decided instances, by object: its full set once decided everywhere."""
         return tuple(
-            (l, self.objects[l].decided_pos[command.cid])
+            (l, position)
             for l in sorted(command.ls)
-            if self.is_decided_for(l, command)
+            if (position := self.lowest(l, command)) is not None
         )
 
     def record_ack(

@@ -106,8 +106,8 @@ class Cluster:
         """Advance virtual time by ``duration`` seconds."""
         self.loop.run_until(self.loop.now + duration)
 
-    def run_until(self, deadline: float) -> None:
-        self.loop.run_until(deadline)
+    def run_until(self, deadline: float, max_events: Optional[int] = None) -> None:
+        self.loop.run_until(deadline, max_events)
 
     # ------------------------------------------------------------------
     # Failure injection

@@ -218,11 +218,14 @@ class EventLoop:
         ``max_events`` callbacks have executed."""
         self._drain(inf, inf if max_events is None else max_events)
 
-    def run_until(self, deadline: float) -> None:
+    def run_until(self, deadline: float, max_events: Optional[int] = None) -> None:
         """Run events with ``time <= deadline``; afterwards ``now`` is
-        exactly ``deadline`` (even if the heap drained earlier)."""
-        self._drain(deadline, inf)
-        if not self._stopped and self._now < deadline:
+        exactly ``deadline`` (even if the heap drained earlier), unless
+        ``max_events`` callbacks ran first."""
+        budget = inf if max_events is None else max_events
+        start = self._processed
+        self._drain(deadline, budget)
+        if not self._stopped and self._now < deadline and self._processed - start < budget:
             self._now = deadline
 
     def pending(self) -> int:

@@ -16,6 +16,7 @@ from repro.chaos import (
     WireFaults,
     check_run,
     run_scenario,
+    runner,
 )
 from repro.chaos.scenarios import DURABLE_SMOKE, SCENARIOS, SMOKE, by_name
 from repro.consensus.commands import Command
@@ -396,6 +397,24 @@ class TestScenarios:
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
             by_name("no-such-scenario")
+
+    def test_an_exhausted_event_budget_stops_the_run_and_names_its_plan(self, monkeypatch):
+        clusters = []
+        run = runner._run_scenario
+
+        def spy(scenario, cluster, **kwargs):
+            clusters.append(cluster)
+            return run(scenario, cluster, **kwargs)
+
+        monkeypatch.setattr(runner, "_run_scenario", spy)
+        monkeypatch.setattr(runner, "EVENT_BUDGET", 2_000)
+        scenario = by_name("crash-restart-durable")
+        result = run_scenario(scenario)
+        assert not result.ok
+        assert clusters[0].loop.processed_events == 2_000
+        first = result.report.violations[0]
+        assert first.startswith("event budget exhausted")
+        assert repr(scenario.name) in first and repr(scenario.plan) in first
 
     @pytest.mark.parametrize("name", SMOKE)
     def test_smoke_scenarios_pass_and_replay_identically(self, name):

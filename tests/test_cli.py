@@ -142,3 +142,15 @@ class TestCli:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_compare_refuses_a_per_protocol_flag_before_any_run(self, monkeypatch, capsys):
+        """``--zone-affinity`` is an m2paxos policy: ``compare`` refuses it
+        with one line before the first point, instead of dying on the
+        second protocol after running the first."""
+        ran = []
+        monkeypatch.setattr("repro.cli.run_point", lambda *a, **k: ran.append(a))
+        code = main(["compare", "--zones", "0,0,1,1,2", "--zone-affinity"])
+        assert code != 0
+        assert ran == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "zone-affinity" in err

@@ -54,7 +54,7 @@ def test_delivery_respects_positions_any_arrival_order(decisions, seed):
     shuffled = list(decisions)
     random.Random(seed).shuffle(shuffled)
     for obj, position, command in shuffled:
-        engine.record_decision(obj, position, command, now=0.0)
+        engine.record_decision(obj, position, command)
         engine.pump(dirty=[obj])
     engine.pump()
 
@@ -89,7 +89,7 @@ def test_arrival_order_invariance(decisions, seed_a, seed_b):
         shuffled = list(decisions)
         random.Random(seed).shuffle(shuffled)
         for obj, position, command in shuffled:
-            engine.record_decision(obj, position, command, now=0.0)
+            engine.record_decision(obj, position, command)
         engine.pump()
         # Compare per-object restrictions (commuting commands may
         # interleave differently, conflicting ones may not).
@@ -112,7 +112,7 @@ def test_arrival_order_invariance(decisions, seed_a, seed_b):
 def test_decision_log_views_agree_with_the_scans_they_replace(
     decisions, seed, twice, cut
 ):
-    """``decided_pos`` / ``max_decided`` / the tail walk are kept by the
+    """``decided_index`` / ``max_decided`` / the tail walk are kept by the
     log's write path; the linear scans they replaced are the reference.
     One command is additionally decided at a second position of its
     first object (a NACKed round forced to completion after the retry),
@@ -124,17 +124,18 @@ def test_decision_log_views_agree_with_the_scans_they_replace(
     shuffled = decisions + [(obj, top + 1, again)]
     random.Random(seed).shuffle(shuffled)
     for step, (l, position, command) in enumerate(shuffled):
-        engine.record_decision(l, position, command, now=0.0)
+        engine.record_decision(l, position, command)
         if step < cut:
             engine.pump(dirty=[l])
     commands = {c.cid: c for _o, _p, c in decisions}
     for l in OBJECTS + ["never-touched"]:
-        log = state.objects[l].decided if l in state.objects else {}
+        dense = state.objects[l].decided if l in state.objects else []
+        log = {p: c for p, c in enumerate(dense, 1) if c is not None}
         for command in commands.values():
             scan = any(c.cid == command.cid for c in log.values())
             assert state.is_decided_for(l, command) == scan
             if scan:
-                assert log[state.objects[l].decided_pos[command.cid]].cid == command.cid
+                assert log[state.lowest(l, command)].cid == command.cid
         if l in state.objects:
             assert state.objects[l].max_decided == max(log, default=0)
         for start in range(1, len(log) + 3):

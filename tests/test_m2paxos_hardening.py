@@ -106,7 +106,7 @@ class TestPositionPinning:
         (position, _epoch) = protocol.state.assigned[command.cid]["p"]
         # Burn the assigned position with a different command.
         other = Command.make(1, 0, ["p"])
-        protocol.delivery.record_decision("p", position, other, now=0.0)
+        protocol.delivery.record_decision("p", position, other)
         eps = protocol._pick_instances(command)
         ((_l, new_position),) = list(eps)
         assert new_position != position
@@ -188,10 +188,10 @@ class TestDeadRounds:
         other = Command.make(1, 0, ["a"])
         fins = {("a", 1), ("b", 1)}
         assert not protocol._round_is_dead(command, fins)
-        protocol.delivery.record_decision("a", 1, other, now=0.0)
+        protocol.delivery.record_decision("a", 1, other)
         assert protocol._round_is_dead(command, fins)
         # Decided with the command itself is not death.
-        protocol.delivery.record_decision("b", 1, command, now=0.0)
+        protocol.delivery.record_decision("b", 1, command)
         assert protocol._round_is_dead(command, fins)  # 'a' still foreign
 
 

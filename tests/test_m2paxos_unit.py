@@ -32,7 +32,7 @@ class TestObjectState:
         state = M2PaxosState()
         command = cmd(0, 0, ["x"])
         assert not state.is_decided_for("x", command)
-        state.obj("x").record(1, command)
+        state.record("x", 1, command)
         assert state.is_decided_for("x", command)
         assert not state.is_decided_for("y", command)
 
@@ -57,29 +57,29 @@ class TestDeliveryEngine:
     def test_single_object_in_order(self):
         state, engine, delivered = self.make()
         a, b = cmd(0, 0, ["x"]), cmd(0, 1, ["x"])
-        engine.record_decision("x", 1, a, now=0.0)
-        engine.record_decision("x", 2, b, now=0.0)
+        engine.record_decision("x", 1, a)
+        engine.record_decision("x", 2, b)
         engine.pump()
         assert delivered == [a, b]
 
     def test_gap_blocks_delivery(self):
         state, engine, delivered = self.make()
         b = cmd(0, 1, ["x"])
-        engine.record_decision("x", 2, b, now=0.0)
+        engine.record_decision("x", 2, b)
         engine.pump()
         assert delivered == []
         a = cmd(0, 0, ["x"])
-        engine.record_decision("x", 1, a, now=0.0)
+        engine.record_decision("x", 1, a)
         engine.pump()
         assert delivered == [a, b]
 
     def test_multi_object_waits_for_all_frontiers(self):
         state, engine, delivered = self.make()
         multi = cmd(0, 0, ["x", "y"])
-        engine.record_decision("x", 1, multi, now=0.0)
+        engine.record_decision("x", 1, multi)
         engine.pump()
         assert delivered == []
-        engine.record_decision("y", 1, multi, now=0.0)
+        engine.record_decision("y", 1, multi)
         engine.pump(dirty=["y"])
         assert delivered == [multi]
 
@@ -87,8 +87,8 @@ class TestDeliveryEngine:
         state, engine, delivered = self.make()
         noop = make_noop("x", 0, 0)
         real = cmd(0, 0, ["x"])
-        engine.record_decision("x", 1, noop, now=0.0)
-        engine.record_decision("x", 2, real, now=0.0)
+        engine.record_decision("x", 1, noop)
+        engine.record_decision("x", 2, real)
         engine.pump()
         assert delivered == [real]
         assert state.obj("x").appended == 2
@@ -98,30 +98,30 @@ class TestDeliveryEngine:
         # forced to completion twice) is delivered exactly once.
         state, engine, delivered = self.make()
         a = cmd(0, 0, ["x"])
-        engine.record_decision("x", 1, a, now=0.0)
-        engine.record_decision("x", 2, a, now=0.0)
+        engine.record_decision("x", 1, a)
+        engine.record_decision("x", 2, a)
         b = cmd(0, 1, ["x"])
-        engine.record_decision("x", 3, b, now=0.0)
+        engine.record_decision("x", 3, b)
         engine.pump()
         assert delivered == [a, b]
 
     def test_decision_is_final(self):
         state, engine, _ = self.make()
         a, b = cmd(0, 0, ["x"]), cmd(1, 0, ["x"])
-        assert engine.record_decision("x", 1, a, now=0.0)
-        assert not engine.record_decision("x", 1, b, now=0.0)
+        assert engine.record_decision("x", 1, a)
+        assert not engine.record_decision("x", 1, b)
         assert state.decided_at(("x", 1)).cid == a.cid
 
     def test_cascading_unblock_across_objects(self):
         state, engine, delivered = self.make()
         ab = cmd(0, 0, ["a", "b"])
         bc = cmd(0, 1, ["b", "c"])
-        engine.record_decision("b", 2, bc, now=0.0)
-        engine.record_decision("c", 1, bc, now=0.0)
+        engine.record_decision("b", 2, bc)
+        engine.record_decision("c", 1, bc)
         engine.pump()
         assert delivered == []
-        engine.record_decision("a", 1, ab, now=0.0)
-        engine.record_decision("b", 1, ab, now=0.0)
+        engine.record_decision("a", 1, ab)
+        engine.record_decision("b", 1, ab)
         engine.pump(dirty=["a", "b"])
         assert delivered == [ab, bc]
 
@@ -129,7 +129,7 @@ class TestDeliveryEngine:
         state, engine, _ = self.make()
         assert engine.undelivered_gap("x") is None  # unknown object
         b = cmd(0, 1, ["x"])
-        engine.record_decision("x", 2, b, now=0.0)
+        engine.record_decision("x", 2, b)
         engine.pump()
         assert engine.undelivered_gap("x") == 1
 
@@ -142,7 +142,7 @@ class TestDeliveryEngine:
 
     def test_no_gap_when_frontier_decided(self):
         state, engine, _ = self.make()
-        engine.record_decision("x", 1, cmd(0, 0, ["x"]), now=0.0)
+        engine.record_decision("x", 1, cmd(0, 0, ["x"]))
         assert engine.undelivered_gap("x") is None
 
 

@@ -99,7 +99,11 @@ def test_state_follows_the_window_and_drains_to_nothing(rounds):
     for node in cluster.nodes:
         assert per_instance_state(node.protocol) == (0, 0, 0, 0, 0)
         # What laggards and amnesiacs learn from is all still there.
-        decided = sum(len(o.decided) for o in node.protocol.state.objects.values())
+        decided = sum(
+            command is not None
+            for o in node.protocol.state.objects.values()
+            for command in o.decided
+        )
         assert decided >= rounds * 3
         assert len(node.protocol.state.cstruct) == rounds * 3
 
@@ -612,9 +616,6 @@ ON_START = {"gap_candidates", "serve_floor", "lease_blackout_until"}
 """Volatile node fields every incarnation's ``on_start`` sets: the
 frontiers to re-check and, with leases on, the serve floors and the
 lease blackout."""
-REPLAYED = {"last_progress"}
-"""Volatile object fields the store replay sets: each replayed decision
-stamps its object's progress clock with the restart time."""
 
 
 def test_a_store_recovered_node_holds_no_volatile_value_from_its_old_life():
@@ -646,9 +647,7 @@ def test_a_store_recovered_node_holds_no_volatile_value_from_its_old_life():
         for f in declared(type(record), VOLATILE):
             value, where = getattr(record, f.name), (type(record).__name__, f.name)
             assert value is not marker, where
-            if f.name in REPLAYED:
-                assert value == cluster.loop.now, where
-            elif f.name not in ON_START:
+            if f.name not in ON_START:
                 assert value == initial(f), where
     assert state.gap_candidates == set(state.objects)
     assert state.lease_blackout_until > cluster.loop.now

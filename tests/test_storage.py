@@ -489,12 +489,7 @@ class TestClusterIntegration:
             rounds=24,
             cut_off=1,
         )
-        decided = {
-            command.cid
-            for node in cluster.nodes
-            for obj in node.protocol.state.objects.values()
-            for command in obj.decided.values()
-        }
+        decided = {cid for node in cluster.nodes for cid in node.protocol.state.decided_index}
         assert any(cid[0] == 1 and cid[1] < 0 for cid in decided)
         cluster.crash(1)
         cluster.restart(1, "durable")
