@@ -6,7 +6,10 @@ at a known-good commit: per case, the sha1 of every node's delivered cid
 sequence, the network counters, the event count, the final virtual time,
 per-type message counts and virtual p50/p99.  A substrate change that
 reorders one event, skips one RNG draw or mis-sizes one message moves at
-least one of them.
+least one of them.  The ``telemetry-*`` cases pin the live-telemetry
+frames instead: a digest of every ``Frame`` field but ``fsync_p99`` (a
+wall-clock measurement of each storage flush) and each health event's
+kind and time.
 
 ``sim_fingerprint.json`` was recorded at the parent of PR 18 (commit
 7206705) and is only re-recorded by a change that *means* to alter
@@ -28,13 +31,14 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import PointSpec, build_run, saturated_spec
+from repro.bench.harness import PointSpec, build_run, run_point, saturated_spec
 from repro.chaos import Crash, DelayWindow, DuplicateWindow, FaultPlan, PartitionWindow
+from repro.chaos import by_name, run_scenario
 from repro.chaos.runner import CHAOS_CLUSTER, Scenario, _run_scenario
 from repro.obs.collect import ObsCollector
 from repro.sim.cluster import Cluster
@@ -138,6 +142,44 @@ def _chaos() -> dict:
     return _fingerprint(cluster, obs.message_types, [list(p) for p in paths])
 
 
+def _plain(value):
+    """A frame field as exact, order-free JSON (floats by ``repr``)."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _telemetry(telemetry) -> dict:
+    frames = [
+        {f.name: _plain(getattr(frame, f.name)) for f in fields(frame) if f.name != "fsync_p99"}
+        for frame in telemetry.frames
+    ]
+    return {
+        "frames": len(frames),
+        "frames_sha1": hashlib.sha1(json.dumps(frames, sort_keys=True).encode()).hexdigest(),
+        "health": [[event.kind, repr(event.at)] for event in telemetry.events],
+    }
+
+
+def _chaos_telemetry(name: str) -> dict:
+    result = run_scenario(by_name(name), telemetry_interval=0.1)
+    assert result.ok, result.report.violations
+    return _telemetry(result.telemetry)
+
+
+TELEMETRY_POINT = PointSpec(
+    "m2paxos",
+    5,
+    synthetic=SyntheticConfig(locality=0.5, complex_fraction=0.1),
+    warmup=0.1,
+    duration=0.2,
+)
+
+
 CASES = {
     "contended-seed1": lambda: _point(CONTENDED, 0.03, 0.07),
     "contended-seed2": lambda: _point(replace(CONTENDED, seed=2), 0.03, 0.07),
@@ -157,9 +199,16 @@ CASES = {
         0.06,
     ),
     "chaos": _chaos,
+    "telemetry-contention-storm": lambda: _chaos_telemetry("contention-storm"),
+    "telemetry-crash-restart-durable": lambda: _chaos_telemetry("crash-restart-durable"),
+    "telemetry-point": lambda: _telemetry(
+        run_point(TELEMETRY_POINT, telemetry_interval=0.05).extra["telemetry"]
+    ),
 }
 
-HASHSEED_DEPENDENT = frozenset({"chaos"})
+HASHSEED_DEPENDENT = frozenset(
+    {"chaos", "telemetry-contention-storm", "telemetry-crash-restart-durable", "telemetry-point"}
+)
 
 with open(Path(__file__).with_name("sim_fingerprint.json")) as _fh:
     EXPECTED = json.load(_fh)
