@@ -127,10 +127,10 @@ def build_workload(spec: PointSpec, rng: RngRegistry):
 class RunHandle:
     """A fully built but not-yet-started sim run.
 
-    ``repro top`` steps the cluster interval-by-interval between screen
-    refreshes; :func:`run_point` drives it start-to-finish.  Either way
-    the pieces (cluster, workload, collector, clients) are assembled
-    once, here.
+    :func:`run_point` drives it start-to-finish; a caller that needs the
+    cluster between phases (the benchmark workloads, the fingerprint
+    tests) steps it itself.  Either way the pieces (cluster, workload,
+    collector, clients) are assembled once, here.
     """
 
     spec: PointSpec

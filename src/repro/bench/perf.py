@@ -203,8 +203,8 @@ def _ratio(numerator: float, denominator: float) -> float:
 
 def bench_telemetry_overhead(config: PerfConfig) -> dict:
     """The telemetry tax: pipelined saturation throughput with the full
-    live-telemetry stack (collector + wall-clock sampler + Prometheus
-    endpoints) attached vs the bare cluster.
+    live-telemetry stack (collector + wall-clock sampler + health
+    detector) attached vs the bare cluster.
 
     Must run on the real runtime: in the simulator throughput is
     virtual-time, so wall-clock instrumentation cost is invisible there
@@ -224,13 +224,14 @@ def bench_telemetry_overhead(config: PerfConfig) -> dict:
         try:
             telemetry = None
             if telemetry_on:
-                telemetry = await cluster.start_telemetry(
-                    interval=config.telemetry_interval, serve=True
+                telemetry = cluster.start_telemetry(
+                    interval=config.telemetry_interval
                 )
             measurement = await _drive_saturated(cluster, per_node)
             if telemetry is not None:
+                # Close the partial last interval (after the timed run).
+                telemetry.final_sample()
                 measurement["frames"] = len(telemetry.frames)
-                measurement["endpoints"] = len(telemetry.endpoints)
             return measurement
         finally:
             await cluster.stop()

@@ -6,8 +6,6 @@ Usage::
     python -m repro run --protocol epaxos --workload tpcc --remote 0.15
     python -m repro compare --nodes 5
     python -m repro trace --protocol m2paxos --out trace.json
-    python -m repro top --protocol m2paxos --duration 1.0
-    python -m repro top --runtime --commands 2000
     python -m repro figures fig1 [--full]
     python -m repro modelcheck [--ballots 2]
     python -m repro chaos [--smoke | --list | NAME ...]
@@ -224,23 +222,29 @@ def _telemetry_interval(args, spec) -> float:
 
 
 def _final_frame(telemetry):
-    """The last interval frame that saw decides (else the last frame)."""
-    frames = list(telemetry.frames)
+    """The last interval frame that saw decides (else the last frame);
+    None for a run without telemetry."""
+    frames = list(telemetry.frames) if telemetry is not None else []
     if not frames:
         return None
     active = [f for f in frames if f.decides]
     return (active or frames)[-1]
 
 
-def _telemetry_frame_row(protocol: str, telemetry) -> dict | None:
-    from repro.obs.telemetry.top import frame_row
-
-    frame = _final_frame(telemetry)
-    if frame is None:
-        return None
-    row = {"protocol": protocol}
-    row.update(frame_row(frame))
-    return row
+def _frame_row(protocol: str, frame) -> dict:
+    """One table row summarising an interval frame."""
+    return {
+        "protocol": protocol,
+        "t": f"{frame.end:.2f}",
+        "cps": frame.throughput,
+        "fast%": frame.fast_share * 100.0,
+        "p50ms": frame.p50 * 1e3,
+        "p99ms": frame.p99 * 1e3,
+        "inflight": frame.inflight,
+        "outbox": frame.outbox_depth,
+        "fsyncs": frame.fsyncs,
+        "churn": frame.epoch_bumps,
+    }
 
 
 _TELEMETRY_COLUMNS = [
@@ -249,20 +253,37 @@ _TELEMETRY_COLUMNS = [
 ]
 
 
+def _zone_rows(frame) -> list[dict]:
+    """Per-zone breakdown of one frame (empty on single-zone runs)."""
+    nan = float("nan")
+    return [
+        {
+            "zone": zone,
+            "decides": frame.zone_decides[zone],
+            "fast%": frame.zone_fast_share.get(zone, nan) * 100.0,
+            "p50ms": frame.zone_p50.get(zone, nan) * 1e3,
+            "p99ms": frame.zone_p99.get(zone, nan) * 1e3,
+        }
+        for zone in sorted(frame.zone_decides)
+    ]
+
+
+_ZONE_COLUMNS = ["zone", "decides", "fast%", "p50ms", "p99ms"]
+
+
 def _print_telemetry(protocol: str, result) -> None:
     telemetry = result.extra.get("telemetry")
-    if telemetry is None:
-        return
-    row = _telemetry_frame_row(protocol, telemetry)
-    if row is None:
-        return
-    print_table("telemetry (final interval frame)", [row], _TELEMETRY_COLUMNS)
-    from repro.obs.telemetry.top import ZONE_COLUMNS, zone_rows
-
     frame = _final_frame(telemetry)
-    zones = zone_rows(frame) if frame is not None else []
+    if frame is None:
+        return
+    print_table(
+        "telemetry (final interval frame)",
+        [_frame_row(protocol, frame)],
+        _TELEMETRY_COLUMNS,
+    )
+    zones = _zone_rows(frame)
     if zones:
-        print_table("per-zone (final interval frame)", zones, ZONE_COLUMNS)
+        print_table("per-zone (final interval frame)", zones, _ZONE_COLUMNS)
     for event in telemetry.events:
         details = ", ".join(
             f"{k}={v:.3g}" for k, v in sorted(event.details.items())
@@ -300,11 +321,9 @@ def cmd_compare(args) -> int:
             spec, telemetry_interval=_telemetry_interval(args, spec)
         )
         rows.append(_row(protocol, result))
-        telemetry = result.extra.get("telemetry")
-        if telemetry is not None:
-            telemetry_row = _telemetry_frame_row(protocol, telemetry)
-            if telemetry_row is not None:
-                telemetry_rows.append(telemetry_row)
+        frame = _final_frame(result.extra.get("telemetry"))
+        if frame is not None:
+            telemetry_rows.append(_frame_row(protocol, frame))
     rows.sort(key=lambda row: -row["throughput"])
     print_table(
         f"all protocols / {args.workload} / {args.nodes} nodes",
@@ -318,91 +337,6 @@ def cmd_compare(args) -> int:
             _TELEMETRY_COLUMNS,
         )
     return 0
-
-
-def cmd_top(args) -> int:
-    """Live refreshing telemetry table, sim or runtime."""
-    if args.runtime:
-        return _top_runtime(args)
-
-    import math
-
-    from repro.bench.harness import build_run
-    from repro.obs.telemetry import Telemetry, render_screen
-
-    spec = _spec_from_args(args, args.protocol)
-    interval = args.interval
-    handle = build_run(spec)
-    telemetry = Telemetry(handle.cluster, interval=interval)
-    telemetry.start()
-    handle.start()
-    total = spec.warmup + spec.duration
-    for _ in range(max(1, math.ceil(total / interval))):
-        handle.cluster.run_for(interval)
-        print(
-            render_screen(
-                telemetry.frames,
-                telemetry.events,
-                history=args.history,
-                title=f"repro top — sim {args.protocol} ({args.nodes} nodes)",
-            )
-        )
-    telemetry.stop()
-    handle.clients.stop()
-    if args.jsonl:
-        count = telemetry.sampler.write_jsonl(args.jsonl)
-        print(f"frames: {args.jsonl} ({count} intervals)")
-    return 0
-
-
-def _top_runtime(args) -> int:
-    """`repro top --runtime`: a real asyncio cluster under pipelined
-    load, sampled on the wall clock, Prometheus endpoint per node."""
-    import asyncio
-
-    from repro.bench.harness import protocol_factory
-    from repro.bench.perf import SATURATION_M2
-    from repro.consensus.commands import Command
-    from repro.obs.telemetry import render_screen
-    from repro.runtime.cluster import LocalCluster
-    from repro.runtime.driver import PipelineDriver
-
-    async def main() -> int:
-        cluster = LocalCluster(
-            args.nodes, protocol_factory("m2paxos", **SATURATION_M2)
-        )
-        await cluster.start()
-        telemetry = await cluster.start_telemetry(
-            interval=args.interval, serve=True
-        )
-        for node in cluster.nodes:
-            host, port = node.metrics_address
-            print(f"node {node.node_id} metrics: http://{host}:{port}/metrics")
-        driver = PipelineDriver(cluster, depth=16)
-        n = args.nodes
-        proposals = (
-            (i % n, Command.make(i % n, i + 1, [f"top-{i % n}"]))
-            for i in range(args.commands)
-        )
-        task = asyncio.ensure_future(driver.run(proposals, timeout=60.0))
-        while not task.done():
-            await asyncio.sleep(args.interval)
-            print(
-                render_screen(
-                    telemetry.frames,
-                    telemetry.events,
-                    history=args.history,
-                    title=f"repro top — runtime m2paxos ({n} nodes)",
-                )
-            )
-        await task
-        if args.jsonl:
-            count = telemetry.sampler.write_jsonl(args.jsonl)
-            print(f"frames: {args.jsonl} ({count} intervals)")
-        await cluster.stop()
-        return 0
-
-    return asyncio.run(main())
 
 
 def cmd_trace(args) -> int:
@@ -678,34 +612,6 @@ def main(argv=None) -> int:
         "--jsonl", default=None, help="also write a JSONL structured log here"
     )
     trace_parser.set_defaults(fn=cmd_trace)
-
-    top_parser = sub.add_parser(
-        "top", help="live refreshing telemetry table (sim or runtime)"
-    )
-    top_parser.add_argument("--protocol", choices=PROTOCOLS, default="m2paxos")
-    _add_run_args(top_parser)
-    top_parser.add_argument(
-        "--interval", type=float, default=0.1,
-        help="sampling + refresh cadence in seconds (virtual for sim, "
-             "wall for --runtime)",
-    )
-    top_parser.add_argument(
-        "--history", type=int, default=10,
-        help="interval rows kept on screen",
-    )
-    top_parser.add_argument(
-        "--runtime", action="store_true",
-        help="drive a real asyncio cluster under pipelined load and "
-             "serve per-node Prometheus /metrics endpoints",
-    )
-    top_parser.add_argument(
-        "--commands", type=int, default=2000,
-        help="--runtime only: proposals to pump through the pipeline",
-    )
-    top_parser.add_argument(
-        "--jsonl", default=None, help="also export interval frames as JSONL"
-    )
-    top_parser.set_defaults(fn=cmd_top)
 
     figures_parser = sub.add_parser("figures", help="regenerate paper figures")
     figures_parser.add_argument("names", nargs="*", default=["all"])

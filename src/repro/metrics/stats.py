@@ -75,33 +75,3 @@ def summarize(values: Sequence[float]) -> Summary:
         minimum=min(values),
         maximum=max(values),
     )
-
-
-def summarize_sketch(sketch) -> Summary:
-    """A :class:`Summary` from a streaming
-    :class:`~repro.obs.telemetry.sketch.LogSketch` in O(buckets).
-
-    ``count``, ``mean``, ``minimum`` and ``maximum`` are exact (the
-    sketch tracks them on the side); the percentiles are bucket
-    estimates within ``sketch.relative_error`` of the exact order
-    statistics bracketing the interpolated rank -- about 4.5% at the
-    default growth factor.  For interval (differenced) sketches, which
-    carry no exact extrema, min/max fall back to the 0th/100th
-    percentile estimates.
-    """
-    if sketch.count == 0:
-        raise ValueError("no values to summarise")
-    minimum = sketch.minimum
-    maximum = sketch.maximum
-    if minimum is None or maximum is None:
-        minimum = sketch.quantile(0)
-        maximum = sketch.quantile(100)
-    return Summary(
-        count=sketch.count,
-        mean=sketch.total / sketch.count,
-        p50=sketch.quantile(50),
-        p95=sketch.quantile(95),
-        p99=sketch.quantile(99),
-        minimum=minimum,
-        maximum=maximum,
-    )

@@ -5,49 +5,32 @@ Layers (each usable alone):
 - :mod:`~repro.obs.telemetry.sketch` — ``LogSketch`` streaming quantile
   sketch: fixed log-scale buckets, O(buckets) quantiles, documented
   relative-error bound.
-- :mod:`~repro.obs.telemetry.registry` — typed instruments (Counter,
-  Gauge, sketch-backed Histogram) with labels under a ``MetricsRegistry``.
 - :mod:`~repro.obs.telemetry.collector` — ``TelemetryCollector``, an
-  ``EnvObserver`` folding the event stream into the registry with O(1)
-  per-command state.
+  ``EnvObserver`` folding the event stream into plain counters, gauges
+  and sketches with O(1) per-command state.
 - :mod:`~repro.obs.telemetry.sampler` — ``IntervalSampler`` cutting
   per-interval ``Frame``s into a ring buffer (virtual-clock timers in
-  the sim, an asyncio task in the runtime), JSONL export.
+  the sim, an asyncio task in the runtime).
 - :mod:`~repro.obs.telemetry.health` — ``HealthDetector`` emitting
   ``contention`` / ``overload`` / ``stall`` events from frames.
-- :mod:`~repro.obs.telemetry.prometheus` — text-format exposition and a
-  minimal per-node HTTP ``/metrics`` server.
 - :mod:`~repro.obs.telemetry.service` — the ``Telemetry`` facade wiring
   all of the above to a cluster of either substrate.
 """
 
 from .collector import PATHS, TelemetryCollector
 from .health import HealthConfig, HealthDetector, HealthEvent
-from .prometheus import MetricsServer, render_prometheus
-from .registry import Counter, Gauge, Histogram, MetricFamily, MetricsRegistry
 from .sampler import Frame, IntervalSampler
 from .service import Telemetry
 from .sketch import LogSketch
-from .top import render_frames, render_screen, zone_rows
 
 __all__ = [
     "PATHS",
-    "Counter",
     "Frame",
-    "Gauge",
     "HealthConfig",
     "HealthDetector",
     "HealthEvent",
-    "Histogram",
     "IntervalSampler",
     "LogSketch",
-    "MetricFamily",
-    "MetricsRegistry",
-    "MetricsServer",
     "Telemetry",
     "TelemetryCollector",
-    "render_frames",
-    "render_prometheus",
-    "render_screen",
-    "zone_rows",
 ]

@@ -1,6 +1,6 @@
-"""Interval sampling: registry snapshots into a ring of frames.
+"""Interval sampling: collector snapshots into a ring of frames.
 
-The :class:`IntervalSampler` differences the live registry on a cadence
+The :class:`IntervalSampler` differences the live collector on a cadence
 and appends one :class:`Frame` per interval to a bounded ring buffer.
 Cadence semantics follow the substrate's clock:
 
@@ -14,23 +14,21 @@ Cadence semantics follow the substrate's clock:
 - **Runtime**: an asyncio task sleeps ``interval`` *wall* seconds
   between samples.
 
-Frames are plain data (``to_dict`` → JSONL exportable) and are fanned to
-listeners as they are cut — the :class:`~repro.obs.telemetry.health.HealthDetector`
-is one such listener, `repro top` is another.
+Frames are plain data and are fanned to listeners as they are cut — the
+:class:`~repro.obs.telemetry.health.HealthDetector` is one such listener.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.clock import Clock
 
 from .collector import PATHS, TelemetryCollector
+from .sketch import LogSketch
 
 FrameListener = Callable[["Frame"], None]
 
@@ -87,20 +85,6 @@ class Frame:
             return float("nan")
         return self.path_counts.get(path, 0) / self.decides
 
-    def to_dict(self) -> dict:
-        payload = asdict(self)
-        payload["faults"] = [list(f) for f in self.faults]
-        return payload
-
-
-class _CounterState:
-    """Previous totals for delta computation, keyed by family/label."""
-
-    def __init__(self) -> None:
-        self.totals: Dict[str, float] = {}
-        self.by_path: Dict[str, float] = {}
-        self.sketches: Dict[str, object] = {}  # name -> LogSketch.state()
-
 
 class IntervalSampler:
     """Cut per-interval frames from a :class:`TelemetryCollector`."""
@@ -119,7 +103,9 @@ class IntervalSampler:
         self.interval = interval
         self.frames: Deque[Frame] = deque(maxlen=ring)
         self.listeners: List[FrameListener] = []
-        self._prev = _CounterState()
+        # Previous cumulative totals and sketch states, for differencing.
+        self._prev_totals: Dict[object, int] = {}
+        self._prev_sketches: Dict[object, tuple] = {}
         self._window_start = clock.now()
         self._index = 0
         self._sim_timer = None
@@ -132,132 +118,88 @@ class IntervalSampler:
     # Sampling
     # ------------------------------------------------------------------
 
-    def _delta(self, family) -> float:
-        current = family.total()
-        previous = self._prev.totals.get(family.name, 0.0)
-        self._prev.totals[family.name] = current
+    def _delta(self, key, current: int) -> int:
+        previous = self._prev_totals.get(key, 0)
+        self._prev_totals[key] = current
         return current - previous
 
-    def _path_deltas(self) -> Dict[str, int]:
-        grouped = self.collector.decides.totals_by("path")
-        deltas: Dict[str, int] = {}
-        for path in PATHS:
-            current = grouped.get(path, 0.0)
-            previous = self._prev.by_path.get(path, 0.0)
-            self._prev.by_path[path] = current
-            delta = int(current - previous)
-            if delta:
-                deltas[path] = delta
-        return deltas
-
-    def _interval_sketch(self, name: str, sketch):
-        previous = self._prev.sketches.get(name)
-        self._prev.sketches[name] = sketch.state()
+    def _interval_sketch(self, key, sketch: LogSketch) -> LogSketch:
+        """Observations since the last sample.  ``since`` carries no
+        min/max, so interval quantiles are pure bucket estimates."""
+        previous = self._prev_sketches.get(key)
+        self._prev_sketches[key] = sketch.state()
         return sketch.since(previous)
 
     def sample(self) -> Frame:
         """Cut one frame covering [previous sample, now)."""
         collector = self.collector
-        # Pull-updated instruments (per-node delivery totals) refresh at
-        # sampling cadence, right before the deltas are taken.
+        # Pull-updated totals (deliveries) refresh at sampling cadence,
+        # right before the deltas are taken.
         collector.refresh()
         now = self.clock.now()
         duration = now - self._window_start
-        proposes = self._delta(collector.proposes)
-        decides_by_path = self._path_deltas()
-        decides = sum(decides_by_path.values())
-        deliveries = self._delta(collector.deliveries)
+        delta = self._delta
 
+        path_counts: Dict[str, int] = {}
         path_p50: Dict[str, float] = {}
         path_p99: Dict[str, float] = {}
-        overall = None
+        overall = LogSketch()
         for path in PATHS:
-            child = collector.latency.children.get((path,))
-            if child is None:
-                continue
-            interval_sketch = self._interval_sketch(f"latency:{path}", child.sketch)
-            if overall is None:
-                overall = interval_sketch
-            else:
-                overall.merge(interval_sketch)
+            count = delta(("decides", path), collector.decides[path])
+            if count:
+                path_counts[path] = count
+            interval_sketch = self._interval_sketch(path, collector.latency[path])
+            overall.merge(interval_sketch)
             if interval_sketch.count:
                 path_p50[path] = interval_sketch.quantile(50)
                 path_p99[path] = interval_sketch.quantile(99)
-        nan = float("nan")
-        p50 = overall.quantile(50) if overall is not None else nan
-        p99 = overall.quantile(99) if overall is not None else nan
-
-        fsync_p99 = nan
-        fsyncs = int(self._delta(collector.fsyncs))
-        fsync_overall = None
-        for key, child in collector.fsync_seconds.children.items():
-            interval_sketch = self._interval_sketch(
-                f"fsync:{key[0]}", child.sketch
-            )
-            if fsync_overall is None:
-                fsync_overall = interval_sketch
-            else:
-                fsync_overall.merge(interval_sketch)
-        if fsync_overall is not None and fsync_overall.count:
-            fsync_p99 = fsync_overall.quantile(99)
+        decides = sum(path_counts.values())
+        fsync = self._interval_sketch("fsync", collector.fsync_seconds)
 
         zone_decides: Dict[str, int] = {}
-        zone_fast: Dict[str, int] = {}
+        zone_fast_share: Dict[str, float] = {}
         zone_p50: Dict[str, float] = {}
         zone_p99: Dict[str, float] = {}
-        if collector.zone_decides is not None:
-            for (zone, path), child in collector.zone_decides.children.items():
-                key = f"zone_decides:{zone}:{path}"
-                previous = self._prev.totals.get(key, 0.0)
-                self._prev.totals[key] = child.value
-                delta = int(child.value - previous)
-                if delta:
-                    zone_decides[zone] = zone_decides.get(zone, 0) + delta
-                    if path == "fast":
-                        zone_fast[zone] = zone_fast.get(zone, 0) + delta
-            for (zone,), child in collector.zone_latency.children.items():
-                interval_sketch = self._interval_sketch(
-                    f"zone_latency:{zone}", child.sketch
-                )
-                if interval_sketch.count:
-                    zone_p50[zone] = interval_sketch.quantile(50)
-                    zone_p99[zone] = interval_sketch.quantile(99)
-        zone_fast_share = {
-            zone: zone_fast.get(zone, 0) / count
-            for zone, count in zone_decides.items()
-        }
+        for zone, total in collector.zone_decides.items():
+            count = delta(("zone", zone), total)
+            fast = delta(("zone_fast", zone), collector.zone_fast.get(zone, 0))
+            if count:
+                zone_decides[zone] = count
+                zone_fast_share[zone] = fast / count
+        for zone, sketch in collector.zone_latency.items():
+            interval_sketch = self._interval_sketch(("zone", zone), sketch)
+            if interval_sketch.count:
+                zone_p50[zone] = interval_sketch.quantile(50)
+                zone_p99[zone] = interval_sketch.quantile(99)
 
-        outbox = collector.outbox_depth.children.values()
-        window = collector.client_window.children.values()
+        nan = float("nan")
         frame = Frame(
             index=self._index,
             start=self._window_start,
             end=now,
-            proposes=int(proposes),
+            proposes=delta("proposes", collector.proposes),
             decides=decides,
-            deliveries=int(deliveries),
+            deliveries=delta("deliveries", collector.deliveries),
             throughput=decides / duration if duration > 0 else 0.0,
-            path_counts=decides_by_path,
+            path_counts=path_counts,
             path_p50=path_p50,
             path_p99=path_p99,
-            p50=p50,
-            p99=p99,
-            fast_share=(
-                decides_by_path.get("fast", 0) / decides if decides else nan
-            ),
+            p50=overall.quantile(50),
+            p99=overall.quantile(99),
+            fast_share=path_counts.get("fast", 0) / decides if decides else nan,
             inflight=collector.pending(),
-            client_window=int(max((g.value for g in window), default=0)),
-            outbox_depth=int(max((g.value for g in outbox), default=0)),
-            wire_messages=int(self._delta(collector.wire_messages)),
-            wire_bytes=int(self._delta(collector.wire_bytes)),
-            fsyncs=fsyncs,
-            fsync_p99=fsync_p99,
-            epoch_bumps=int(self._delta(collector.epoch_bumps)),
-            handoffs=int(self._delta(collector.handoffs)),
-            dropped_commands=int(collector.dropped.value),
+            client_window=max(collector.client_window.values(), default=0),
+            outbox_depth=max(collector.outbox_depth.values(), default=0),
+            wire_messages=delta("wire_messages", collector.wire_messages),
+            wire_bytes=delta("wire_bytes", collector.wire_bytes),
+            fsyncs=delta("fsyncs", collector.fsyncs),
+            fsync_p99=fsync.quantile(99),
+            epoch_bumps=delta("epoch_bumps", collector.epoch_bumps),
+            handoffs=delta("handoffs", collector.handoffs),
+            dropped_commands=collector.dropped,
             faults=tuple(collector.drain_faults()),
-            migrations=int(self._delta(collector.migrations)),
-            reads_local=int(self._delta(collector.reads_local)),
+            migrations=delta("migrations", collector.migrations),
+            reads_local=delta("reads_local", collector.reads_local),
             zone_decides=zone_decides,
             zone_fast_share=zone_fast_share,
             zone_p50=zone_p50,
@@ -301,27 +243,3 @@ class IntervalSampler:
         if self._wall_task is not None:
             self._wall_task.cancel()
             self._wall_task = None
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-
-    def write_jsonl(self, path: str) -> int:
-        """Write every buffered frame as one JSON object per line."""
-        count = 0
-        with open(path, "w", encoding="utf-8") as fh:
-            for frame in self.frames:
-                fh.write(json.dumps(_jsonable(frame.to_dict())) + "\n")
-                count += 1
-        return count
-
-
-def _jsonable(obj):
-    """JSON has no NaN; export them as null."""
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj

@@ -18,7 +18,7 @@ stay honest.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 DEFAULT_GROWTH = 2.0 ** 0.125
 
@@ -172,19 +172,6 @@ class LogSketch:
                 self.minimum = value
             if self.maximum is None or value > self.maximum:
                 self.maximum = value
-
-    def nonzero_buckets(self) -> Iterator[Tuple[float, int]]:
-        """Yield ``(upper_edge, cumulative_count)`` for non-empty buckets.
-
-        This is the Prometheus classic-histogram shape: cumulative counts
-        keyed by ``le`` upper bounds, sparse so a 260-bucket sketch with a
-        handful of occupied buckets stays cheap to render.
-        """
-        cumulative = 0
-        for i, bucket_count in enumerate(self.counts):
-            if bucket_count:
-                cumulative += bucket_count
-                yield (self._edges[i + 1], cumulative)
 
     def extend(self, values: Iterable[float]) -> None:
         for value in values:

@@ -255,9 +255,6 @@ class RuntimeNode(Host):
         # ``(src, dst, now)`` to the delay offsets of the copies of each
         # outbound message -- [] drops, [0.0] passes, more duplicates.
         self.wire_faults: Optional[Callable[[int, int, float], list[float]]] = None
-        # Scrape address of this node's Prometheus /metrics endpoint,
-        # stamped by LocalCluster.start_telemetry(serve=True).
-        self.metrics_address: Optional[Address] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._links: dict[int, _Link] = {}
         self._inbound: set[asyncio.Transport] = set()

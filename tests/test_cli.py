@@ -46,34 +46,6 @@ class TestCli:
         assert "telemetry (final interval frame)" in out
         assert "fast%" in out
 
-    def test_top_sim_smoke(self, tmp_path, capsys):
-        jsonl = tmp_path / "frames.jsonl"
-        code = main(
-            [
-                "top",
-                "--protocol",
-                "m2paxos",
-                "--nodes",
-                "3",
-                "--duration",
-                "0.1",
-                "--warmup",
-                "0.05",
-                "--interval",
-                "0.05",
-                "--jsonl",
-                str(jsonl),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "repro top" in out
-        assert "cps" in out
-        lines = jsonl.read_text().splitlines()
-        assert lines
-        frame = json.loads(lines[-1])
-        assert "decides" in frame and "p50" in frame
-
     def test_run_tpcc(self, capsys):
         code = main(
             [

@@ -1,9 +1,8 @@
 """ClusterSpec: the one config object both substrates consume.
 
-Covers validated construction from dicts (every error names the bad
-key path), the protocol factory a spec names (and that no other
-protocol exists), and building a running cluster from one spec, on
-either substrate.
+Covers validated construction (every error names the bad field), the
+protocol factory a spec names (and that no other protocol exists), and
+building a running cluster from one spec, on either substrate.
 """
 
 import asyncio
@@ -14,7 +13,7 @@ import pkgutil
 import pytest
 
 import repro
-from repro.bench.harness import PointSpec, protocol_factory
+from repro.bench.harness import protocol_factory
 from repro.consensus.base import Env, Protocol
 from repro.consensus.commands import Command
 from repro.consensus.epaxos import EPaxos
@@ -43,114 +42,12 @@ class TestConstruction:
         with pytest.raises(ConfigError, match="n_nodes"):
             ClusterSpec(n_nodes=0)
 
-
-class TestFromDict:
-    def test_empty_dict_is_defaults(self):
-        spec = ClusterSpec.from_dict({})
-        defaults = ClusterSpec()
-        # The network default carries a LatencyModel instance without
-        # structural equality, so compare the scalar fields.
-        assert (spec.protocol, spec.n_nodes, spec.seed) == (
-            defaults.protocol,
-            defaults.n_nodes,
-            defaults.seed,
-        )
-        assert spec.m2 is None and spec.storage is None
-
-    def test_happy_path_full(self):
-        spec = ClusterSpec.from_dict(
-            {
-                "protocol": "multipaxos",
-                "n_nodes": 5,
-                "seed": 42,
-                "network": {"bandwidth": 1e9, "batching": False},
-                "cpu": {"cores": 4, "speed": 2.0},
-                "storage": {"kind": "mem", "snapshot_every": 100},
-            }
-        )
-        assert spec.protocol == "multipaxos"
-        assert spec.n_nodes == 5
-        assert spec.network.bandwidth == 1e9
-        assert spec.network.batching is False
-        assert spec.cpu.cores == 4
-        assert spec.storage.kind == "mem"
-        assert spec.storage.snapshot_every == 100
-
-    def test_m2_section(self):
-        spec = ClusterSpec.from_dict({"m2": {"batch_wait": 0.002}})
-        assert spec.m2.batch_wait == 0.002
-
-    def test_not_a_dict(self):
-        with pytest.raises(ConfigError, match="must be a dict"):
-            ClusterSpec.from_dict([("n_nodes", 3)])
-
-    @pytest.mark.parametrize(
-        "key, value",
-        # A typo, and the two runtime switches that no longer exist.
-        [("protcol", "m2paxos"), ("codec", "json"), ("uvloop", True)],
-    )
-    def test_unknown_top_level_key_named(self, key, value):
-        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
-            ClusterSpec.from_dict({key: value})
-
-    def test_unknown_nested_key_named_with_path(self):
-        with pytest.raises(ConfigError, match="'network.bandwith'"):
-            ClusterSpec.from_dict({"network": {"bandwith": 1e9}})
-
-    def test_non_scalar_fields_rejected_by_path(self):
-        with pytest.raises(ConfigError, match="network.latency"):
-            ClusterSpec.from_dict({"network": {"latency": 0.0001}})
-        with pytest.raises(ConfigError, match="m2.home_hint"):
-            ClusterSpec.from_dict({"m2": {"home_hint": "x"}})
-
-    def test_scalar_type_error_names_path(self):
-        with pytest.raises(ConfigError, match="n_nodes"):
-            ClusterSpec.from_dict({"n_nodes": "three"})
-        with pytest.raises(ConfigError, match="cpu.cores"):
-            ClusterSpec.from_dict({"cpu": {"cores": "many"}})
-
-    def test_bool_is_not_an_int(self):
-        with pytest.raises(ConfigError, match="n_nodes"):
-            ClusterSpec.from_dict({"n_nodes": True})
-
-    def test_int_promotes_to_float(self):
-        # JSON has no int/float distinction; 2 must satisfy a float field.
-        spec = ClusterSpec.from_dict({"cpu": {"speed": 2}})
-        assert spec.cpu.speed == 2.0
-
-    def test_capacity_nodes_list_coerced_to_tuple(self):
-        spec = ClusterSpec.from_dict(
-            {"storage": {"kind": "mem", "capacity_nodes": [0, 2]}}
-        )
-        assert spec.storage.capacity_nodes == (0, 2)
-
-    def test_capacity_nodes_rejects_non_ints(self):
-        with pytest.raises(ConfigError, match="storage.capacity_nodes"):
-            ClusterSpec.from_dict(
-                {"storage": {"kind": "mem", "capacity_nodes": ["a"]}}
-            )
-
-    def test_section_post_init_error_wrapped(self):
-        # StorageConfig's own __post_init__ rejects bad kinds; from_dict
-        # must surface that as a ConfigError naming the section.
-        with pytest.raises(ConfigError, match="storage"):
-            ClusterSpec.from_dict({"storage": {"kind": "tape"}})
-        with pytest.raises(ConfigError, match="cpu"):
-            ClusterSpec.from_dict({"cpu": {"cores": 0}})
-
-    def test_section_must_be_dict(self):
-        with pytest.raises(ConfigError, match="network"):
-            ClusterSpec.from_dict({"network": "fast"})
-
-    def test_bad_choice_propagates_from_post_init(self):
-        with pytest.raises(ConfigError, match="protocol"):
-            ClusterSpec.from_dict({"protocol": "raft"})
-
-    def test_from_dict_reads_only_the_deployment(self):
-        """A bench point is a ClusterSpec plus its load; a load key is
-        refused by name, not dropped."""
-        with pytest.raises(ConfigError, match="unknown key 'workload'"):
-            PointSpec.from_dict({"n_nodes": 5, "workload": "tpcc"})
+    def test_sections_validate_their_own_values(self):
+        # Each section dataclass checks its values in __post_init__.
+        with pytest.raises(ValueError, match="storage kind"):
+            StorageConfig(kind="tape")
+        with pytest.raises(ValueError, match="cores"):
+            CpuConfig(cores=0)
 
 
 class TestCompilation:

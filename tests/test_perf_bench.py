@@ -67,9 +67,8 @@ def test_telemetry_overhead_schema():
     assert telemetry["off"]["commands_per_sec"] > 0
     on = telemetry["on"]
     assert on["commands_per_sec"] > 0
-    # The on arm actually ran the stack: wall-clock frames may be few at
-    # micro scale, but the per-node endpoints must have been up.
-    assert on["endpoints"] == 3
+    # The on arm actually ran the stack: its sampler cut frames.
+    assert on["frames"] >= 1
     assert telemetry["overhead_ratio"] == pytest.approx(
         telemetry["off"]["commands_per_sec"] / on["commands_per_sec"]
     )

@@ -1,17 +1,15 @@
-"""Live telemetry: sketch, registry, sampler, exposition, health.
+"""Live telemetry: sketch, collector, sampler, health.
 
 Covers the whole ``repro.obs.telemetry`` stack on both substrates: unit
-tests for the quantile sketch and the registry, a sim end-to-end run
-(frames, JSONL export, determinism with the sampler attached), and the
-Prometheus text endpoint served mid-run by a real runtime cluster.
+tests for the quantile sketch and the collector, a sim end-to-end run
+(frames, determinism with the sampler attached), and the wall-clock
+sampler on a real runtime cluster under pipelined load.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import math
-import urllib.request
 
 import pytest
 
@@ -21,10 +19,7 @@ from repro.obs.telemetry import (
     HealthConfig,
     HealthDetector,
     LogSketch,
-    MetricsRegistry,
     Telemetry,
-    render_frames,
-    render_prometheus,
 )
 from repro.obs.telemetry.sampler import Frame
 
@@ -90,113 +85,8 @@ class TestLogSketch:
         with pytest.raises(ValueError, match="layout"):
             LogSketch().merge(LogSketch(low=1e-2))
 
-    def test_nonzero_buckets_are_cumulative(self):
-        sketch = LogSketch()
-        sketch.extend([1e-3] * 4 + [1e-1] * 6)
-        buckets = list(sketch.nonzero_buckets())
-        assert len(buckets) == 2
-        assert [c for _, c in buckets] == [4, 10]
-        assert buckets[0][0] < buckets[1][0]
-
     def test_default_growth_bound_is_about_4_5_percent(self):
         assert LogSketch().relative_error == pytest.approx(0.0443, abs=5e-4)
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-
-class TestRegistry:
-    def test_counter_only_goes_up(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c_total")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        with pytest.raises(ValueError, match="only go up"):
-            counter.inc(-1)
-
-    def test_gauge_moves_both_ways(self):
-        gauge = MetricsRegistry().gauge("g")
-        gauge.set(5)
-        gauge.inc()
-        gauge.dec(2)
-        assert gauge.value == 4
-
-    def test_labels_validated(self):
-        registry = MetricsRegistry()
-        family = registry.counter("reqs_total", labels=("node", "path"))
-        family.labels(node=1, path="fast").inc()
-        assert family.child(1, "fast").value == 1
-        with pytest.raises(ValueError, match="missing"):
-            family.labels(node=1)
-        with pytest.raises(ValueError, match="unknown"):
-            family.labels(node=1, path="fast", extra="x")
-
-    def test_duplicate_registration_returns_same_family(self):
-        registry = MetricsRegistry()
-        first = registry.counter("dup_total", labels=("node",))
-        assert registry.counter("dup_total", labels=("node",)) is first
-        with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("dup_total", labels=("node",))
-
-    def test_invalid_names_rejected(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError, match="invalid metric name"):
-            registry.counter("9bad")
-        with pytest.raises(ValueError, match="invalid label name"):
-            registry.counter("ok_total", labels=("bad-label",))
-
-    def test_totals_by_label(self):
-        registry = MetricsRegistry()
-        family = registry.counter("t_total", labels=("node", "path"))
-        family.child(0, "fast").inc(3)
-        family.child(1, "fast").inc(2)
-        family.child(1, "slow").inc(1)
-        assert family.total() == 6
-        assert family.totals_by("path") == {"fast": 5.0, "slow": 1.0}
-
-
-# ----------------------------------------------------------------------
-# Prometheus exposition
-# ----------------------------------------------------------------------
-
-
-class TestPrometheusRender:
-    def test_counter_and_gauge_samples(self):
-        registry = MetricsRegistry(const_labels={"protocol": "m2paxos"})
-        registry.counter("reqs_total", "requests", ("node",)).child(0).inc(7)
-        registry.gauge("depth").set(3)
-        text = render_prometheus(registry)
-        assert "# HELP reqs_total requests" in text
-        assert "# TYPE reqs_total counter" in text
-        assert 'reqs_total{protocol="m2paxos",node="0"} 7' in text
-        assert 'depth{protocol="m2paxos"} 3' in text
-
-    def test_histogram_buckets_cumulative(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("lat_seconds")
-        for value in (1e-3, 1e-3, 1e-1):
-            histogram.observe(value)
-        text = render_prometheus(registry)
-        lines = text.splitlines()
-        buckets = [l for l in lines if l.startswith("lat_seconds_bucket")]
-        # Sparse: two occupied buckets plus +Inf.
-        assert len(buckets) == 3
-        counts = [int(l.rsplit(" ", 1)[1]) for l in buckets]
-        assert counts == sorted(counts)
-        assert buckets[-1].startswith('lat_seconds_bucket{le="+Inf"} ')
-        assert counts[-1] == 3
-        assert "lat_seconds_count 3" in text
-        (sum_line,) = [l for l in lines if l.startswith("lat_seconds_sum")]
-        assert float(sum_line.split(" ")[1]) == pytest.approx(0.102)
-
-    def test_label_values_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("e_total", labels=("obj",)).child('a"b\n').inc()
-        text = render_prometheus(registry)
-        assert 'obj="a\\"b\\n"' in text
 
 
 # ----------------------------------------------------------------------
@@ -262,32 +152,6 @@ class TestSimTelemetry:
                 c.cid for c in bare.delivered(node)
             ]
 
-    def test_jsonl_export_renders_nan_as_null(self, tmp_path):
-        _, telemetry = self._run()
-        path = tmp_path / "frames.jsonl"
-        count = telemetry.sampler.write_jsonl(str(path))
-        lines = path.read_text().splitlines()
-        assert count == len(lines) == len(telemetry.frames)
-        payloads = [json.loads(line) for line in lines]
-        idle = [p for p in payloads if p["decides"] == 0]
-        assert idle and all(p["fast_share"] is None for p in idle)
-        busy = [p for p in payloads if p["decides"]]
-        assert busy and all(p["p50"] > 0 for p in busy)
-
-    def test_render_frames_table(self):
-        _, telemetry = self._run()
-        text = render_frames(telemetry.frames, telemetry.events, history=5)
-        assert "cps" in text and "fast%" in text
-        # Idle frames have NaN percentiles; the table renders them as -.
-        assert " - " in text or text.count("-") > 0
-
-    def test_prometheus_from_live_registry(self):
-        _, telemetry = self._run()
-        text = render_prometheus(telemetry.registry)
-        assert 'repro_decides_total{node="0",path="fast"}' in text
-        assert "repro_command_latency_seconds_bucket" in text
-
-
 class TestCollectorBounds:
     def test_pending_map_is_bounded(self):
         from repro.obs.clock import WallClock
@@ -297,7 +161,7 @@ class TestCollectorBounds:
         for i in range(10):
             collector.on_propose(0, Command.make(0, i, ["x"]))
         assert collector.pending() == 4
-        assert collector.dropped.value == 6
+        assert collector.dropped == 6
 
     def test_reproposal_keeps_origin_timestamp(self):
         from repro.obs.clock import WallClock
@@ -316,10 +180,9 @@ class TestCollectorBounds:
         from repro.obs.telemetry import TelemetryCollector
 
         collector = TelemetryCollector(WallClock())
-        gauge = collector.outbox_depth.child(0)
         for dst, depth, worst in ((1, 1, 1), (1, 2, 2), (2, 1, 2), (1, 0, 1), (2, 0, 0)):
             collector.on_note(0, "outbox_depth", {"dst": dst, "depth": depth})
-            assert gauge.value == worst
+            assert collector.outbox_depth[0] == worst
 
 
 # ----------------------------------------------------------------------
@@ -417,7 +280,7 @@ class TestHealthDetector:
 
 
 # ----------------------------------------------------------------------
-# Runtime: wall-clock sampling + Prometheus endpoint mid-run
+# Runtime: wall-clock sampling under pipelined load
 # ----------------------------------------------------------------------
 
 
@@ -425,7 +288,7 @@ class TestRuntimeTelemetry:
     def _drive(self, coro):
         return asyncio.run(asyncio.wait_for(coro, timeout=60))
 
-    def test_prometheus_served_mid_run_under_pipelined_load(self):
+    def test_wall_clock_frames_count_every_decide_under_pipelined_load(self):
         from repro.bench.harness import protocol_factory
         from repro.bench.perf import SATURATION_M2
         from repro.runtime.cluster import LocalCluster
@@ -437,61 +300,23 @@ class TestRuntimeTelemetry:
             )
             await cluster.start()
             try:
-                telemetry = await cluster.start_telemetry(
-                    interval=0.05, serve=True
-                )
-                assert len(telemetry.endpoints) == 3
-                assert all(
-                    node.metrics_address is not None for node in cluster.nodes
-                )
+                telemetry = cluster.start_telemetry(interval=0.05)
                 proposals = [
                     (i % 3, Command.make(i % 3, i + 1, [f"o{i % 3}"]))
                     for i in range(240)
                 ]
                 driver = PipelineDriver(cluster, depth=16)
-                task = asyncio.ensure_future(
-                    driver.run(proposals, timeout=30.0)
-                )
-                # Scrape node 0's endpoint while the run is in flight.
-                host, port = cluster.nodes[0].metrics_address
-                url = f"http://{host}:{port}/metrics"
-                await asyncio.sleep(0.1)
-                body = await asyncio.get_running_loop().run_in_executor(
-                    None, lambda: urllib.request.urlopen(url).read().decode()
-                )
-                await task
-                return body, telemetry
+                await driver.run(proposals, timeout=30.0)
+                # Close the partial last interval: the frames now cover
+                # the whole run, however the 50 ms cadence fell.
+                telemetry.final_sample()
+                return telemetry
             finally:
                 await cluster.stop()
 
-        body, telemetry = self._drive(main())
-        assert "# TYPE repro_proposes_total counter" in body
-        assert "# TYPE repro_command_latency_seconds histogram" in body
-        assert "repro_proposes_total{" in body
-        assert "repro_command_latency_seconds_bucket{" in body
-        # The wall-clock sampler cut frames while the cluster ran.
-        assert len(telemetry.frames) >= 1
-        assert sum(f.decides for f in telemetry.frames) > 0
-
-    def test_unknown_path_is_404(self):
-        from repro.obs.telemetry import MetricsServer
-
-        async def main():
-            server = MetricsServer(MetricsRegistry())
-            host, port = await server.start()
-            url = f"http://{host}:{port}/nope"
-            try:
-                try:
-                    await asyncio.get_running_loop().run_in_executor(
-                        None, lambda: urllib.request.urlopen(url)
-                    )
-                except urllib.error.HTTPError as exc:
-                    return exc.code
-                return 200
-            finally:
-                await server.stop()
-
-        assert self._drive(main()) == 404
+        telemetry = self._drive(main())
+        assert sum(f.decides for f in telemetry.frames) == 240
+        assert sum(f.proposes for f in telemetry.frames) >= 240
 
     def test_start_telemetry_twice_rejected(self):
         from repro.runtime.cluster import LocalCluster
@@ -500,9 +325,9 @@ class TestRuntimeTelemetry:
             cluster = LocalCluster(3, lambda i, n: M2Paxos())
             await cluster.start()
             try:
-                await cluster.start_telemetry(interval=0.05)
+                cluster.start_telemetry(interval=0.05)
                 with pytest.raises(RuntimeError, match="already"):
-                    await cluster.start_telemetry(interval=0.05)
+                    cluster.start_telemetry(interval=0.05)
             finally:
                 await cluster.stop()
 
@@ -548,7 +373,7 @@ class TestChaosTelemetry:
 
 
 # ----------------------------------------------------------------------
-# Satellites: span cap, nan rendering, sketch summaries
+# Satellites: span cap, nan rendering
 # ----------------------------------------------------------------------
 
 
@@ -582,28 +407,3 @@ class TestReportNan:
         row = text.splitlines()[-1]
         assert "-" in row.split()[0]
         assert "nan" not in text
-
-
-class TestSummarizeSketch:
-    def test_matches_exact_summary_within_bound(self):
-        from repro.metrics.stats import summarize, summarize_sketch
-
-        values = [1e-3 * (1 + (i * 7) % 97) for i in range(300)]
-        sketch = LogSketch()
-        sketch.extend(values)
-        exact = summarize(values)
-        estimated = summarize_sketch(sketch)
-        assert estimated.count == exact.count
-        assert estimated.mean == pytest.approx(exact.mean)
-        assert estimated.minimum == exact.minimum
-        assert estimated.maximum == exact.maximum
-        for q in ("p50", "p95", "p99"):
-            assert getattr(estimated, q) == pytest.approx(
-                getattr(exact, q), rel=3 * sketch.relative_error
-            )
-
-    def test_empty_sketch_raises(self):
-        from repro.metrics.stats import summarize_sketch
-
-        with pytest.raises(ValueError, match="no values"):
-            summarize_sketch(LogSketch())
