@@ -11,6 +11,8 @@ prints, for the ``src/`` tree of ``CHECKOUT`` (default: this one):
 - ``restated_fields``: field names declared on two or more of those
   classes where neither class subclasses the other -- one knob spelled
   in two places (a subclass redeclaring a default does not count);
+- ``unset_fields``: those fields whose name no call in the checkout
+  outside ``tests/`` passes as a keyword -- a knob only tests turn;
 - ``substrate_probes``: ``getattr``/``hasattr`` calls on a ``node`` or
   ``cluster`` -- code asking its argument which substrate it came from;
 - ``env_observers``: subclasses of ``EnvObserver`` -- consumers of the
@@ -144,6 +146,24 @@ def _restated(fields: dict[str, list[str]], bases: dict[str, list[str]]) -> dict
     }
 
 
+def _unset(fields: dict[str, list[str]], root: Path) -> list[str]:
+    """``Class.field`` for each field of ``fields`` whose name no call in
+    ``root``'s Python files outside ``root/tests`` passes as a keyword."""
+    passed = set()
+    for path in root.rglob("*.py"):
+        if path.relative_to(root).parts[0] == "tests":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                passed.update(keyword.arg for keyword in node.keywords)
+    return sorted(
+        f"{name}.{field}"
+        for name, names in fields.items()
+        for field in names
+        if field not in passed
+    )
+
+
 def measure(src: Path) -> dict:
     lines = 0
     fields: dict[str, list[str]] = {}
@@ -184,6 +204,7 @@ def measure(src: Path) -> dict:
                 bases[node.name] = [_dotted(base).rpartition(".")[2] for base in node.bases]
     protocols, envs = _concrete_subclasses(modules)
     restated = _restated(fields, bases)
+    unset = _unset(fields, src.parent)
     return {
         "src_lines": (lines, ""),
         "config_fields": (
@@ -196,6 +217,7 @@ def measure(src: Path) -> dict:
                 f"{name}({','.join(classes)})" for name, classes in sorted(restated.items())
             ),
         ),
+        "unset_fields": (len(unset), " ".join(unset)),
         "substrate_probes": (len(probes), " ".join(probes)),
         "env_observers": (len(observers), " ".join(sorted(observers))),
         "m2_state_fields": (

@@ -125,11 +125,12 @@ class GpDecide(Message):
 # runs a classic round on one stuck for COLLISION_TIMEOUT seconds.
 COLLISION_CHECK_PERIOD = 0.05
 COLLISION_TIMEOUT = 0.05
+# The node that detects collisions and orders multi-object commands.
+LEADER = 0
 
 
 @dataclass(frozen=True)
 class GenPaxosConfig:
-    leader: int = 0
     retry_timeout: float = 0.3
 
 
@@ -188,7 +189,7 @@ class GenPaxos(Protocol):
         self.recovery_quorum = fast_recovery_quorum(n)
 
     def on_start(self) -> None:
-        if self.env.node_id == self.config.leader:
+        if self.env.node_id == LEADER:
             self._schedule_collision_check()
 
     def _next_req(self) -> int:
@@ -208,7 +209,7 @@ class GenPaxos(Protocol):
             # Serialised through the designated leader: one extra hop
             # before its classic round even starts.
             self.note_path(command, "forward", hops=1)
-            self.env.send(self.config.leader, GpSubmit(command=command))
+            self.env.send(LEADER, GpSubmit(command=command))
         self._arm_retry(command)
 
     def _is_learned(self, command: Command) -> bool:

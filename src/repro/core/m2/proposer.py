@@ -406,7 +406,6 @@ class ProposerMixin:
         command: Command,
         eps: dict[Instance, int],
         full_ins: Optional[tuple[Instance, ...]] = None,
-        scoped: bool = False,
     ) -> None:
         """Plain accept of ``command`` at all its instances (fast path,
         clean acquisitions, and full-set recoveries)."""
@@ -416,7 +415,6 @@ class ProposerMixin:
             eps,
             retry_command=command,
             cmd_ins=cmd_ins,
-            scoped=scoped,
         )
 
     def _send_accept_round(

@@ -8,10 +8,11 @@ chosen on two common objects are chosen in the same relative order --
 the heart of the paper's Consistency argument (claim B in Section V-C).
 
 This module re-implements that abstract specification in Python and
-explores it exhaustively with breadth-first search.  Bounds are
-configurable; the defaults (3 acceptors, 2 objects, 2 commands, 2
-instances, single ballot) finish in seconds and still cover the
-interesting interleavings of atomic multi-object voting.  A two-ballot
+explores it exhaustively with breadth-first search.  The model is
+fixed at 3 acceptors, 2 objects, 2 commands and 2 instances (the module
+constants below); with the default single ballot it finishes in seconds
+and still covers the interesting interleavings of atomic multi-object
+voting.  A two-ballot
 configuration (adding JoinBallot/recovery interleavings, closer to the
 appendix's reported run) is exercised by the slower benchmark-style
 test and the ``python -m repro.core.modelcheck`` entry point.
@@ -41,14 +42,16 @@ from repro.core.quorum import (
 )
 
 
+N_ACCEPTORS = 3
+OBJECTS = ("o1", "o2")
+# command -> objects accessed; mirrors the appendix's model of one
+# command accessing both objects and one accessing a single object.
+COMMANDS = {"c1": ("o1", "o2"), "c2": ("o1",)}
+N_INSTANCES = 2
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    n_acceptors: int = 3
-    objects: tuple[str, ...] = ("o1", "o2")
-    # command -> objects accessed; mirrors the appendix's model of one
-    # command accessing both objects and one accessing a single object.
-    commands: dict = None  # type: ignore[assignment]
-    n_instances: int = 2
     n_ballots: int = 1
     max_states: int = 2_000_000
     # Quorum system under test (see repro.core.quorum); None means the
@@ -59,23 +62,15 @@ class ModelConfig:
     # configured system admits.
     quorum_system: Optional[QuorumSystem] = None
 
-    def __post_init__(self) -> None:
-        if self.commands is None:
-            object.__setattr__(
-                self,
-                "commands",
-                {"c1": ("o1", "o2"), "c2": ("o1",)},
-            )
-
     def bound_system(self) -> QuorumSystem:
-        """The quorum system bound to ``n_acceptors``."""
+        """The quorum system bound to :data:`N_ACCEPTORS`."""
         system = self.quorum_system or MajorityQuorums()
         if system.n is None:
-            return system.build(self.n_acceptors)
-        if system.n != self.n_acceptors:
+            return system.build(N_ACCEPTORS)
+        if system.n != N_ACCEPTORS:
             raise ValueError(
                 f"quorum system is bound to n={system.n}, "
-                f"model has {self.n_acceptors} acceptors"
+                f"model has {N_ACCEPTORS} acceptors"
             )
         return system
 
@@ -108,10 +103,7 @@ class ModelChecker:
     # ------------------------------------------------------------------
 
     def initial_state(self) -> State:
-        cfg = self.config
-        ballots = tuple(
-            tuple(-1 for _o in cfg.objects) for _a in range(cfg.n_acceptors)
-        )
+        ballots = tuple(tuple(-1 for _o in OBJECTS) for _a in range(N_ACCEPTORS))
         return (frozenset(), ballots, frozenset())
 
     def _vote_at(self, votes, acceptor, obj, instance, ballot) -> Optional[str]:
@@ -136,10 +128,10 @@ class ModelChecker:
 
     def _next_instance(self, votes, obj) -> int:
         """First instance of ``obj`` with nothing chosen yet (1-based)."""
-        for instance in range(1, self.config.n_instances + 1):
+        for instance in range(1, N_INSTANCES + 1):
             if self._chosen(votes, obj, instance) is None:
                 return instance
-        return self.config.n_instances + 1
+        return N_INSTANCES + 1
 
     # ------------------------------------------------------------------
     # Transitions
@@ -150,37 +142,37 @@ class ModelChecker:
         cfg = self.config
 
         # Propose(c)
-        for command in cfg.commands:
+        for command in COMMANDS:
             if command not in proposed:
                 yield (proposed | {command}, ballots, votes)
 
         # JoinBallot(a, o, b)
-        for a in range(cfg.n_acceptors):
-            for oi, obj in enumerate(cfg.objects):
+        for a in range(N_ACCEPTORS):
+            for oi, obj in enumerate(OBJECTS):
                 for b in range(cfg.n_ballots):
                     if ballots[a][oi] < b:
                         new_ballots = tuple(
                             tuple(
                                 b if (a2 == a and o2 == oi) else ballots[a2][o2]
-                                for o2 in range(len(cfg.objects))
+                                for o2 in range(len(OBJECTS))
                             )
-                            for a2 in range(cfg.n_acceptors)
+                            for a2 in range(N_ACCEPTORS)
                         )
                         yield (proposed, new_ballots, votes)
 
         # Vote(a, c, is): atomic across the command's objects.
-        for a in range(cfg.n_acceptors):
+        for a in range(N_ACCEPTORS):
             for command in proposed:
-                accessed = cfg.commands[command]
+                accessed = COMMANDS[command]
                 choices = []
                 feasible = True
                 for obj in accessed:
-                    oi = cfg.objects.index(obj)
+                    oi = OBJECTS.index(obj)
                     ballot = ballots[a][oi]
                     if ballot < 0:
                         feasible = False
                         break
-                    limit = min(self._next_instance(votes, obj), cfg.n_instances)
+                    limit = min(self._next_instance(votes, obj), N_INSTANCES)
                     valid = [
                         i
                         for i in range(1, limit + 1)
@@ -196,7 +188,7 @@ class ModelChecker:
                     new_votes = set(votes)
                     replaced = False
                     for (obj, _valid), instance in zip(choices, picks):
-                        oi = cfg.objects.index(obj)
+                        oi = OBJECTS.index(obj)
                         ballot = ballots[a][oi]
                         existing = self._vote_at(votes, a, obj, instance, ballot)
                         if existing == command:
@@ -208,7 +200,6 @@ class ModelChecker:
 
     def _vote_ok(self, votes, ballots, a, obj, oi, instance, command) -> bool:
         """MultiPaxos Vote preconditions for one (object, instance)."""
-        cfg = self.config
         ballot = ballots[a][oi]
         existing = self._vote_at(votes, a, obj, instance, ballot)
         if existing is not None and existing != command:
@@ -241,7 +232,7 @@ class ModelChecker:
         )
         if best is not None:
             return {best[1]}
-        return set(self.config.commands)
+        return set(COMMANDS)
 
     # ------------------------------------------------------------------
     # Invariant
@@ -250,18 +241,17 @@ class ModelChecker:
     def check_state(self, state: State) -> None:
         """CorrectnessSimple: shared-object choices agree on order."""
         _proposed, _ballots, votes = state
-        cfg = self.config
         chosen: dict[str, dict[str, int]] = {}  # obj -> command -> instance
-        for obj in cfg.objects:
+        for obj in OBJECTS:
             chosen[obj] = {}
-            for instance in range(1, cfg.n_instances + 1):
+            for instance in range(1, N_INSTANCES + 1):
                 command = self._chosen(votes, obj, instance)
                 if command is not None and command not in chosen[obj]:
                     chosen[obj][command] = instance
-        commands = list(cfg.commands)
+        commands = list(COMMANDS)
         for idx, c1 in enumerate(commands):
             for c2 in commands[idx + 1 :]:
-                shared = set(cfg.commands[c1]) & set(cfg.commands[c2])
+                shared = set(COMMANDS[c1]) & set(COMMANDS[c2])
                 orders = set()
                 for obj in shared:
                     if c1 in chosen[obj] and c2 in chosen[obj]:
@@ -324,7 +314,8 @@ def main() -> None:  # pragma: no cover - CLI entry point
     config = ModelConfig(n_ballots=ballots, max_states=cap)
     checker = ModelChecker(config)
     bounds = (
-        f"acceptors=3, objects=2, commands=2, instances=2, ballots={ballots}"
+        f"acceptors={N_ACCEPTORS}, objects={len(OBJECTS)}, "
+        f"commands={len(COMMANDS)}, instances={N_INSTANCES}, ballots={ballots}"
     )
     try:
         states = checker.run()

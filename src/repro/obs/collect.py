@@ -29,8 +29,7 @@ protocols' structured notes (``path`` / ``quorum`` / ``decide`` /
   them, so nothing books a command a second time;
 - optionally (``record_spans=True``) a full span log for the Chrome
   trace exporter.  Span retention is opt-in *and* bounded: at most
-  ``max_spans`` spans are kept (default
-  :attr:`ObsCollector.DEFAULT_MAX_SPANS`); further spans are counted in
+  :data:`MAX_SPANS` spans are kept; further spans are counted in
   ``dropped_spans`` instead of retained, so long runs cannot exhaust
   memory.  For unbounded-run live metrics use
   :mod:`repro.obs.telemetry`, which never stores per-event state.
@@ -146,6 +145,12 @@ class OwnershipChurn:
         return sum(self.owner_handoffs.values())
 
 
+MAX_SPANS = 200_000
+"""Ceiling on retained spans when ``record_spans=True``.  A saturated run
+emits several spans per command; 200k entries is minutes of heavy
+traffic while bounding memory to tens of MB.  Spans past the cap are
+counted in ``dropped_spans``, not stored."""
+
 _NOTE_KINDS = frozenset({
     "wire_bytes", "read_local", "path", "epoch_bump", "owner_handoff",
     "outbox_depth", "inflight", "fsync", "snapshot", "recovery", "fault",
@@ -161,18 +166,7 @@ and ``quorum_at``: the JSONL export and the delay counts read them, no
 class ObsCollector(EnvObserver):
     """Attach to every node's Env; query after (or during) the run."""
 
-    #: Default ceiling on retained spans when ``record_spans=True``.  A
-    #: saturated run emits several spans per command; 200k entries is
-    #: minutes of heavy traffic while bounding memory to tens of MB.
-    #: Spans past the cap are counted in ``dropped_spans``, not stored.
-    DEFAULT_MAX_SPANS = 200_000
-
-    def __init__(
-        self,
-        clock: Clock,
-        record_spans: bool = False,
-        max_spans: Optional[int] = None,
-    ) -> None:
+    def __init__(self, clock: Clock, record_spans: bool = False) -> None:
         self.clock = clock
         self.record_spans = record_spans
         # Handler CPU is attributed only where spans are recorded (the
@@ -180,7 +174,6 @@ class ObsCollector(EnvObserver):
         # bracket would cost every message two clock reads.
         self.wants_handler_timing = record_spans
         self.note_kinds = _SPAN_NOTE_KINDS if record_spans else _NOTE_KINDS
-        self.max_spans = self.DEFAULT_MAX_SPANS if max_spans is None else max_spans
         self.dropped_spans = 0
         self.traces: dict[Cid, CommandTrace] = {}
         self.spans: list[Span] = []
@@ -207,24 +200,17 @@ class ObsCollector(EnvObserver):
     # ------------------------------------------------------------------
 
     @classmethod
-    def for_cluster(
-        cls,
-        cluster,
-        record_spans: bool = False,
-        max_spans: Optional[int] = None,
-    ) -> "ObsCollector":
+    def for_cluster(cls, cluster, record_spans: bool = False) -> "ObsCollector":
         """Build and attach to a sim ``Cluster`` or runtime ``LocalCluster``:
         the virtual clock when the cluster has an event loop, wall time
         otherwise."""
-        collector = cls(
-            clock_for(cluster), record_spans=record_spans, max_spans=max_spans
-        )
+        collector = cls(clock_for(cluster), record_spans=record_spans)
         collector.attach(cluster)
         return collector
 
     def _add_span(self, span: Span) -> None:
         """Retain ``span`` unless the cap is hit (then count the drop)."""
-        if len(self.spans) >= self.max_spans:
+        if len(self.spans) >= MAX_SPANS:
             self.dropped_spans += 1
             return
         self.spans.append(span)

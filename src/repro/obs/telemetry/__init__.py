@@ -18,7 +18,7 @@ Layers (each usable alone):
 """
 
 from .collector import PATHS, TelemetryCollector
-from .health import HealthConfig, HealthDetector, HealthEvent
+from .health import HealthDetector, HealthEvent
 from .sampler import Frame, IntervalSampler
 from .service import Telemetry
 from .sketch import LogSketch
@@ -26,7 +26,6 @@ from .sketch import LogSketch
 __all__ = [
     "PATHS",
     "Frame",
-    "HealthConfig",
     "HealthDetector",
     "HealthEvent",
     "IntervalSampler",

@@ -9,7 +9,7 @@ moment it arrives -- cluster-wide counters, one ``LogSketch`` per
 decision path, zone and the fsync stream, and per-node outbox and
 client-window gauges.  The only per-command state is a pending map from
 cid to ``(proposed_at, path)`` that is popped at proposer delivery and
-capped at ``max_pending`` entries (overflow counted, never stored), so a
+capped at :data:`MAX_PENDING` entries (overflow counted, never stored), so a
 week-long run holds the same few hundred kilobytes as a one-second run.
 
 The collector is *push where it must, pull where it can*: per-event
@@ -37,6 +37,10 @@ from .sketch import LogSketch
 # throughput and latency breakdowns like any other completion.
 PATHS = tuple(PATH_SEVERITY) + ("read_local",)
 
+# Bound on the pending map: commands proposed and not yet delivered
+# that are latency-tracked at once.
+MAX_PENDING = 65536
+
 
 class TelemetryCollector(EnvObserver):
     """Fold the env event stream into plain counters, gauges and sketches."""
@@ -51,13 +55,7 @@ class TelemetryCollector(EnvObserver):
     # copies' fan-out can be skipped.
     deliver_scope = "proposer"
 
-    def __init__(
-        self,
-        clock: Clock,
-        max_pending: int = 65536,
-        zones: Optional[Sequence[int]] = None,
-    ) -> None:
-        self.max_pending = max_pending
+    def __init__(self, clock: Clock, zones: Optional[Sequence[int]] = None) -> None:
         # Cumulative cluster-wide counters; the sampler differences them.
         self.proposes = 0
         self.deliveries = 0  # pulled in refresh()
@@ -69,7 +67,7 @@ class TelemetryCollector(EnvObserver):
         self.handoffs = 0
         self.migrations = 0
         self.reads_local = 0
-        # Commands not latency-tracked because max_pending was hit.
+        # Commands not latency-tracked because MAX_PENDING was hit.
         self.dropped = 0
         # Propose-to-proposer-delivery latency by path, and the wall
         # time of one storage flush.
@@ -90,7 +88,7 @@ class TelemetryCollector(EnvObserver):
         self.client_window: Dict[int, int] = {}
         self._outbox_held: Dict[int, Dict[int, int]] = {}
         # cid -> (proposed_at, worst path seen so far).  Popped at
-        # proposer delivery; bounded by max_pending.
+        # proposer delivery; bounded by MAX_PENDING.
         self._pending: Dict[Tuple[int, int], Tuple[float, str]] = {}
         # Note dispatch by kind: one dict probe per note.
         self._note_handlers = {
@@ -169,7 +167,7 @@ class TelemetryCollector(EnvObserver):
         pending = self._pending
         if cid in pending:
             return  # re-proposal keeps the origin timestamp
-        if len(pending) >= self.max_pending:
+        if len(pending) >= MAX_PENDING:
             self.dropped += 1
             return
         pending[cid] = (self._now(), "fast")

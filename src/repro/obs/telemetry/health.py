@@ -5,14 +5,15 @@ interval against three rules and emits structured events on the
 False→True transition (one event per episode, not per frame):
 
 - ``contention``: the acquisition-path share of decides crosses
-  ``contention_ratio`` — the M²Paxos degenerate regime CAESAR targets.
-- ``overload``: inflight depth crosses ``overload_inflight``, or overall
-  p50 latency rises monotonically across ``overload_slope_frames``
-  consecutive frames by at least ``overload_slope_factor`` total.
-- ``stall``: ``stall_frames`` consecutive frames with proposes but zero
-  decides.
+  :data:`CONTENTION_RATIO` — the M²Paxos degenerate regime CAESAR targets.
+- ``overload``: inflight depth crosses :data:`OVERLOAD_INFLIGHT`, or
+  overall p50 latency rises monotonically across
+  :data:`OVERLOAD_SLOPE_FRAMES` consecutive frames by at least
+  :data:`OVERLOAD_SLOPE_FACTOR` total.
+- ``stall``: :data:`STALL_FRAMES` consecutive frames with proposes but
+  zero decides.
 
-Frames with fewer than ``min_decides`` decides are too sparse for the
+Frames with fewer than :data:`MIN_DECIDES` decides are too sparse for the
 ratio rules (a single slow command would read as 100% contention) and
 only feed the stall rule.
 """
@@ -22,21 +23,19 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List
 
 from .sampler import Frame
 
 HealthListener = Callable[["HealthEvent"], None]
 
 
-@dataclass(frozen=True)
-class HealthConfig:
-    min_decides: int = 8
-    contention_ratio: float = 0.30
-    overload_inflight: int = 512
-    overload_slope_frames: int = 3
-    overload_slope_factor: float = 1.5
-    stall_frames: int = 2
+MIN_DECIDES = 8
+CONTENTION_RATIO = 0.30
+OVERLOAD_INFLIGHT = 512
+OVERLOAD_SLOPE_FRAMES = 3
+OVERLOAD_SLOPE_FACTOR = 1.5
+STALL_FRAMES = 2
 
 
 @dataclass(frozen=True)
@@ -50,14 +49,11 @@ class HealthEvent:
 class HealthDetector:
     """Classify frames; emit events on episode start."""
 
-    def __init__(self, config: Optional[HealthConfig] = None) -> None:
-        self.config = config if config is not None else HealthConfig()
+    def __init__(self) -> None:
         self.events: List[HealthEvent] = []
         self.listeners: List[HealthListener] = []
         self._active: set = set()
-        self._p50_history: Deque[float] = deque(
-            maxlen=max(2, self.config.overload_slope_frames)
-        )
+        self._p50_history: Deque[float] = deque(maxlen=OVERLOAD_SLOPE_FRAMES)
         self._stall_streak = 0
 
     def subscribe(self, listener: HealthListener) -> None:
@@ -82,12 +78,10 @@ class HealthDetector:
     # ------------------------------------------------------------------
 
     def observe_frame(self, frame: Frame) -> None:
-        config = self.config
-
         # --- contention -------------------------------------------------
-        if frame.decides >= config.min_decides:
+        if frame.decides >= MIN_DECIDES:
             ratio = frame.path_ratio("acquisition")
-            if ratio >= config.contention_ratio:
+            if ratio >= CONTENTION_RATIO:
                 self._emit(
                     "contention",
                     frame,
@@ -100,7 +94,7 @@ class HealthDetector:
         # --- overload ---------------------------------------------------
         if not math.isnan(frame.p50):
             self._p50_history.append(frame.p50)
-        depth_breach = frame.inflight >= config.overload_inflight
+        depth_breach = frame.inflight >= OVERLOAD_INFLIGHT
         slope_breach = False
         history = self._p50_history
         if len(history) == history.maxlen and history[0] > 0:
@@ -108,7 +102,7 @@ class HealthDetector:
                 later >= earlier for earlier, later in zip(history, list(history)[1:])
             )
             slope_breach = (
-                rising and history[-1] >= config.overload_slope_factor * history[0]
+                rising and history[-1] >= OVERLOAD_SLOPE_FACTOR * history[0]
             )
         if depth_breach or slope_breach:
             self._emit(
@@ -127,7 +121,7 @@ class HealthDetector:
         elif frame.decides > 0:
             self._stall_streak = 0
             self._clear("stall")
-        if self._stall_streak >= config.stall_frames:
+        if self._stall_streak >= STALL_FRAMES:
             self._emit(
                 "stall", frame, proposes=frame.proposes, streak=self._stall_streak
             )

@@ -30,6 +30,8 @@ from repro.obs.clock import Clock
 from .collector import PATHS, TelemetryCollector
 from .sketch import LogSketch
 
+RING = 240  # frames kept: a minute of history at the default 0.25 s cadence
+
 FrameListener = Callable[["Frame"], None]
 
 
@@ -56,7 +58,7 @@ class Frame:
     wire_messages: int
     wire_bytes: int
     fsyncs: int
-    fsync_p99: float  # seconds; NaN when no fsyncs this interval
+    fsync_p99: float  # seconds; NaN when no timed (DiskStorage) flush this interval
     epoch_bumps: int
     handoffs: int
     dropped_commands: int  # cumulative, not a delta
@@ -94,14 +96,13 @@ class IntervalSampler:
         collector: TelemetryCollector,
         clock: Clock,
         interval: float = 0.25,
-        ring: int = 240,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
         self.collector = collector
         self.clock = clock
         self.interval = interval
-        self.frames: Deque[Frame] = deque(maxlen=ring)
+        self.frames: Deque[Frame] = deque(maxlen=RING)
         self.listeners: List[FrameListener] = []
         # Previous cumulative totals and sketch states, for differencing.
         self._prev_totals: Dict[object, int] = {}

@@ -27,18 +27,14 @@ from dataclasses import dataclass
 class CpuConfig:
     """Shape of a node's CPU.
 
-    ``cores``: number of parallel workers.
-    ``speed``: relative speed multiplier (1.0 = baseline c3.4xlarge core).
+    ``cores``: number of parallel workers, each a c3.4xlarge core.
     """
 
     cores: int = 16
-    speed: float = 1.0
 
     def __post_init__(self) -> None:
         if self.cores < 1:
             raise ValueError("cores must be >= 1")
-        if self.speed <= 0:
-            raise ValueError("speed must be > 0")
 
 
 class CpuModel:
@@ -53,15 +49,14 @@ class CpuModel:
     def submit(self, now: float, cost: float, serial_fraction: float) -> float:
         """Submit a job arriving at ``now``; return its completion time.
 
-        ``cost`` is the total CPU seconds the job needs on a baseline
-        core.  ``serial_fraction`` of it contends on the node-global
-        lock; the rest runs on the least-loaded core.
+        ``cost`` is the total CPU seconds the job needs on one core.
+        ``serial_fraction`` of it contends on the node-global lock; the
+        rest runs on the least-loaded core.
         """
         if cost < 0:
             raise ValueError("cost must be >= 0")
         if not 0.0 <= serial_fraction <= 1.0:
             raise ValueError("serial_fraction must be in [0, 1]")
-        cost = cost / self.config.speed
         serial = cost * serial_fraction
         parallel = cost - serial
 

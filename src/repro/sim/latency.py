@@ -53,23 +53,25 @@ class UniformLatency(LatencyModel):
         return rng.uniform(self.low, self.high)
 
 
+GAUSSIAN_FLOOR = 1e-6  # seconds: the least delay a Gaussian sample gives
+
+
 class GaussianLatency(LatencyModel):
-    """Normally distributed delay, truncated at ``floor``.
+    """Normally distributed delay, truncated at :data:`GAUSSIAN_FLOOR`.
 
     Models a LAN: a tight mean with occasional stragglers.
     """
 
-    def __init__(self, mean: float, stddev: float, floor: float = 1e-6) -> None:
+    def __init__(self, mean: float, stddev: float) -> None:
         if mean <= 0 or stddev < 0:
             raise ValueError("mean must be > 0 and stddev >= 0")
         self.mean = mean
         self.stddev = stddev
-        self.floor = floor
 
     def sample(self, src: int, dst: int, rng: random.Random) -> float:
         if src == dst:
             return self.loopback()
-        return max(self.floor, rng.gauss(self.mean, self.stddev))
+        return max(GAUSSIAN_FLOOR, rng.gauss(self.mean, self.stddev))
 
 
 class TopologyLatency(LatencyModel):

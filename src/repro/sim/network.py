@@ -4,11 +4,11 @@ Delivery delay for a message of ``size`` bytes from ``src`` to ``dst``:
 
     propagation (latency model)  +  (size + header) / bandwidth
 
-Links are FIFO by default (as TCP connections are); the asynchronous
-model of the paper (arbitrary finite delays) is available by turning
-FIFO off and using a jittery latency model.  The network also supports
-message drop probability, partitions, and crashed receivers -- the
-failure-injection hooks used by the fault-tolerance tests.
+with the bandwidth and per-message header of the paper's LAN
+(:data:`BANDWIDTH`, :data:`HEADER_BYTES`).  Links are FIFO, as TCP
+connections are.  The network also supports message drop probability,
+partitions, and crashed receivers -- the failure-injection hooks used by
+the fault-tolerance tests.
 """
 
 from __future__ import annotations
@@ -21,25 +21,22 @@ from repro.sim.event_loop import EventLoop
 from repro.sim.latency import FixedLatency, LatencyModel
 from repro.sim.rng import RngRegistry
 
+BANDWIDTH = 987_500_000.0  # bytes/s per link: the paper's 7.9 Gbps EC2 LAN
+HEADER_BYTES = 58  # fixed per-message framing overhead
+BATCH_FACTOR = 16  # messages one header is amortised over when batching
+
 
 @dataclass
 class NetworkConfig:
     """Knobs for the network model.
 
-    ``bandwidth``: bytes/second per link (EC2 measured ~7.9 Gbps in the
-    paper; default approximates that).
-    ``header_bytes``: fixed per-message framing overhead.
     ``batching``: when True, framing overhead is amortised over
-    ``batch_factor`` messages (the paper batches messages everywhere
+    :data:`BATCH_FACTOR` messages (the paper batches messages everywhere
     except the Figure 2 latency experiment).
     """
 
     latency: LatencyModel = field(default_factory=lambda: FixedLatency(100e-6))
-    bandwidth: float = 987_500_000.0  # 7.9 Gbps in bytes/s
-    header_bytes: int = 58
     batching: bool = True
-    batch_factor: int = 16
-    fifo_links: bool = True
     drop_probability: float = 0.0
     # How transmission delay sizes a message: ``"estimate"`` uses the
     # field-walk approximation in :meth:`Message.size_bytes` (the seed
@@ -50,12 +47,8 @@ class NetworkConfig:
     frame_sizes: str = "estimate"
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be > 0")
         if not 0.0 <= self.drop_probability < 1.0:
             raise ValueError("drop_probability must be in [0, 1)")
-        if self.batch_factor < 1:
-            raise ValueError("batch_factor must be >= 1")
         if self.frame_sizes not in ("estimate", "codec"):
             raise ValueError(
                 f"frame_sizes must be 'estimate' or 'codec', "
@@ -147,10 +140,8 @@ class Network:
 
     def transmission_delay(self, size: int) -> float:
         """Serialisation delay on the wire for ``size`` payload bytes."""
-        header = self.config.header_bytes
-        if self.config.batching:
-            header = header / self.config.batch_factor
-        return (size + header) / self.config.bandwidth
+        header = HEADER_BYTES / BATCH_FACTOR if self.config.batching else HEADER_BYTES
+        return (size + header) / BANDWIDTH
 
     def send(self, src: int, dst: int, message: object, size: int) -> None:
         """Send ``message`` (``size`` payload bytes) from ``src`` to ``dst``."""
@@ -185,11 +176,10 @@ class Network:
     def _schedule_delivery(
         self, src: int, dst: int, message: object, size: int, extra: float
     ) -> None:
-        config = self.config
-        delay = config.latency.sample(src, dst, self._rng)
+        delay = self.config.latency.sample(src, dst, self._rng)
         delay += self.transmission_delay(size) + extra
         arrival = self.loop.now + delay
-        if config.fifo_links and src != dst:
+        if src != dst:
             link = (src, dst)
             last = self._last_delivery.get(link, 0.0)
             if arrival < last:

@@ -13,11 +13,12 @@ keeps real files and fsyncs them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Callable, Optional
 
 from repro.consensus.base import Env, Recovered, Storage, StorageFull, TimerHandle
 from repro.storage.record import frame_record, frame_snapshot, parse_snapshot
+
+SEGMENT_BYTES = 1 << 20  # a backend rolls its active segment past this size
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class StorageConfig:
     proposer's ``batch_wait``.  ``0`` fsyncs synchronously per event;
     ``> 0`` defers each event's release (sends *and* deliveries) until
     one batched fsync covers it; a window's sends leave as one flush.
-    ``segment_bytes``: roll the active segment after this many bytes.
     ``snapshot_every``: take a state snapshot (and truncate the covered
     log) every N flushed records; ``0`` disables snapshots.  An M2Paxos
     record is one Accept, Decide or promise *message*, not one command:
@@ -52,7 +52,6 @@ class StorageConfig:
     kind: str = "none"
     dir: Optional[str] = None
     fsync_wait: float = 0.0
-    segment_bytes: int = 1 << 20
     snapshot_every: int = 0
     capacity_bytes: Optional[int] = None
     capacity_nodes: Optional[tuple[int, ...]] = None
@@ -64,8 +63,6 @@ class StorageConfig:
             )
         if self.fsync_wait < 0:
             raise ValueError("fsync_wait must be >= 0")
-        if self.segment_bytes < 64:
-            raise ValueError("segment_bytes must be >= 64")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
         if self.capacity_bytes is not None and self.capacity_bytes < 1:
@@ -189,24 +186,22 @@ class LogStorage(Storage):
             return
         frames, self._pending = self._pending, []
         flushed_bytes, self._pending_bytes = self._pending_bytes, 0
-        started = perf_counter()
-        self._persist(frames)
-        persist_seconds = perf_counter() - started
+        seconds = self._persist(frames)
         self._log_bytes += flushed_bytes
         self._records_since_snapshot += len(frames)
         self.fsyncs += 1
         self.records_flushed += len(frames)
         if self._env is not None:
-            # ``seconds`` is measured wall time of the persist call (real
-            # fsync latency on DiskStorage, ~0 on MemStorage); consumers
-            # treat it as data, so it never perturbs sim determinism.
-            self._env.observe(
-                "fsync",
-                records=len(frames),
-                bytes=flushed_bytes,
-                wait=self.config.fsync_wait,
-                seconds=persist_seconds,
-            )
+            note = {
+                "records": len(frames),
+                "bytes": flushed_bytes,
+                "wait": self.config.fsync_wait,
+            }
+            # Only a backend that really writes times it: a MemStorage
+            # note carries no ``seconds``, so simulated runs replay exactly.
+            if seconds is not None:
+                note["seconds"] = seconds
+            self._env.observe("fsync", **note)
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -280,8 +275,10 @@ class LogStorage(Storage):
     # Backend primitives
     # ------------------------------------------------------------------
 
-    def _persist(self, frames: list[bytes]) -> None:
-        """Durably write framed records in order (one fsync)."""
+    def _persist(self, frames: list[bytes]) -> Optional[float]:
+        """Durably write framed records in order (one fsync); return the
+        wall seconds the write and fsync took, or ``None`` if nothing
+        real was written."""
         raise NotImplementedError
 
     def _write_snapshot(self, framed: bytes) -> None:

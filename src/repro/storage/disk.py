@@ -3,7 +3,7 @@
 Layout of a node's directory::
 
     seg-00000000.log    append-only record segments, rolled at
-    seg-00000001.log    ``segment_bytes``; names order them
+    seg-00000001.log    ``SEGMENT_BYTES``; names order them
     snap-<seq>.bin      snapshot blobs; the highest valid one wins
 
 Writes follow the usual crash-safe discipline: records are appended and
@@ -21,10 +21,11 @@ touches virtual time and draws no randomness.
 from __future__ import annotations
 
 import os
+from time import perf_counter
 from typing import Optional
 
 from repro.consensus.base import StorageFull
-from repro.storage.base import LogStorage, StorageConfig
+from repro.storage.base import SEGMENT_BYTES, LogStorage, StorageConfig
 from repro.storage.record import scan_records
 
 _SEG_PREFIX = "seg-"
@@ -83,7 +84,8 @@ class DiskStorage(LogStorage):
     # Backend primitives
     # ------------------------------------------------------------------
 
-    def _persist(self, frames: list[bytes]) -> None:
+    def _persist(self, frames: list[bytes]) -> float:
+        started = perf_counter()
         try:
             if self._fh is None:
                 existing = self._listed(_SEG_PREFIX, _SEG_SUFFIX)
@@ -96,7 +98,7 @@ class DiskStorage(LogStorage):
             for frame in frames:
                 self._fh.write(frame)
                 self._seg_size += len(frame)
-                if self._seg_size >= self.config.segment_bytes:
+                if self._seg_size >= SEGMENT_BYTES:
                     self._fh.flush()
                     os.fsync(self._fh.fileno())
                     self._open_segment(self._seg_index + 1)
@@ -104,6 +106,7 @@ class DiskStorage(LogStorage):
             os.fsync(self._fh.fileno())
         except OSError as exc:
             raise StorageFull(f"log write failed: {exc}") from exc
+        return perf_counter() - started
 
     def _write_snapshot(self, framed: bytes) -> None:
         try:

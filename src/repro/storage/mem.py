@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.storage.base import LogStorage, StorageConfig
+from repro.storage.base import SEGMENT_BYTES, LogStorage, StorageConfig
 from repro.storage.record import scan_records
 
 
@@ -33,7 +33,7 @@ class MemStorage(LogStorage):
         segment = self._segments[-1]
         for frame in frames:
             segment += frame
-            if len(segment) >= self.config.segment_bytes:
+            if len(segment) >= SEGMENT_BYTES:
                 segment = bytearray()
                 self._segments.append(segment)
 

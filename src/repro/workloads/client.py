@@ -15,7 +15,7 @@ when the consensus layer falls behind, exactly as described.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol as TypingProtocol
+from typing import Protocol as TypingProtocol
 
 from repro.consensus.commands import Command
 from repro.sim.cluster import Cluster
@@ -50,12 +50,11 @@ class OpenLoopClients:
         cluster: Cluster,
         workload: Workload,
         config: ClientConfig,
-        nodes: Optional[list[int]] = None,
     ) -> None:
         self.cluster = cluster
         self.workload = workload
         self.config = config
-        self.nodes = nodes if nodes is not None else list(range(cluster.config.n_nodes))
+        self.nodes = list(range(cluster.config.n_nodes))
         self._inflight: dict[int, int] = {node: 0 for node in self.nodes}
         self._running = False
         self._rng = cluster.rng.stream("clients")

@@ -6,9 +6,9 @@ carry the identifiers of the objects a TPC-C transaction would access
 itself is out of scope ("the actual transaction processing has been
 omitted").
 
-Deployment shape follows the paper: ``10 * N`` warehouses, assigned to
-nodes round-robin, each with 10 districts and 3000 customers per
-district and a 100k-item stock.  A warehouse is *local* to the node it
+Deployment shape follows the paper: :data:`WAREHOUSES_PER_NODE` · N
+(10·N) warehouses, assigned to nodes round-robin, each with 10 districts
+and 3000 customers per district and a 100k-item stock.  A warehouse is *local* to the node it
 is assigned to.  ``remote_warehouse_prob`` is the Figure 8 knob: the
 probability that a client targets a uniformly random warehouse instead
 of a local one (0% in 8a, 15% in 8b).  Independent of it, 15% of
@@ -44,16 +44,14 @@ MIX = (
 DISTRICTS_PER_WAREHOUSE = 10
 CUSTOMERS_PER_DISTRICT = 3000
 ITEMS = 100_000
+WAREHOUSES_PER_NODE = 10
 
 
 @dataclass(frozen=True)
 class TpccConfig:
-    warehouses_per_node: int = 10
     remote_warehouse_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.warehouses_per_node < 1:
-            raise ValueError("warehouses_per_node must be >= 1")
         if not 0.0 <= self.remote_warehouse_prob <= 1.0:
             raise ValueError("remote_warehouse_prob must be in [0, 1]")
 
@@ -64,7 +62,7 @@ class TpccWorkload:
     def __init__(self, config: TpccConfig, n_nodes: int, rng: random.Random) -> None:
         self.config = config
         self.n_nodes = n_nodes
-        self.n_warehouses = config.warehouses_per_node * n_nodes
+        self.n_warehouses = WAREHOUSES_PER_NODE * n_nodes
         self._rng = rng
         self._seq = [0] * n_nodes
 
@@ -115,8 +113,6 @@ class TpccWorkload:
         return self._rng.choice(local)
 
     def _other_warehouse(self, w: int) -> int:
-        if self.n_warehouses == 1:
-            return w
         other = self._rng.randrange(self.n_warehouses - 1)
         return other if other < w else other + 1
 

@@ -98,7 +98,7 @@ class TestClusterFromSpec:
         spec = ClusterSpec(
             n_nodes=7,
             seed=9,
-            network=NetworkConfig(bandwidth=1e9),
+            network=NetworkConfig(batching=False),
             cpu=CpuConfig(cores=2),
             storage=StorageConfig(kind="mem"),
         )
@@ -106,7 +106,7 @@ class TestClusterFromSpec:
         assert cluster.config is spec
         assert len(cluster.nodes) == 7
         assert cluster.rng.master_seed == 9
-        assert cluster.network.config.bandwidth == 1e9
+        assert cluster.network.config.batching is False
         assert all(node.cpu.config.cores == 2 for node in cluster.nodes)
         assert all(node.env.storage.durable for node in cluster.nodes)
         cluster.close_storage()

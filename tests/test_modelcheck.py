@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import modelcheck
 from repro.core.modelcheck import ModelChecker, ModelConfig, Violation
 
 
@@ -40,10 +41,13 @@ class TestModelChecker:
                     seen.add(successor)
                     frontier.append(successor)
 
-    def test_detects_seeded_violation(self):
+    def test_detects_seeded_violation(self, monkeypatch):
         # Feed the invariant checker a hand-built bad state: c1 before c2
-        # on o1 but c2 before c1 on o2, both chosen by full quorums.
-        checker = ModelChecker(ModelConfig(n_ballots=1))
+        # on o1 but c2 before c1 on o2, both chosen by full quorums.  The
+        # model's c2 touches o1 only, so make it touch both objects.
+        monkeypatch.setattr(
+            modelcheck, "COMMANDS", {"c1": ("o1", "o2"), "c2": ("o1", "o2")}
+        )
         votes = set()
         for a in range(3):
             votes.add((a, "o1", 1, 0, "c1"))
@@ -55,11 +59,7 @@ class TestModelChecker:
             tuple(tuple(0 for _ in range(2)) for _ in range(3)),
             frozenset(votes),
         )
-        config = ModelConfig(
-            n_ballots=1,
-            commands={"c1": ("o1", "o2"), "c2": ("o1", "o2")},
-        )
-        checker = ModelChecker(config)
+        checker = ModelChecker(ModelConfig(n_ballots=1))
         with pytest.raises(Violation):
             checker.check_state(bad_state)
 

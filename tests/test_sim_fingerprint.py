@@ -7,9 +7,8 @@ sequence, the network counters, the event count, the final virtual time,
 per-type message counts and virtual p50/p99.  A substrate change that
 reorders one event, skips one RNG draw or mis-sizes one message moves at
 least one of them.  The ``telemetry-*`` cases pin the live-telemetry
-frames instead: a digest of every ``Frame`` field but ``fsync_p99`` (a
-wall-clock measurement of each storage flush) and each health event's
-kind and time.
+frames instead: a digest of every ``Frame`` field (``fsync_p99`` too: a
+simulated store times nothing) and each health event's kind and time.
 
 ``sim_fingerprint.json`` was recorded at the parent of PR 18 (commit
 7206705) and is only re-recorded by a change that *means* to alter
@@ -155,7 +154,7 @@ def _plain(value):
 
 def _telemetry(telemetry) -> dict:
     frames = [
-        {f.name: _plain(getattr(frame, f.name)) for f in fields(frame) if f.name != "fsync_p99"}
+        {f.name: _plain(getattr(frame, f.name)) for f in fields(frame)}
         for frame in telemetry.frames
     ]
     return {

@@ -7,12 +7,19 @@ import pytest
 from repro.sim.cpu import CpuConfig, CpuModel
 from repro.sim.event_loop import EventLoop
 from repro.sim.latency import (
+    GAUSSIAN_FLOOR,
     FixedLatency,
     GaussianLatency,
     TopologyLatency,
     UniformLatency,
 )
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import (
+    BANDWIDTH,
+    BATCH_FACTOR,
+    HEADER_BYTES,
+    Network,
+    NetworkConfig,
+)
 from repro.sim.rng import RngRegistry
 
 
@@ -63,9 +70,10 @@ class TestLatencyModels:
             assert 0.001 <= model.sample(0, 1, rng) <= 0.002
 
     def test_gaussian_respects_floor(self):
-        model = GaussianLatency(mean=1e-4, stddev=1e-3, floor=1e-6)
+        model = GaussianLatency(mean=1e-4, stddev=1e-3)
         rng = random.Random(2)
-        assert all(model.sample(0, 1, rng) >= 1e-6 for _ in range(200))
+        # A wide spread puts about half the draws below the floor.
+        assert min(model.sample(0, 1, rng) for _ in range(200)) == GAUSSIAN_FLOOR
 
     def test_topology_matrix(self):
         matrix = [[0.0, 0.05], [0.08, 0.0]]
@@ -138,10 +146,6 @@ class TestCpuModel:
         last = max(cpu.submit(0.0, 1.0, 0.0) for _ in range(8))
         assert last == 1.0
 
-    def test_speed_divides_cost(self):
-        cpu = CpuModel(CpuConfig(cores=1, speed=2.0))
-        assert cpu.submit(0.0, 1.0, 0.0) == 0.5
-
     def test_late_arrival_starts_at_arrival(self):
         cpu = CpuModel(CpuConfig(cores=1))
         assert cpu.submit(10.0, 1.0, 0.0) == 11.0
@@ -183,20 +187,17 @@ class TestNetwork:
         assert t > 0.001  # latency + transmission
 
     def test_transmission_delay_scales_with_size(self):
-        _, network = make_network(bandwidth=1000.0, header_bytes=0)
-        assert network.transmission_delay(500) == pytest.approx(0.5)
+        _, network = make_network()
+        assert network.transmission_delay(500) == (500 + HEADER_BYTES) / BANDWIDTH
 
     def test_batching_amortises_header(self):
-        _, full = make_network(bandwidth=1000.0, header_bytes=64, batching=False)
-        _, batched = make_network(
-            bandwidth=1000.0, header_bytes=64, batching=True, batch_factor=16
-        )
-        assert batched.transmission_delay(0) < full.transmission_delay(0)
+        _, full = make_network(batching=False)
+        _, batched = make_network(batching=True)
+        assert full.transmission_delay(0) == HEADER_BYTES / BANDWIDTH
+        assert batched.transmission_delay(0) == HEADER_BYTES / BATCH_FACTOR / BANDWIDTH
 
     def test_fifo_per_link(self):
-        loop, network = make_network(
-            latency=UniformLatency(0.001, 0.010), fifo_links=True
-        )
+        loop, network = make_network(latency=UniformLatency(0.001, 0.010))
         got = []
         network.register(1, lambda src, msg, size: got.append(msg))
         for i in range(50):

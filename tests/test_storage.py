@@ -30,6 +30,7 @@ from repro.core.protocol import M2Paxos, M2PaxosConfig
 from repro.runtime.codec import encode_value_binary
 from repro.sim.cluster import Cluster
 from repro.spec import ClusterSpec
+from repro.storage import mem
 from repro.storage.base import StorageConfig
 from repro.storage.disk import DiskStorage
 from repro.storage.mem import MemStorage
@@ -155,8 +156,9 @@ class _FakeEnv:
 
 
 class TestLogEngines:
-    def test_mem_segment_roll_and_recover(self):
-        store = MemStorage(StorageConfig(kind="mem", segment_bytes=128))
+    def test_mem_segment_roll_and_recover(self, monkeypatch):
+        monkeypatch.setattr(mem, "SEGMENT_BYTES", 128)
+        store = MemStorage(StorageConfig(kind="mem"))
         payloads = [b"r%03d" % i * 4 for i in range(40)]
         for payload in payloads:
             store.append(1, payload)
@@ -167,7 +169,7 @@ class TestLogEngines:
         assert [p for _, p in recovered.records] == payloads
 
     def test_mem_torn_tail_truncated_on_recover(self):
-        store = MemStorage(StorageConfig(kind="mem", segment_bytes=1 << 20))
+        store = MemStorage(StorageConfig(kind="mem"))
         for i in range(10):
             store.append(1, b"payload-%d" % i)
         store.commit(lambda: None)
@@ -198,6 +200,20 @@ class TestLogEngines:
         env.timers[0][1]()  # fire the group-commit window
         assert released == [1, 2]
         assert store.fsyncs == 1 and store.records_flushed == 2
+
+    def test_only_a_real_write_is_timed(self, tmp_path):
+        # A simulated flush note carries no wall time, so a seeded run's
+        # telemetry frames replay exactly; a disk flush reports its fsync.
+        disk = DiskStorage(StorageConfig(kind="disk", dir=str(tmp_path)), str(tmp_path / "n"))
+        for store, timed in ((MemStorage(StorageConfig(kind="mem")), False), (disk, True)):
+            env = _FakeEnv()
+            store.attach(env, lambda: None)
+            store.append(1, b"a")
+            store.commit(lambda: None)
+            [(kind, fields)] = env.notes
+            assert kind == "fsync" and fields["records"] == 1
+            assert ("seconds" in fields) is timed
+        disk.close()
 
     def test_discard_pending_loses_unfsynced_records(self):
         env = _FakeEnv()

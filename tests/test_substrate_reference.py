@@ -154,7 +154,6 @@ class ReferenceCpu:
         self.busy_time = 0.0
 
     def submit(self, now: float, cost: float, serial_fraction: float) -> float:
-        cost = cost / self.config.speed
         serial = cost * serial_fraction
         parallel = cost - serial
         start_serial = max(now, self._lock_free)
@@ -183,11 +182,10 @@ _jobs = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(
     cores=st.integers(1, 32),
-    speed=st.sampled_from([0.5, 1.0, 1.0, 3.0]),
     jobs=_jobs,
 )
-def test_cpu_model_matches_the_reference(cores, speed, jobs):
-    config = CpuConfig(cores=cores, speed=speed)
+def test_cpu_model_matches_the_reference(cores, jobs):
+    config = CpuConfig(cores=cores)
     new, old = CpuModel(config), ReferenceCpu(config)
     now = 0.0
     for gap, cost, serial_fraction in jobs:

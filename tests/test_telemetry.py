@@ -15,12 +15,8 @@ import pytest
 
 from repro.consensus.commands import Command
 from repro.core.protocol import M2Paxos
-from repro.obs.telemetry import (
-    HealthConfig,
-    HealthDetector,
-    LogSketch,
-    Telemetry,
-)
+from repro.obs.telemetry import HealthDetector, LogSketch, Telemetry
+from repro.obs.telemetry.health import OVERLOAD_INFLIGHT
 from repro.obs.telemetry.sampler import Frame
 
 from tests.conftest import make_cluster
@@ -153,11 +149,12 @@ class TestSimTelemetry:
             ]
 
 class TestCollectorBounds:
-    def test_pending_map_is_bounded(self):
+    def test_pending_map_is_bounded(self, monkeypatch):
         from repro.obs.clock import WallClock
-        from repro.obs.telemetry import TelemetryCollector
+        from repro.obs.telemetry import TelemetryCollector, collector as module
 
-        collector = TelemetryCollector(WallClock(), max_pending=4)
+        monkeypatch.setattr(module, "MAX_PENDING", 4)
+        collector = TelemetryCollector(WallClock())
         for i in range(10):
             collector.on_propose(0, Command.make(0, i, ["x"]))
         assert collector.pending() == 4
@@ -222,7 +219,7 @@ def _frame(index, **overrides) -> Frame:
 
 class TestHealthDetector:
     def test_contention_event_once_per_episode(self):
-        detector = HealthDetector(HealthConfig(min_decides=8))
+        detector = HealthDetector()
         contended = dict(path_counts={"fast": 10, "acquisition": 10})
         detector.observe_frame(_frame(0, **contended))
         detector.observe_frame(_frame(1, **contended))
@@ -234,37 +231,35 @@ class TestHealthDetector:
         assert [e.kind for e in detector.events] == ["contention", "contention"]
 
     def test_sparse_frames_skip_ratio_rules(self):
-        detector = HealthDetector(HealthConfig(min_decides=8))
+        detector = HealthDetector()
         detector.observe_frame(
             _frame(0, decides=2, path_counts={"acquisition": 2})
         )
         assert detector.events == []
 
     def test_overload_on_inflight_depth(self):
-        detector = HealthDetector(HealthConfig(overload_inflight=100))
-        detector.observe_frame(_frame(0, inflight=150))
+        detector = HealthDetector()
+        detector.observe_frame(_frame(0, inflight=OVERLOAD_INFLIGHT - 1))
+        assert detector.events == []
+        detector.observe_frame(_frame(1, inflight=OVERLOAD_INFLIGHT))
         assert [e.kind for e in detector.events] == ["overload"]
-        assert detector.events[0].details["inflight"] == 150
+        assert detector.events[0].details["inflight"] == OVERLOAD_INFLIGHT
 
     def test_overload_on_monotonic_latency_slope(self):
-        detector = HealthDetector(
-            HealthConfig(overload_slope_frames=3, overload_slope_factor=1.5)
-        )
+        detector = HealthDetector()
         for i, p50 in enumerate((1e-3, 1.4e-3, 2.1e-3)):
             detector.observe_frame(_frame(i, p50=p50))
         assert [e.kind for e in detector.events] == ["overload"]
         assert detector.events[0].details["slope"] >= 1.5
 
     def test_non_monotonic_rise_is_not_overload(self):
-        detector = HealthDetector(
-            HealthConfig(overload_slope_frames=3, overload_slope_factor=1.5)
-        )
+        detector = HealthDetector()
         for i, p50 in enumerate((1e-3, 0.9e-3, 2.1e-3)):
             detector.observe_frame(_frame(i, p50=p50))
         assert detector.events == []
 
     def test_stall_needs_consecutive_frames(self):
-        detector = HealthDetector(HealthConfig(stall_frames=2))
+        detector = HealthDetector()
         stalled = dict(decides=0, path_counts={}, p50=float("nan"))
         detector.observe_frame(_frame(0, **stalled))
         assert detector.events == []
@@ -272,10 +267,10 @@ class TestHealthDetector:
         assert [e.kind for e in detector.events] == ["stall"]
 
     def test_listeners_receive_events(self):
-        detector = HealthDetector(HealthConfig(overload_inflight=1))
+        detector = HealthDetector()
         seen = []
         detector.subscribe(seen.append)
-        detector.observe_frame(_frame(0, inflight=5))
+        detector.observe_frame(_frame(0, inflight=OVERLOAD_INFLIGHT))
         assert [e.kind for e in seen] == ["overload"]
 
 
@@ -378,11 +373,13 @@ class TestChaosTelemetry:
 
 
 class TestObsSpanCap:
-    def test_spans_capped_and_drops_counted(self):
+    def test_spans_capped_and_drops_counted(self, monkeypatch):
+        from repro.obs import collect
         from repro.obs.collect import ObsCollector
 
+        monkeypatch.setattr(collect, "MAX_SPANS", 50)
         cluster = make_cluster(lambda i, n: M2Paxos(), n_nodes=3, seed=1)
-        obs = ObsCollector.for_cluster(cluster, record_spans=True, max_spans=50)
+        obs = ObsCollector.for_cluster(cluster, record_spans=True)
         _drive_sim(cluster, rounds=10)
         assert len(obs.spans) == 50
         assert obs.dropped_spans > 0
