@@ -65,14 +65,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="tcp-lat")
     parser.add_argument("--seed", default="1")
     args = parser.parse_args(argv)
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        # perfbench pins it by re-executing itself; do it here instead,
-        # so the counters stay in the process that runs the pass.
-        os.execve(
-            sys.executable,
-            [sys.executable, os.path.abspath(__file__), *(argv or sys.argv[1:])],
-            {**os.environ, "PYTHONHASHSEED": "0"},
-        )
     checkout = os.path.abspath(args.checkout)
     sys.path[:0] = [os.path.join(checkout, "src"), checkout]
     os.chdir(checkout)

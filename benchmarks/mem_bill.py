@@ -124,14 +124,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--quick", action="store_true", help="the test-sized pass")
     args = parser.parse_args(argv)
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        # perfbench pins it by re-executing itself; do it here instead,
-        # so the marks stay in the process that runs the pass.
-        os.execve(
-            sys.executable,
-            [sys.executable, os.path.abspath(__file__), *(argv or sys.argv[1:])],
-            {**os.environ, "PYTHONHASHSEED": "0"},
-        )
     checkout = os.path.abspath(args.checkout)
     sys.path[:0] = [os.path.join(checkout, "src"), checkout]
     os.chdir(checkout)

@@ -22,9 +22,7 @@ seeded workload, and a :class:`~repro.chaos.plan.FaultPlan`.
 
 4. returns a :class:`ChaosResult` whose ``fingerprint`` hashes the full
    delivery history.  The CLI runs each scenario twice in one process
-   and requires the same hex digest.  That checks determinism for the
-   process's ``PYTHONHASHSEED`` only: some runs walk unsorted sets, so a
-   fingerprint holds across processes only for a fixed hash seed.
+   and requires the same hex digest.
 """
 
 from __future__ import annotations

@@ -382,9 +382,9 @@ def cmd_chaos(args) -> int:
     """Run seeded fault-injection scenarios through the safety checker.
 
     Every scenario runs twice in this process; the delivery-history
-    fingerprints must match and both runs must pass the checker.  Equal
-    fingerprints show determinism under this process's
-    ``PYTHONHASHSEED``, not across hash seeds.
+    fingerprints must match and both runs must pass the checker.  The
+    table prints the first 12 hex digits of each fingerprint, so two
+    processes' tables can be compared with ``diff``.
     """
     from repro.chaos import DURABLE_SMOKE, SCENARIOS, SMOKE, by_name, run_scenario
 
@@ -430,6 +430,7 @@ def cmd_chaos(args) -> int:
                 "dup": first.duplicated,
                 "faults": first.faults_observed,
                 "deterministic": "yes" if deterministic else "NO",
+                "fingerprint": first.fingerprint[:12],
             }
         )
         if not first.ok:
@@ -445,7 +446,7 @@ def cmd_chaos(args) -> int:
         f"chaos suite ({len(scenarios)} scenarios, each run twice)",
         rows,
         ["scenario", "status", "proposed", "delivered",
-         "dropped", "dup", "faults", "deterministic"],
+         "dropped", "dup", "faults", "deterministic", "fingerprint"],
     )
     if failed:
         print(f"{failed} scenario(s) failed", file=sys.stderr)

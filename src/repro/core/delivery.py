@@ -55,11 +55,14 @@ class DeliveryEngine:
         ``dirty`` restricts the scan to objects whose frontier may have
         moved (the objects of a just-recorded decision); appending a
         command re-dirties its other objects.  Without ``dirty`` all
-        objects are scanned (used by tests and after bulk loads).
+        objects are scanned (used by tests and after bulk loads).  Object
+        names are walked in sorted order, never in set order, so which of
+        two unblocked commands is appended first does not depend on
+        string hashing.
         """
         appended: list[Command] = []
         index = self._state.decided_index
-        work = deque(dirty if dirty is not None else self._state.objects)
+        work = deque(sorted(dirty) if dirty is not None else self._state.objects)
         while work:
             l = work.popleft()
             obj = self._state.objects.get(l)
@@ -82,7 +85,7 @@ class DeliveryEngine:
                     break
                 self._append(command)
                 appended.append(command)
-                for other in command.ls:
+                for other in sorted(command.ls):
                     if other != l:
                         work.append(other)
         return appended

@@ -90,7 +90,9 @@ class RecoveryMixin:
             if pending.lapsed:
                 del self.state.pending_accepts[req]
             pending.lapsed = True
-        for l in list(self.state.gap_candidates):
+        # Sorted, not set order: which stalled object gets its gap
+        # Prepare first must not depend on string hashing.
+        for l in sorted(self.state.gap_candidates):
             gap = self.delivery.undelivered_gap(l)
             if gap is None:
                 self.state.gap_candidates.discard(l)

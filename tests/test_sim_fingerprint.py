@@ -14,21 +14,13 @@ simulated store times nothing) and each health event's kind and time.
 7206705) and is only re-recorded by a change that *means* to alter
 behaviour (any case names given as arguments select a subset):
 
-    PYTHONHASHSEED=0 PYTHONPATH=src python tests/test_sim_fingerprint.py \
-        > tests/sim_fingerprint.json
-
-Cases in ``HASHSEED_DEPENDENT`` iterate a set of strings somewhere on
-their path, so their event order depends on ``PYTHONHASHSEED``; they are
-pinned in a subprocess with ``PYTHONHASHSEED=0`` (as ``perfbench/run.py``
-re-executes itself).
+    PYTHONPATH=src python tests/test_sim_fingerprint.py > tests/sim_fingerprint.json
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -205,38 +197,13 @@ CASES = {
     ),
 }
 
-HASHSEED_DEPENDENT = frozenset(
-    {"chaos", "telemetry-contention-storm", "telemetry-crash-restart-durable", "telemetry-point"}
-)
-
 with open(Path(__file__).with_name("sim_fingerprint.json")) as _fh:
     EXPECTED = json.load(_fh)
 
 
-@pytest.fixture(scope="module")
-def hashseed0() -> dict:
-    """The hash-seed-dependent cases, computed by one child process."""
-    if not HASHSEED_DEPENDENT:
-        return {}
-    out = subprocess.run(
-        [sys.executable, __file__, *sorted(HASHSEED_DEPENDENT)],
-        env={
-            **os.environ,
-            "PYTHONHASHSEED": "0",
-            "PYTHONPATH": os.pathsep.join(p for p in sys.path if p),
-        },
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-    )
-    return json.loads(out.stdout)
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_fingerprint_matches_the_recorded_commit(case, hashseed0):
-    got = hashseed0[case] if case in HASHSEED_DEPENDENT else CASES[case]()
-    assert got == EXPECTED[case]
+def test_fingerprint_matches_the_recorded_commit(case):
+    assert CASES[case]() == EXPECTED[case]
 
 
 if __name__ == "__main__":

@@ -481,7 +481,7 @@ class TestClusterIntegration:
         snapshot written by an older build must still restore, so its
         bytes are a format.  These digests were recorded before the node
         state was declared in ``repro.core.state`` and read the same
-        under PYTHONHASHSEED 0, 1 and 2."""
+        under string hash seeds 0, 1 and 2."""
         cluster = _drive(
             StorageConfig(kind="mem", fsync_wait=0.005), seed=17, rounds=24, cut_off=1
         )
